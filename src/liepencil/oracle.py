@@ -379,13 +379,12 @@ def _p0_by_deflation(pencil: NumericPencil, r: int) -> unipoly.Poly:
     if not reps:
         return [Fraction(1)]
 
-    def form(mat, u, v):
-        return sum(x * y for x, y in zip(u, ratmat.mat_vec(mat, v)))
+    def gram(mat):
+        # entry (i, j) is reps[i] . mat reps[j]; each image is formed once
+        images = [ratmat.mat_vec(mat, v) for v in reps]
+        return [[sum(x * y for x, y in zip(u, w)) for w in images] for u in reps]
 
-    q = len(reps)
-    qa = [[form(pencil.a, reps[i], reps[j]) for j in range(q)] for i in range(q)]
-    qb = [[form(pencil.b, reps[i], reps[j]) for j in range(q)] for i in range(q)]
-    quotient = NumericPencil(qa, qb)
+    quotient = NumericPencil(gram(pencil.a), gram(pencil.b))
     det = unipoly.pencil_det(*_int_pair(quotient))
     if not det:
         raise ArithmeticError("deflated pencil is singular; rank certificate failed")

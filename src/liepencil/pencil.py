@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 from .model import LieAlgebra, SkewPolyMatrix, build_ax
-from .poly import Polynomial, VarKind, div_exact, normalize, poly_gcd
+from .poly import Polynomial, VarKind, normalize, poly_gcd
 
 __all__ = [
     "generic_rank",
@@ -28,48 +28,28 @@ __all__ = [
 def generic_rank(matrix: SkewPolyMatrix) -> int:
     """Rank over the rational function field in all symbolic variables.
 
-    Fraction-free Bareiss elimination with full pivoting.  Divisions are
-    exact because every intermediate entry is a bordered minor of the
-    original matrix; pivots are chosen with the fewest terms to keep the
-    intermediate polynomials small.
+    Grows an index set I, starting from the empty set, by a pair j < k
+    outside I whenever the principal Pfaffian Pf_{I+{j,k}} is nonzero, and
+    returns |I| once no such pair is left.
+
+    The result is exact, with no points sampled.  Over Q(params, x),
+    Pf_I != 0 makes the block M_II invertible (Pf^2 = det), so
+    rank M = |I| + rank S for the Schur complement S of M_II, which is skew.
+    Reordering rows and columns only flips signs, and Pf of a block matrix
+    factors through its Schur complement, so S_jk = +-Pf_{I+{j,k}} / Pf_I.
+    When every such Pfaffian vanishes, S = 0 and rank M = |I|.
     """
-    n = matrix.size
-    work = matrix.rows()
-    reg = matrix.registry
-    prev = reg.one()
-    r = 0
-    for k in range(n):
-        pivot = None
-        best = None
-        for i in range(k, n):
-            for j in range(k, n):
-                entry = work[i][j]
-                if entry:
-                    weight = entry.term_count()
-                    if best is None or weight < best:
-                        best = weight
-                        pivot = (i, j)
-                        if weight == 1:
-                            break
-            if best == 1:
+    cache = PfaffianCache(matrix)
+    chosen: tuple[int, ...] = ()
+    while True:
+        rest = [i for i in range(1, matrix.size + 1) if i not in chosen]
+        for j, k in itertools.combinations(rest, 2):
+            grown = tuple(sorted(chosen + (j, k)))
+            if cache.pfaffian(grown):
+                chosen = grown
                 break
-        if pivot is None:
-            break
-        pi, pj = pivot
-        if pi != k:
-            work[k], work[pi] = work[pi], work[k]
-        if pj != k:
-            for row in work:
-                row[k], row[pj] = row[pj], row[k]
-        lead = work[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = lead * work[i][j] - work[i][k] * work[k][j]
-                work[i][j] = div_exact(num, prev)
-            work[i][k] = reg.zero()
-        prev = lead
-        r += 1
-    return r
+        else:
+            return len(chosen)
 
 
 def principal_subsets(n: int, r: int):
@@ -190,8 +170,9 @@ def pencil_profile(source: LieAlgebra | SkewPolyMatrix) -> PencilProfile:
         collected.append((subset, pf))
         if pf:
             gcd_far = pf if gcd_far is None else poly_gcd(gcd_far, pf)
-    # rank r guarantees at least one nonzero r x r Pfaffian
-    p0 = normalize(gcd_far) if gcd_far is not None else matrix.registry.one()
+    # generic_rank stops at an index set whose r x r Pfaffian is nonzero
+    # (at r = 0 that is Pf of the empty set, 1), so gcd_far is never None
+    p0 = normalize(gcd_far)
     return PencilProfile(
         matrix=matrix,
         generic_rank=r,

@@ -267,10 +267,6 @@ class Polynomial:
     def coefficient(self, mono: Mono) -> Fraction:
         return self._terms.get(mono, Fraction(0))
 
-    def variables(self) -> set[str]:
-        names = self.registry._names
-        return {names[p] for m in self._terms for p, _ in m}
-
     # -- monomial order ----------------------------------------------------
 
     def _key(self, mono: Mono):
@@ -305,12 +301,6 @@ class Polynomial:
         return max(
             sum(e for p, e in m if kind_at(p) in wanted) for m in self._terms
         )
-
-    def degree_of(self, name: str):
-        pos = self.registry.position(name)
-        if not self._terms:
-            return NEG_INF
-        return max((e for m in self._terms for p, e in m if p == pos), default=0)
 
     # -- arithmetic --------------------------------------------------------
 

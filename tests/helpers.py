@@ -10,6 +10,7 @@ needs something honest to disagree with.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -175,3 +176,23 @@ def algebra_from_table(dim, table, name=""):
         for pair, comps in table.items()
     }
     return LieAlgebra(dim, reg, brackets=brackets, name=name)
+
+
+def gl_algebra(n):
+    """gl_n in the basis of matrix units E_ab, ordered (1,1), (1,2), ..., (n,n).
+
+    [E_ab, E_cd] = delta_bc E_ad - delta_da E_cb.
+    """
+    units = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1)]
+    index = {unit: i for i, unit in enumerate(units, start=1)}
+    table = {}
+    for (a, b), (c, d) in itertools.combinations(units, 2):
+        # (a, d) and (c, b) coincide only for equal units, never both set
+        comps = {}
+        if b == c:
+            comps[index[(a, d)]] = 1
+        if d == a:
+            comps[index[(c, b)]] = -1
+        if comps:
+            table[(index[(a, b)], index[(c, d)])] = comps
+    return algebra_from_table(n * n, table, name=f"gl{n}")

@@ -19,6 +19,7 @@ from liepencil.poly import VarKind, VarRegistry, normalize
 
 from helpers import (
     algebra_from_table,
+    gl_algebra,
     laplace_det,
     pfaffian_matchings,
     random_skew_linear,
@@ -50,9 +51,18 @@ def test_principal_subsets():
 
 def test_generic_rank_matches_evaluation_oracle():
     rng = random.Random(23)
-    for size in (2, 3, 4, 5, 6):
-        reg = VarRegistry(4)
-        m = random_skew_linear(reg, size, rng)
+    reg = VarRegistry(4)
+    x = reg.coordinate
+    # Pf_12, Pf_13 and Pf_1234 vanish, so the rank search must skip zero
+    # pairs; the support is a forest with a largest matching of 3 edges
+    sparse = SkewPolyMatrix(
+        7, reg, {(1, 4): x(1), (2, 5): x(2), (3, 6): x(1) + x(2), (5, 7): x(3)}
+    )
+    matrices = itertools.chain(
+        (random_skew_linear(VarRegistry(4), size, rng) for size in (2, 3, 4, 5, 6)),
+        [sparse],
+    )
+    for m in matrices:
         r = generic_rank(m)
         assert r % 2 == 0
         # rank at any specialization never exceeds the generic rank, and
@@ -63,6 +73,12 @@ def test_generic_rank_matches_evaluation_oracle():
 def test_generic_rank_zero_matrix():
     reg = VarRegistry(2)
     assert generic_rank(SkewPolyMatrix(3, reg, {})) == 0
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_generic_rank_gl_n_closed_form(n):
+    # ind gl_n = n
+    assert generic_rank(build_ax(gl_algebra(n))) == n * n - n
 
 
 def test_pfaffian_small_matchings_oracle():
