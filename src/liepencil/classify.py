@@ -23,6 +23,7 @@ __all__ = [
     "Verdict",
     "VERDICT_SENTENCES",
     "ClassificationReport",
+    "require_valid",
     "classify",
     "SamplePoint",
     "FamilyReport",
@@ -77,19 +78,27 @@ class ClassificationReport:
         }
 
 
-def classify(alg: LieAlgebra, name: str | None = None) -> ClassificationReport:
-    """Classify one bracket table.
+def require_valid(alg: LieAlgebra) -> None:
+    """Raise InvalidAlgebra when the Jacobi identity fails.
 
-    Raises InvalidAlgebra when the Jacobi identity fails, reporting the
-    first few offending triples.
+    The message reports the first few offending triples.
     """
-    started = time.perf_counter()
     report = validate(alg)
     if not report.ok:
         shown = "; ".join(str(v) for v in report.violations[:3])
         if len(report.violations) > 3:
             shown += f" (and {len(report.violations) - 3} more)"
         raise InvalidAlgebra(shown, report=report)
+
+
+def classify(alg: LieAlgebra, name: str | None = None) -> ClassificationReport:
+    """Classify one bracket table.
+
+    Raises InvalidAlgebra when the Jacobi identity fails (see
+    :func:`require_valid`).
+    """
+    started = time.perf_counter()
+    require_valid(alg)
     profile = pencil_profile(alg)
     if profile.index == 0:
         verdict = Verdict.JORDAN

@@ -30,6 +30,7 @@ from .classify import (
     Verdict,
     classify,
     classify_family,
+    require_valid,
 )
 from .errors import (
     ExclusionViolation,
@@ -39,9 +40,10 @@ from .errors import (
     ParseError,
     SamplingError,
 )
-from .model import LieAlgebra, substitute_params, validate
+from .model import LieAlgebra, build_ax, substitute_params, validate
 from .oracle import cross_check
 from .parser import load_algebra
+from .pencil import generic_rank
 
 __all__ = ["main", "entry"]
 
@@ -244,17 +246,18 @@ def cmd_classify(args) -> int:
 
 def cmd_index(args) -> int:
     alg = _load_bound(args)
-    report = classify(alg)
+    require_valid(alg)
+    rank = generic_rank(build_ax(alg))
     if args.output == "structured":
         return _emit({
-            "name": report.name,
-            "dim": report.dim,
-            "generic_rank": report.generic_rank,
-            "index": report.index,
+            "name": alg.name,
+            "dim": alg.dim,
+            "generic_rank": rank,
+            "index": alg.dim - rank,
         })
-    print(f"dim: {report.dim}")
-    print(f"generic rank: {report.generic_rank}")
-    print(f"index: {report.index}")
+    print(f"dim: {alg.dim}")
+    print(f"generic rank: {rank}")
+    print(f"index: {alg.dim - rank}")
     return EXIT_OK
 
 

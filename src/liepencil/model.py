@@ -155,23 +155,37 @@ class ValidationReport:
 
 
 def validate(alg: LieAlgebra) -> ValidationReport:
-    """Check the Jacobi identity for every basis triple, as polynomials."""
-    n = alg.dim
-    c = alg.structure_constant
+    """Check the Jacobi identity for every basis triple, as polynomials.
+
+    For each triple i < j < k the sum [[e_i,e_j],e_k] + [[e_j,e_k],e_i]
+    + [[e_k,e_i],e_j] is expanded from the stored brackets alone: l runs
+    over the stored terms of [e_a,e_b] and m over the stored terms of
+    [e_l,e_c], each read with its antisymmetry sign.  A triple none of
+    whose pairs (i,j), (j,k), (i,k) is stored has all three inner brackets
+    zero and is skipped, so the work follows the stored brackets rather
+    than n^5.  Violations come in ascending (i, j, k, m) order.
+    """
+    stored = alg._brackets
+    zero = alg.registry.zero()
+
+    def signed(a: int, b: int):
+        # [e_a, e_b] as (stored terms, sign) for a != b
+        return (stored.get((a, b)), 1) if a < b else (stored.get((b, a)), -1)
+
     bad = []
-    for i, j, k in itertools.combinations(range(1, n + 1), 3):
-        # [[ei,ej],ek] + [[ej,ek],ei] + [[ek,ei],ej], expanded via e_l.
-        for m in range(1, n + 1):
-            total = alg.registry.zero()
-            for l in range(1, n + 1):
-                total = (
-                    total
-                    + c(i, j, l) * c(l, k, m)
-                    + c(j, k, l) * c(l, i, m)
-                    + c(k, i, l) * c(l, j, m)
-                )
-            if total:
-                bad.append(Violation(i, j, k, m, total))
+    for i, j, k in itertools.combinations(range(1, alg.dim + 1), 3):
+        if (i, j) not in stored and (j, k) not in stored and (i, k) not in stored:
+            continue
+        total: dict[int, Polynomial] = {}
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            outer, s_ab = signed(a, b)
+            for l, c_ab in (outer or {}).items():
+                inner, s_lc = signed(l, c)  # l == c finds nothing stored
+                for m, c_lc in (inner or {}).items():
+                    term = c_ab * c_lc
+                    acc = total.get(m, zero)
+                    total[m] = acc + term if s_ab == s_lc else acc - term
+        bad.extend(Violation(i, j, k, m, total[m]) for m in sorted(total) if total[m])
     return ValidationReport(tuple(bad))
 
 

@@ -168,8 +168,14 @@ def pencil_profile(source: LieAlgebra | SkewPolyMatrix) -> PencilProfile:
     for subset in principal_subsets(n, r):
         pf = cache.pfaffian(subset)
         collected.append((subset, pf))
-        if pf:
-            gcd_far = pf if gcd_far is None else poly_gcd(gcd_far, pf)
+        if not pf:
+            continue
+        if gcd_far is None:
+            gcd_far = pf
+        elif not gcd_far.is_constant():
+            # a constant running gcd is already p0 = 1; later Pfaffians
+            # are still collected but cannot change it
+            gcd_far = poly_gcd(gcd_far, pf)
     # generic_rank stops at an index set whose r x r Pfaffian is nonzero
     # (at r = 0 that is Pf of the empty set, 1), so gcd_far is never None
     p0 = normalize(gcd_far)

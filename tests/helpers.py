@@ -196,3 +196,37 @@ def gl_algebra(n):
         if comps:
             table[(index[(a, b)], index[(c, d)])] = comps
     return algebra_from_table(n * n, table, name=f"gl{n}")
+
+
+def heisenberg_algebra(k):
+    """h_{2k+1} with basis p_1..p_k, q_1..q_k, z and [p_i, q_i] = z."""
+    z = 2 * k + 1
+    return algebra_from_table(
+        z, {(i, k + i): {z: 1} for i in range(1, k + 1)}, name=f"h{z}"
+    )
+
+
+def naive_jacobi_violations(alg):
+    """Jacobi violations by the dense triple loop over structure constants.
+
+    Every (i < j < k, m) is summed over all l, zero products included, so
+    nothing depends on which brackets are stored.  Returns (i, j, k, m,
+    value) tuples in ascending order.
+    """
+    n = alg.dim
+    c = alg.structure_constant
+    bad = []
+    for i, j, k in itertools.combinations(range(1, n + 1), 3):
+        # [[ei,ej],ek] + [[ej,ek],ei] + [[ek,ei],ej], expanded via e_l.
+        for m in range(1, n + 1):
+            total = alg.registry.zero()
+            for l in range(1, n + 1):
+                total = (
+                    total
+                    + c(i, j, l) * c(l, k, m)
+                    + c(j, k, l) * c(l, i, m)
+                    + c(k, i, l) * c(l, j, m)
+                )
+            if total:
+                bad.append((i, j, k, m, total))
+    return bad

@@ -9,7 +9,10 @@ from pathlib import Path
 import pytest
 
 from liepencil import corpus
+from liepencil.classify import classify
 from liepencil.cli import main
+from liepencil.errors import InvalidAlgebra
+from liepencil.parser import load_algebra
 
 
 @pytest.fixture
@@ -99,6 +102,39 @@ def test_index_output(corpus_file, capsys):
     assert main(["index", corpus_file("example1.lie")]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out == ["dim: 4", "generic rank: 2", "index: 2"]
+
+
+def _corpus_files():
+    files = []
+    for e in corpus.manifest():
+        files += [e.file] + ([e.variant] if e.variant else [])
+    return files
+
+
+@pytest.mark.parametrize("filename", _corpus_files())
+def test_index_matches_classify_on_corpus(filename, corpus_file, capsys):
+    path = corpus_file(filename)
+    alg = load_algebra(path)
+    if filename == "L5a.lie":  # the printed table fails the Jacobi identity
+        with pytest.raises(InvalidAlgebra) as exc:
+            classify(alg)
+        assert main(["index", path]) == 1
+        assert capsys.readouterr().err == f"error: {exc.value}\n"
+        return
+    report = classify(alg)
+    assert main(["index", path]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"dim: {report.dim}",
+        f"generic rank: {report.generic_rank}",
+        f"index: {report.index}",
+    ]
+    assert main(["index", path, "--output", "structured"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "name": report.name,
+        "dim": report.dim,
+        "generic_rank": report.generic_rank,
+        "index": report.index,
+    }
 
 
 def test_charpoly_output(corpus_file, capsys):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from liepencil import corpus
 from liepencil.errors import ExclusionViolation, ParameterBindingError
 from liepencil.model import (
     LieAlgebra,
@@ -17,7 +18,14 @@ from liepencil.model import (
 )
 from liepencil.poly import VarRegistry
 
-from helpers import algebra_from_table, laplace_det, random_unimodular
+from helpers import (
+    algebra_from_table,
+    gl_algebra,
+    heisenberg_algebra,
+    laplace_det,
+    naive_jacobi_violations,
+    random_unimodular,
+)
 
 # [e3,e1] = e1, [e3,e4] = e2 in (i<j) storage: [e1,e3] = -e1, [e3,e4] = e2
 EXAMPLE = {(1, 3): {1: -1}, (3, 4): {2: 1}}
@@ -50,6 +58,83 @@ def test_validate_flags_jacobi_failure():
     v = report.violations[0]
     assert (v.i, v.j, v.k) == (1, 2, 3)
     assert "Jacobi" in str(v)
+
+
+def _violation_tuples(alg):
+    return [(v.i, v.j, v.k, v.m, v.value) for v in validate(alg).violations]
+
+
+def _corpus_tables():
+    """Every bundled table: the 17 manifest files and the repaired variants."""
+    tables = []
+    for e in corpus.manifest():
+        tables.append(e.load())
+        if e.variant is not None:
+            tables.append(e.load_variant())
+    return tables
+
+
+def _corrupt(alg, rng):
+    """One bracket coefficient moved by a random constant or parameter term."""
+    reg = alg.registry
+    i, j = sorted(rng.sample(range(1, alg.dim + 1), 2))
+    m = rng.randint(1, alg.dim)
+    shift = reg.constant(rng.choice((-2, -1, 1, 3)))
+    if alg.param_names() and rng.random() < 0.5:
+        shift = shift * reg.parameter(rng.choice(alg.param_names()))
+    brackets = {pair: alg.bracket(*pair) for pair in alg.stored_pairs()}
+    terms = brackets.setdefault((i, j), {})
+    terms[m] = terms.get(m, reg.zero()) + shift
+    return LieAlgebra(alg.dim, reg, params=alg.params, brackets=brackets)
+
+
+def test_validate_matches_naive_oracle_on_corpus():
+    tables = _corpus_tables()
+    assert len(tables) == 18
+    for alg in tables:
+        assert _violation_tuples(alg) == naive_jacobi_violations(alg), alg.name
+    l5a = corpus.entry("L5a").load()
+    assert len(_violation_tuples(l5a)) == 2
+
+
+def test_validate_matches_naive_oracle_on_corruptions():
+    rng = random.Random(17)
+    failing = 0
+    for alg in _corpus_tables():
+        for _ in range(2):
+            bad = _corrupt(alg, rng)
+            want = naive_jacobi_violations(bad)
+            assert _violation_tuples(bad) == want, alg.name
+            failing += bool(want)
+    assert failing >= 20  # most corruptions really break Jacobi
+    l4ab = corpus.entry("L4ab").load()
+    parametric = 0
+    for _ in range(4):
+        bad = _corrupt(l4ab, rng)
+        got = _violation_tuples(bad)
+        assert got == naive_jacobi_violations(bad)
+        parametric += any(not value.is_constant() for *_, value in got)
+    assert parametric  # some violation values are polynomials in a, b
+
+
+def test_validate_sees_triple_with_only_the_outer_pair_stored():
+    # of the pairs of (1, 2, 3) only (1, 3) is stored:
+    # [[e3,e1],e2] = -[e4,e2] = [e2,e4] = e1
+    alg = algebra_from_table(4, {(1, 3): {4: 1}, (2, 4): {1: 1}})
+    got = _violation_tuples(alg)
+    assert got == naive_jacobi_violations(alg)
+    assert got[0][:4] == (1, 2, 3, 1)
+
+
+@pytest.mark.parametrize(
+    "alg",
+    [gl_algebra(4), gl_algebra(5), heisenberg_algebra(15)],
+    ids=["gl4", "gl5", "h31"],
+)
+def test_validate_at_scale(alg):
+    # guards the sparse path: a dense n^5 loop takes minutes at these sizes
+    assert alg.dim in (16, 25, 31)
+    assert validate(alg).ok
 
 
 def test_out_of_range_brackets_rejected():

@@ -1,12 +1,13 @@
 """Generic rank, Pfaffians, and the p0 profile of skew polynomial matrices."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from liepencil import corpus
+from liepencil import corpus, pencil
 from liepencil.model import SkewPolyMatrix, build_ax
 from liepencil.pencil import (
     PfaffianCache,
@@ -162,6 +163,26 @@ def test_profile_sl2():
     assert prof.generic_rank == 2
     assert prof.index == 1
     assert prof.coordinate_degree == 0
+
+
+def test_profile_stops_gcd_once_constant(monkeypatch):
+    """No poly_gcd call after the running gcd is constant; all Pfaffians kept."""
+    real_gcd = pencil.poly_gcd
+    results = []
+
+    def counting_gcd(p, q):
+        assert not p.is_constant(), "poly_gcd called on a constant running gcd"
+        results.append(real_gcd(p, q))
+        return results[-1]
+
+    monkeypatch.setattr(pencil, "poly_gcd", counting_gcd)
+    alg = gl_algebra(3)
+    prof = pencil_profile(alg)
+    assert str(prof.p0) == "1"
+    assert len(prof.pfaffians) == math.comb(alg.dim, prof.generic_rank)
+    nonzero = sum(1 for _, pf in prof.pfaffians if pf)
+    assert results and results[-1].is_constant()
+    assert len(results) < nonzero - 1  # the early exit really happened
 
 
 def test_profile_p0_divides_every_pfaffian():
