@@ -12,9 +12,9 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-from typing import Mapping, Sequence
+from typing import Mapping
 
-from .errors import InvalidAlgebra, SamplingError
+from .errors import ExclusionViolation, InvalidAlgebra, SamplingError
 from .model import LieAlgebra, substitute_params, validate
 from .pencil import PencilProfile, pencil_profile
 from .poly import Polynomial
@@ -144,19 +144,17 @@ class FamilyReport:
 _MAX_DRAWS = 100
 
 
-def _draw_values(alg: LieAlgebra, rng: Random) -> Mapping[str, Fraction]:
-    from .errors import ExclusionViolation
-
+def _draw_values(alg: LieAlgebra, rng: Random) -> tuple[Mapping[str, Fraction], LieAlgebra]:
+    """Random admissible parameter values and the table bound to them."""
     for _ in range(_MAX_DRAWS):
         values = {
             name: Fraction(rng.randint(-20, 20), rng.randint(1, 20))
             for name in alg.param_names()
         }
         try:
-            substitute_params(alg, values)
+            return values, substitute_params(alg, values)
         except ExclusionViolation:
             continue
-        return values
     raise SamplingError(
         "could not find parameter values satisfying the exclusions "
         f"after {_MAX_DRAWS} draws"
@@ -181,8 +179,7 @@ def classify_family(
     rng = Random(seed)
     points = []
     for _ in range(samples if alg.param_names() else 0):
-        values = _draw_values(alg, rng)
-        bound = substitute_params(alg, values)
+        values, bound = _draw_values(alg, rng)
         label = (name if name is not None else alg.name) or "G"
         pt_name = f"{label}[" + ", ".join(f"{k}={v}" for k, v in values.items()) + "]"
         points.append(SamplePoint(values=values, report=classify(bound, name=pt_name)))

@@ -1,11 +1,11 @@
 """Independent numeric checker for skew matrix pencils.
 
-This module never touches the symbolic machinery.  It works with explicit
-rational matrices: build a pencil out of canonical blocks, scramble it by a
-congruence, and recover the invariants from the numbers alone.  The point of
-the duplication is to have two routes to the same answer, so the classifier
-and the oracle can be played against each other in tests and in the
-``check`` command.
+Only :func:`cross_check` touches the symbolic machinery.  The rest works
+with explicit rational matrices: build a pencil out of canonical blocks,
+scramble it by a congruence, and recover the invariants from the numbers
+alone.  The point of the duplication is to have two routes to the same
+answer, so the classifier and the oracle can be played against each other
+in tests and in the ``check`` command.
 
 Block conventions (sizes in matrix rows):
 
@@ -33,7 +33,7 @@ from typing import Mapping, Sequence
 from . import ratmat, unipoly
 from .classify import ClassificationReport, Verdict, classify, _draw_values
 from .errors import SingularMatrix
-from .model import LieAlgebra, build_ax, substitute_params
+from .model import LieAlgebra, build_ax
 
 __all__ = [
     "JordanBlock",
@@ -248,20 +248,23 @@ class PencilTypeReport:
 _MINOR_BUDGET = 20000
 
 
-def _certified_rank(pencil: NumericPencil) -> int:
+def _certified_rank(pencil: NumericPencil) -> tuple[int, dict[int, int]]:
     """max rank of A + t*B over t = 0..n equals the generic rank.
 
     Any single evaluation only bounds the rank from below, but a nonzero
     r x r minor of the pencil is a polynomial in t of degree at most n, so
     among n+1 distinct sample points at least one must miss all of its
-    roots.
+    roots.  Returns the rank and the rank at each t evaluated, so that
+    later searches need not evaluate those points again.
     """
     best = 0
+    ranks: dict[int, int] = {}
     for t in range(pencil.size + 1):
-        best = max(best, ratmat.rank(pencil.at(Fraction(t))))
+        ranks[t] = ratmat.rank(pencil.at(Fraction(t)))
+        best = max(best, ranks[t])
         if best == pencil.size:
             break
-    return best
+    return best, ranks
 
 
 def _minor_cost(n: int, r: int) -> int:
@@ -277,15 +280,8 @@ def _int_pair(pencil: NumericPencil):
     """Clear denominators with one shared factor; p0 is scale-invariant
     after taking primitive parts, and the characteristic numbers do not
     move because A and B are scaled together."""
-    scale = 1
-    for rows in (pencil.a, pencil.b):
-        for row in rows:
-            for v in row:
-                d = v.denominator
-                scale = scale * d // math.gcd(scale, d)
-    a = [[int(v * scale) for v in row] for row in pencil.a]
-    b = [[int(v * scale) for v in row] for row in pencil.b]
-    return a, b
+    stacked, _ = ratmat.scale_to_int(pencil.a + pencil.b)
+    return stacked[: pencil.size], stacked[pencil.size :]
 
 
 def _pencil_entries(pencil: NumericPencil) -> list[list[unipoly.Poly]]:
@@ -330,19 +326,30 @@ def _p0_by_minors(pencil: NumericPencil, r: int) -> unipoly.Poly:
     return unipoly.primitive(acc) if acc else [Fraction(1)]
 
 
-def _good_points(pencil: NumericPencil, r: int, count: int) -> list[Fraction]:
+def _good_points(
+    pencil: NumericPencil, r: int, count: int, ranks: dict[int, int]
+) -> list[Fraction]:
+    """The first ``count`` integers t >= 0 where A + t*B has rank r.
+
+    ``ranks`` holds the ranks already evaluated (from
+    :func:`_certified_rank`); only points missing from it are evaluated.  A
+    nonzero principal r-Pfaffian of A + t*B has degree at most r/2 in t, and
+    the rank drops only at its roots, so at least n//2 + 1 of t = 0..n are
+    regular and the search for ``count <= n//2 + 1`` points ends by t = n.
+    """
     points = []
     t = 0
-    # at most n values of t can be rank-deficient, so this always terminates
     while len(points) < count:
-        tv = Fraction(t)
-        if ratmat.rank(pencil.at(tv)) == r:
-            points.append(tv)
+        rank_t = ranks.get(t)
+        if rank_t is None:
+            rank_t = ratmat.rank(pencil.at(Fraction(t)))
+        if rank_t == r:
+            points.append(Fraction(t))
         t += 1
     return points
 
 
-def _p0_by_deflation(pencil: NumericPencil, r: int) -> unipoly.Poly:
+def _p0_by_deflation(pencil: NumericPencil, r: int, ranks: dict[int, int]) -> unipoly.Poly:
     """Split off the singular part and take det on the regular quotient.
 
     The kernels of A + t*B at enough regular points span exactly the
@@ -355,7 +362,7 @@ def _p0_by_deflation(pencil: NumericPencil, r: int) -> unipoly.Poly:
     """
     n = pencil.size
     u_span = ratmat.SpanBuilder(n)
-    for t in _good_points(pencil, r, n // 2 + 1):
+    for t in _good_points(pencil, r, n // 2 + 1, ranks):
         for vec in ratmat.kernel(pencil.at(t)):
             u_span.add(vec)
     u_basis = u_span.basis()
@@ -366,10 +373,7 @@ def _p0_by_deflation(pencil: NumericPencil, r: int) -> unipoly.Poly:
         y_span.add(ratmat.mat_vec(pencil.b, vec))
     y_basis = y_span.basis()
 
-    if y_basis:
-        w_basis = [[Fraction(v) for v in row] for row in ratmat.kernel(y_basis)]
-    else:
-        w_basis = ratmat.identity(n)
+    w_basis = ratmat.kernel(y_basis) if y_basis else ratmat.identity(n)
 
     # coset representatives for ann(Y)/U
     rep_span = ratmat.SpanBuilder(n)
@@ -406,7 +410,7 @@ def pencil_type(pencil: NumericPencil, method: str = "auto") -> PencilTypeReport
     if method not in ("auto", "minors", "deflation"):
         raise ValueError(f"unknown method {method!r}")
     n = pencil.size
-    r = _certified_rank(pencil)
+    r, ranks = _certified_rank(pencil)
     corank = n - r
     rank_b = ratmat.rank(pencil.b)
     infinite_count = (r - rank_b) // 2
@@ -418,7 +422,7 @@ def pencil_type(pencil: NumericPencil, method: str = "auto") -> PencilTypeReport
     if chosen == "minors":
         p0 = _p0_by_minors(pencil, r)
     else:
-        p0 = _p0_by_deflation(pencil, r)
+        p0 = _p0_by_deflation(pencil, r, ranks)
 
     if corank == 0:
         verdict = Verdict.JORDAN
@@ -485,17 +489,17 @@ def cross_check(
     Each trial fixes the parameters (when there are any), draws integer
     points x0 and a0, and hands the evaluated pair (A at x0, A at a0) to
     the numeric analysis.  Agreement is judged against the symbolic
-    verdict at the same parameter values, so a draw that lands on a
-    degenerate locus of a family still has to match; any disagreement
-    points at the engines, not at the sampling.
+    verdict at the same parameter values.  The points x0 and a0 can still
+    land where the pencil degenerates, so a single trial may disagree: the
+    report is ok when any trial agrees (see :attr:`CrossCheckReport.ok`),
+    and the disagreeing trials are kept for inspection.
     """
     symbolic = classify(alg, name=name)
     rng = Random(seed)
     outcomes = []
     for _ in range(trials):
         if alg.param_names():
-            values = _draw_values(alg, rng)
-            bound = substitute_params(alg, values)
+            values, bound = _draw_values(alg, rng)
             reference = classify(bound)
         else:
             values = {}

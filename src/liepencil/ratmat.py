@@ -1,8 +1,10 @@
 """Exact linear algebra over rationals and integers.
 
-Plain lists of lists, no floats.  Rank and kernel computations scale the
-input to integers first so that the hot loops run on machine/big integers
-instead of Fractions.
+Plain lists of lists, no floats.  Every elimination is fraction-free
+Gauss–Jordan (Bareiss, Math. Comp. 22, 1968) on the input scaled to
+integers, one :func:`_step` per pivot: :func:`_eliminate` for the rank,
+kernel, determinant and inverse, and one step per accepted vector in
+:class:`SpanBuilder`.
 """
 
 from __future__ import annotations
@@ -40,168 +42,163 @@ def is_skew(m) -> bool:
     ) and all(m[i][j] == -m[j][i] for i in range(n) for j in range(n))
 
 
-def scale_to_int(m) -> list[list[int]]:
-    """Multiply by the common denominator; rank and kernel are unaffected."""
-    lcm = 1
-    for row in m:
-        for v in row:
-            d = Fraction(v).denominator
-            lcm = lcm * d // math.gcd(lcm, d)
-    return [[int(Fraction(v) * lcm) for v in row] for row in m]
+def scale_to_int(m) -> tuple[list[list[int]], int]:
+    """(s*m, s) for the least common denominator s of the entries of m."""
+    m = [[Fraction(v) for v in row] for row in m]
+    scale = math.lcm(*(v.denominator for row in m for v in row))
+    return [[v.numerator * (scale // v.denominator) for v in row] for row in m], scale
 
 
-def rank(m) -> int:
-    """Rank over the rationals via fraction-free integer elimination."""
-    if not m:
-        return 0
-    work = scale_to_int(m)
-    rows = len(work)
-    cols = len(work[0])
-    prev = 1
-    r = 0
-    row = 0
-    for col in range(cols):
-        pivot = None
-        for i in range(row, rows):
-            if work[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        work[row], work[pivot] = work[pivot], work[row]
-        p = work[row][col]
-        for i in range(row + 1, rows):
-            wi = work[i]
-            wr = work[row]
+def _step(work: list[list[int]], row: int, col: int, d: int) -> int:
+    """One fraction-free Gauss–Jordan step on the pivot ``work[row][col]``.
+
+    With p the pivot and d the previous one, every other row w becomes
+    (p*w - w[col]*pivot_row) / d, in place; returns p, the next d.  The
+    division is exact: after each step every entry is a minor of the
+    input, taken on the pivot rows and columns so far plus its own row and
+    column (Sylvester's identity), and d is the minor on the pivot rows and
+    columns alone.  A row with w[col] = 0 is only rescaled.
+    """
+    wr = work[row]
+    p = wr[col]
+    for i, wi in enumerate(work):
+        if i != row:
             f = wi[col]
-            for j in range(col, cols):
-                wi[j] = (p * wi[j] - f * wr[j]) // prev
-        prev = p
-        r += 1
-        row += 1
+            if f:
+                work[i] = [(p * a - f * b) // d for a, b in zip(wi, wr)]
+            elif p != d:
+                work[i] = [p * a // d for a in wi]
+    return p
+
+
+def _eliminate(work: list[list[int]]) -> tuple[list[int], int, int]:
+    """Fraction-free Gauss–Jordan elimination of an integer matrix, in place.
+
+    Returns ``(pivot_cols, d, sign)``.  Pivots are taken column by column,
+    from the first row at or below the current one with a nonzero entry,
+    and each is cleared from the other rows by :func:`_step`.  At the end
+    row i holds d at ``pivot_cols[i]`` and 0 at the other pivot columns,
+    rows past the rank are zero, and ``sign`` is the parity of the row
+    swaps.  With no pivot at all, d is 1.
+    """
+    rows = len(work)
+    cols = len(work[0]) if rows else 0
+    pivots: list[int] = []
+    d = 1
+    sign = 1
+    for col in range(cols):
+        row = len(pivots)
         if row == rows:
             break
-    return r
-
-
-def kernel(m) -> list[list[int]]:
-    """Integer basis of the right null space of a rational matrix."""
-    rows = len(m)
-    if rows == 0:
-        return []
-    cols = len(m[0])
-    work = [[Fraction(v) for v in row] for row in m]
-    pivots: list[int] = []
-    row = 0
-    for col in range(cols):
         pivot = next((i for i in range(row, rows) if work[i][col]), None)
         if pivot is None:
             continue
-        work[row], work[pivot] = work[pivot], work[row]
-        pv = work[row][col]
-        work[row] = [v / pv for v in work[row]]
-        for i in range(rows):
-            if i != row and work[i][col]:
-                f = work[i][col]
-                work[i] = [a - f * b for a, b in zip(work[i], work[row])]
+        if pivot != row:
+            work[row], work[pivot] = work[pivot], work[row]
+            sign = -sign
+        d = _step(work, row, col, d)
         pivots.append(col)
-        row += 1
-        if row == rows:
-            break
-    free = [c for c in range(cols) if c not in pivots]
+    return pivots, d, sign
+
+
+def rank(m) -> int:
+    """Rank over the rationals: the number of pivots."""
+    work, _ = scale_to_int(m)
+    return len(_eliminate(work)[0])
+
+
+def kernel(m) -> list[list[int]]:
+    """Integer basis of the right null space of a rational matrix.
+
+    One vector per free column f, in column order: primitive, positive at f
+    and zero at the other free columns.
+    """
+    if not m:
+        return []
+    work, _ = scale_to_int(m)
+    pivots, d, _ = _eliminate(work)
+    unit = 1 if d > 0 else -1
+    pivot_set = set(pivots)
+    cols = len(work[0])
     basis = []
-    for f in free:
-        vec = [Fraction(0)] * cols
-        vec[f] = Fraction(1)
-        for r_i, c_i in enumerate(pivots):
-            vec[c_i] = -work[r_i][f]
-        lcm = 1
-        for v in vec:
-            lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
-        ints = [int(v * lcm) for v in vec]
-        g = 0
-        for v in ints:
-            g = math.gcd(g, abs(v))
-        basis.append([v // g for v in ints] if g > 1 else ints)
+    for f in range(cols):
+        if f in pivot_set:
+            continue
+        vec = [0] * cols
+        vec[f] = abs(d)
+        for row, c in zip(work, pivots):
+            vec[c] = -unit * row[f]
+        g = math.gcd(*vec)
+        basis.append([v // g for v in vec])
     return basis
 
 
 def det(m) -> Fraction:
-    """Determinant by Gaussian elimination over Fractions."""
+    """Determinant: the last pivot, with the sign of the row swaps."""
     n = len(m)
-    if n == 0:
-        return Fraction(1)
-    work = [[Fraction(v) for v in row] for row in m]
-    sign = 1
-    result = Fraction(1)
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if work[i][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            sign = -sign
-        pv = work[col][col]
-        result *= pv
-        for i in range(col + 1, n):
-            if work[i][col]:
-                f = work[i][col] / pv
-                work[i] = [a - f * b for a, b in zip(work[i], work[col])]
-    return result * sign
+    work, scale = scale_to_int(m)
+    pivots, d, sign = _eliminate(work)
+    if len(pivots) < n:
+        return Fraction(0)
+    return Fraction(sign * d, scale**n)
 
 
 def inverse(m) -> list[list[Fraction]]:
+    """Eliminate [s*M | I]; the right half ends as d * (s*M)^-1."""
     n = len(m)
-    work = [[Fraction(v) for v in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-            for i, row in enumerate(m)]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if work[i][col]), None)
-        if pivot is None:
-            raise SingularMatrix("matrix is not invertible")
-        work[col], work[pivot] = work[pivot], work[col]
-        pv = work[col][col]
-        work[col] = [v / pv for v in work[col]]
-        for i in range(n):
-            if i != col and work[i][col]:
-                f = work[i][col]
-                work[i] = [a - f * b for a, b in zip(work[i], work[col])]
-    return [row[n:] for row in work]
+    ints, scale = scale_to_int(m)
+    work = [row + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(ints)]
+    pivots, d, _ = _eliminate(work)
+    if pivots != list(range(n)):
+        raise SingularMatrix("matrix is not invertible")
+    return [[Fraction(scale * v, d) for v in row[n:]] for row in work]
 
 
 class SpanBuilder:
-    """Incrementally grown row space with exact membership tests."""
+    """Incrementally grown row space with exact membership tests.
+
+    The rows are kept reduced as :func:`_eliminate` leaves them, row i
+    holding d at ``_pivots[i]`` and 0 at the other pivots.  A vector v
+    reduces in one pass to d*v - sum_i v[pivot_i]*row_i, zero exactly when
+    v is in the span; otherwise one :func:`_step` takes it in.
+    """
 
     def __init__(self, width: int):
         self.width = width
-        self._echelon: list[list[Fraction]] = []
-        self._lead: list[int] = []
+        self._accepted: list[list[int]] = []
+        self._reduced: list[list[int]] = []
+        self._pivots: list[int] = []
+        self._d = 1
 
-    def _reduce(self, vec):
-        v = [Fraction(x) for x in vec]
-        for row, lead in zip(self._echelon, self._lead):
-            if v[lead]:
-                f = v[lead]
-                v = [a - f * b for a, b in zip(v, row)]
-        return v
+    def _residual(self, vec) -> tuple[list[int], list[int]]:
+        """vec scaled to integers, and its reduction against the span."""
+        (ints,), _ = scale_to_int([vec])
+        res = [self._d * x for x in ints]
+        for row, c in zip(self._reduced, self._pivots):
+            f = ints[c]
+            if f:
+                res = [a - f * b for a, b in zip(res, row)]
+        return ints, res
 
     def add(self, vec) -> bool:
         """Insert a vector; returns True when it enlarged the span."""
-        v = self._reduce(vec)
-        lead = next((i for i, x in enumerate(v) if x), None)
-        if lead is None:
+        ints, res = self._residual(vec)
+        col = next((j for j, x in enumerate(res) if x), None)
+        if col is None:
             return False
-        pv = v[lead]
-        v = [x / pv for x in v]
-        self._echelon.append(v)
-        self._lead.append(lead)
+        self._reduced.append(res)
+        self._d = _step(self._reduced, len(self._pivots), col, self._d)
+        self._pivots.append(col)
+        self._accepted.append(ints)
         return True
 
     def contains(self, vec) -> bool:
-        return all(not x for x in self._reduce(vec))
+        return not any(self._residual(vec)[1])
 
     @property
     def dim(self) -> int:
-        return len(self._echelon)
+        return len(self._accepted)
 
-    def basis(self) -> list[list[Fraction]]:
-        return [list(row) for row in self._echelon]
+    def basis(self) -> list[list[int]]:
+        """The accepted vectors, scaled to integers, in insertion order."""
+        return [list(row) for row in self._accepted]

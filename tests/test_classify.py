@@ -1,5 +1,6 @@
 """Verdict logic and family sampling."""
 
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from liepencil.classify import (
 )
 from liepencil.errors import InvalidAlgebra
 from liepencil.model import substitute_params
+from liepencil.oracle import cross_check
 from liepencil.parser import parse_text
 
 from helpers import algebra_from_table
@@ -98,6 +100,27 @@ def test_family_samples_agree_generically():
     for pt in fam.samples:
         assert set(pt.values) == {"a"}
         assert pt.report.verdict is Verdict.KRONECKER
+
+
+def test_family_substitutes_each_sample_once(monkeypatch):
+    """One parameter binding per sample or trial, not one to test the
+    exclusions and another to classify."""
+    bound = []
+
+    def counting(alg, values):
+        result = substitute_params(alg, values)
+        bound.append(dict(values))
+        return result
+
+    # the package's `classify` attribute is the function, not the module
+    classify_module = importlib.import_module("liepencil.classify")
+    monkeypatch.setattr(classify_module, "substitute_params", counting)
+    alg = corpus.entry("L4ab").load()
+    fam = classify_family(alg, samples=4, seed=1)
+    assert bound == [dict(pt.values) for pt in fam.samples]
+    bound.clear()
+    report = cross_check(alg, trials=3, seed=2)
+    assert bound == [dict(t.param_values) for t in report.trials]
 
 
 def test_family_sampling_respects_exclusions():

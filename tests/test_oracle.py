@@ -141,6 +141,20 @@ def test_large_pencil_uses_deflation():
     assert dict(rep.char_numbers) == {Fraction(-1): 2}
 
 
+def test_deflation_reuses_certified_ranks(monkeypatch):
+    """The good-point search reads the ranks at t = 0..n already taken for
+    the certified rank: n+1 evaluations plus one for B alone."""
+    from liepencil import ratmat
+
+    calls = []
+    real_rank = ratmat.rank
+    monkeypatch.setattr(ratmat, "rank", lambda m: calls.append(m) or real_rank(m))
+    pencil = _scrambled([KroneckerBlock(1), JordanBlock(Fraction(1), 2)], seed=4)
+    rep = pencil_type(pencil, method="deflation")
+    assert rep.corank == 1 and dict(rep.char_numbers) == {Fraction(-1): 2}
+    assert len(calls) == pencil.size + 2
+
+
 def test_numeric_pencil_validation():
     with pytest.raises(ValueError):
         NumericPencil([[0, 1], [1, 0]], [[0, 0], [0, 0]])  # not skew

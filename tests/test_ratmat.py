@@ -26,11 +26,34 @@ def _random_matrix(rng, rows, cols, lo=-8, hi=8):
             for _ in range(rows)]
 
 
+def _rank_deficient(rng, rows, cols, r):
+    """A rows x cols matrix of rank at most r, as a product through Q^r."""
+    return matmul(_random_matrix(rng, rows, r), _random_matrix(rng, r, cols))
+
+
+def _deficient_inputs(seed):
+    rng = random.Random(seed)
+    inputs = [_rank_deficient(rng, n, n, n - 1) for n in (2, 3, 4, 5)]
+    inputs += [_rank_deficient(rng, rows, cols, 2) for rows, cols in ((3, 6), (6, 3), (4, 5))]
+    repeated = _random_matrix(rng, 4, 4)
+    repeated[2] = [2 * v for v in repeated[0]]
+    zero_col = _random_matrix(rng, 3, 4)
+    for row in zero_col:
+        row[1] = Fraction(0)
+    return inputs + [repeated, zero_col, [[Fraction(0)] * 3 for _ in range(2)]]
+
+
 def test_det_against_laplace():
     rng = random.Random(3)
     for n in (1, 2, 3, 4, 5):
         m = _random_matrix(rng, n, n)
         assert det(m) == laplace_det(m)
+        # a zero pivot forces a row swap
+        m[0][0] = Fraction(0)
+        assert det(m) == laplace_det(m)
+    for m in _deficient_inputs(4):
+        if len(m) == len(m[0]):
+            assert det(m) == laplace_det(m) == 0
 
 
 def test_det_of_unimodular_is_unit():
@@ -43,23 +66,31 @@ def test_det_of_unimodular_is_unit():
 
 def test_inverse_roundtrip():
     rng = random.Random(7)
-    m = _random_matrix(rng, 4, 4)
-    while det(m) == 0:
-        m = _random_matrix(rng, 4, 4)
-    assert matmul(m, inverse(m)) == identity(4)
+    # a zero in the corner forces a row swap
+    swap = [[Fraction(0), Fraction(1, 2)], [Fraction(-3, 4), Fraction(5, 3)]]
+    for m in [swap] + [_random_matrix(rng, n, n) for n in (1, 2, 3, 4, 5)]:
+        if det(m) == 0:
+            continue
+        n = len(m)
+        assert matmul(m, inverse(m)) == identity(n)
+        assert matmul(inverse(m), m) == identity(n)
 
 
 def test_inverse_requires_nonsingular():
     from liepencil.errors import SingularMatrix
 
-    with pytest.raises(SingularMatrix):
-        inverse([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])
+    singular = [[[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]]
+    singular += [m for m in _deficient_inputs(8) if len(m) == len(m[0])]
+    for m in singular:
+        with pytest.raises(SingularMatrix):
+            inverse(m)
 
 
 def test_rank_and_kernel_dimensions():
     rng = random.Random(11)
-    for rows, cols in ((3, 5), (5, 3), (4, 4)):
-        m = _random_matrix(rng, rows, cols)
+    inputs = [_random_matrix(rng, rows, cols) for rows, cols in ((3, 5), (5, 3), (4, 4))]
+    for m in inputs + _deficient_inputs(12):
+        cols = len(m[0])
         r = rank(m)
         null = kernel(m)
         assert r + len(null) == cols  # rank-nullity
@@ -69,12 +100,26 @@ def test_rank_and_kernel_dimensions():
 
 
 def test_kernel_vectors_are_integer_primitive():
+    """One vector per free column, in column order: integer, primitive,
+    positive at its own column and zero at the other free columns."""
     import math
 
-    m = [[Fraction(1), Fraction(2), Fraction(3)]]
-    for vec in kernel(m):
-        assert all(isinstance(v, int) for v in vec)
-        assert math.gcd(*(abs(v) for v in vec)) == 1
+    inputs = [[[Fraction(1), Fraction(2), Fraction(3)]]] + _deficient_inputs(16)
+    for m in inputs:
+        cols = len(m[0])
+        # column j is free when it adds nothing to the rank of the columns before it
+        free = [
+            j for j in range(cols)
+            if rank([row[: j + 1] for row in m]) == rank([row[:j] for row in m])
+        ]
+        null = kernel(m)
+        assert len(null) == len(free)
+        for f, vec in zip(free, null):
+            assert all(isinstance(v, int) for v in vec)
+            assert math.gcd(*(abs(v) for v in vec)) == 1
+            assert vec[f] > 0
+            assert all(vec[g] == 0 for g in free if g != f)
+            assert all(x == 0 for x in mat_vec(m, vec))
 
 
 def test_is_skew():
@@ -101,3 +146,40 @@ def test_span_builder():
     assert not sb.contains([Fraction(0), Fraction(0), Fraction(1)])
     basis = sb.basis()
     assert len(basis) == 2
+
+
+def test_span_builder_mixed_denominators():
+    sb = SpanBuilder(4)
+    rows = [
+        [Fraction(1, 2), Fraction(0), Fraction(2, 3), Fraction(1)],
+        [Fraction(0), Fraction(3, 5), Fraction(-1, 7), Fraction(0)],
+        [Fraction(1, 3), Fraction(1, 4), Fraction(0), Fraction(-2, 9)],
+    ]
+    for row in rows:
+        assert sb.add(row)
+    combo = [
+        Fraction(6, 5) * a - Fraction(7, 2) * b + Fraction(1, 11) * c
+        for a, b, c in zip(*rows)
+    ]
+    assert not sb.add(combo)
+    assert not sb.add([Fraction(0)] * 4)
+    assert sb.contains(combo)
+    assert sb.dim == 3
+    assert sb.add([Fraction(0), Fraction(0), Fraction(0), Fraction(1, 13)])
+    assert sb.dim == 4
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_span_builder_agrees_with_rank(seed):
+    """Grown one row at a time, the span accepts exactly the rows that
+    raise the rank, and then contains every row it was offered."""
+    rng = random.Random(seed)
+    for m in _deficient_inputs(seed) + [_rank_deficient(rng, 12, 8, 6)]:
+        rows = list(m) + [[2 * a - b for a, b in zip(m[0], m[-1])]]
+        rng.shuffle(rows)
+        sb = SpanBuilder(len(rows[0]))
+        for k, row in enumerate(rows):
+            assert sb.add(row) == (rank(rows[: k + 1]) > rank(rows[:k]))
+            assert sb.dim == rank(rows[: k + 1])
+        assert all(sb.contains(row) for row in rows)
+        assert sb.contains([Fraction(0)] * len(rows[0]))
