@@ -31,6 +31,7 @@ print("generic rank :", profile.generic_rank)
 print("index        :", profile.index)
 print("p0           :", profile.p0)
 print("p(lambda)    :", profile.p_lambda)
+print("route        :", profile.route)
 
 # rank-sized principal Pfaffians whose gcd is p0
 print()

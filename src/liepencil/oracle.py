@@ -25,13 +25,20 @@ from __future__ import annotations
 
 import itertools
 import math
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 from typing import Mapping, Sequence
 
 from . import ratmat, unipoly
-from .classify import ClassificationReport, Verdict, classify, _draw_values
+from .classify import (
+    ClassificationReport,
+    Verdict,
+    _classify_checked,
+    _draw_values,
+    classify,
+)
 from .errors import SingularMatrix
 from .model import LieAlgebra, build_ax
 
@@ -367,10 +374,13 @@ def _p0_by_deflation(pencil: NumericPencil, r: int, ranks: dict[int, int]) -> un
             u_span.add(vec)
     u_basis = u_span.basis()
 
+    # one common scale turns A and B into integer matrices; it changes
+    # neither the spans below nor the primitive p0
+    a, b = _int_pair(pencil)
     y_span = ratmat.SpanBuilder(n)
     for vec in u_basis:
-        y_span.add(ratmat.mat_vec(pencil.a, vec))
-        y_span.add(ratmat.mat_vec(pencil.b, vec))
+        y_span.add(ratmat.mat_vec(a, vec))
+        y_span.add(ratmat.mat_vec(b, vec))
     y_basis = y_span.basis()
 
     w_basis = ratmat.kernel(y_basis) if y_basis else ratmat.identity(n)
@@ -388,8 +398,7 @@ def _p0_by_deflation(pencil: NumericPencil, r: int, ranks: dict[int, int]) -> un
         images = [ratmat.mat_vec(mat, v) for v in reps]
         return [[sum(x * y for x, y in zip(u, w)) for w in images] for u in reps]
 
-    quotient = NumericPencil(gram(pencil.a), gram(pencil.b))
-    det = unipoly.pencil_det(*_int_pair(quotient))
+    det = unipoly.pencil_det(gram(a), gram(b))
     if not det:
         raise ArithmeticError("deflated pencil is singular; rank certificate failed")
     root = unipoly.sqrt_perfect(unipoly.primitive(det))
@@ -500,7 +509,7 @@ def cross_check(
     for _ in range(trials):
         if alg.param_names():
             values, bound = _draw_values(alg, rng)
-            reference = classify(bound)
+            reference = _classify_checked(bound, None, time.perf_counter())
         else:
             values = {}
             bound = alg

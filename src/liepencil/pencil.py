@@ -10,10 +10,20 @@ the polynomial whose degree pattern separates the pencil classes.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .model import LieAlgebra, SkewPolyMatrix, build_ax
-from .poly import Polynomial, VarKind, normalize, poly_gcd
+from .poly import (
+    Polynomial,
+    VarKind,
+    coefficients,
+    div_exact,
+    divides,
+    normalize,
+    poly_gcd,
+)
 
 __all__ = [
     "generic_rank",
@@ -39,17 +49,27 @@ def generic_rank(matrix: SkewPolyMatrix) -> int:
     factors through its Schur complement, so S_jk = +-Pf_{I+{j,k}} / Pf_I.
     When every such Pfaffian vanishes, S = 0 and rank M = |I|.
     """
-    cache = PfaffianCache(matrix)
+    return _grow(PfaffianCache(matrix), matrix.size, bool)
+
+
+def _grow(cache: PfaffianCache, cap: int, counts) -> int:
+    """|I| for the index set grown as in :func:`generic_rank`.
+
+    A Pfaffian extends I when ``counts`` holds for it.  The growth stops
+    once |I| reaches ``cap``, which spares the search over all pairs that
+    proves no larger I exists.
+    """
     chosen: tuple[int, ...] = ()
-    while True:
-        rest = [i for i in range(1, matrix.size + 1) if i not in chosen]
+    while len(chosen) < cap:
+        rest = [i for i in range(1, cache.matrix.size + 1) if i not in chosen]
         for j, k in itertools.combinations(rest, 2):
             grown = tuple(sorted(chosen + (j, k)))
-            if cache.pfaffian(grown):
+            if counts(cache.pfaffian(grown)):
                 chosen = grown
                 break
         else:
-            return len(chosen)
+            break
+    return len(chosen)
 
 
 def principal_subsets(n: int, r: int):
@@ -71,6 +91,15 @@ class PfaffianCache:
 
     def __init__(self, matrix: SkewPolyMatrix):
         self.matrix = matrix
+        reg = matrix.registry
+        self._zero = reg.zero()
+        self._one = reg.one()
+        # the expansion runs along the smallest index, so it only reads
+        # entries right of the diagonal; keep the nonzero ones by row
+        self._right: list[dict[int, Polynomial]] = [{}]
+        for i in range(1, matrix.size + 1):
+            row = {j: matrix.entry(i, j) for j in range(i + 1, matrix.size + 1)}
+            self._right.append({j: p for j, p in row.items() if p})
         self._memo: dict[tuple[int, ...], Polynomial] = {}
 
     def pfaffian(self, indices) -> Polynomial:
@@ -82,24 +111,23 @@ class PfaffianCache:
         return self._pf(idx)
 
     def _pf(self, idx: tuple[int, ...]) -> Polynomial:
-        reg = self.matrix.registry
         if len(idx) % 2:
-            return reg.zero()
+            return self._zero
         if not idx:
-            return reg.one()
+            return self._one
         cached = self._memo.get(idx)
         if cached is not None:
             return cached
-        first = idx[0]
-        total = reg.zero()
-        sign = 1
+        row = self._right[idx[0]]
+        total = self._zero
         for t in range(1, len(idx)):
-            entry = self.matrix.entry(first, idx[t])
-            if entry:
-                rest = idx[1:t] + idx[t + 1:]
-                term = entry * self._pf(rest)
-                total = total + term if sign > 0 else total - term
-            sign = -sign
+            entry = row.get(idx[t])
+            if entry is None:
+                continue
+            rest = self._pf(idx[1:t] + idx[t + 1:])
+            if rest:
+                term = entry * rest
+                total = total + term if t % 2 else total - term
         self._memo[idx] = total
         return total
 
@@ -119,18 +147,20 @@ def pfaffian(matrix: SkewPolyMatrix, indices=None) -> Polynomial:
 class PencilProfile:
     """Invariants of the symbolic matrix A_x read off before classification.
 
-    ``pfaffians`` lists each rank-sized principal index set with its
-    Pfaffian; ``p0`` is their greatest common divisor, normalized to coprime
-    integer coefficients with a positive leading term.  ``p_lambda`` is p0
-    with every x_k shifted to x_k + lambda*a_k.
+    ``p0`` is the greatest common divisor of the rank-sized principal
+    Pfaffians, normalized to coprime integer coefficients with a positive
+    leading term; ``route`` says how it was found (see
+    :func:`pencil_profile`).  ``p_lambda`` is p0 with every x_k shifted to
+    x_k + lambda*a_k.  ``pfaffians`` lists each rank-sized principal index
+    set with its Pfaffian; it is computed on first read.
     """
 
     matrix: SkewPolyMatrix
     generic_rank: int
     index: int
-    pfaffians: tuple[tuple[tuple[int, ...], Polynomial], ...]
     p0: Polynomial
     p_lambda: Polynomial
+    route: str
 
     @property
     def dim(self) -> int:
@@ -141,6 +171,14 @@ class PencilProfile:
         """Degree of p0 in the coordinates alone (0 for constant p0)."""
         d = self.p0.degree_in([VarKind.COORDINATE])
         return int(d) if d > 0 else 0
+
+    @cached_property
+    def pfaffians(self) -> tuple[tuple[tuple[int, ...], Polynomial], ...]:
+        cache = PfaffianCache(self.matrix)
+        return tuple(
+            (subset, cache.pfaffian(subset))
+            for subset in principal_subsets(self.dim, self.generic_rank)
+        )
 
 
 def _lambda_shift(p0: Polynomial) -> Polynomial:
@@ -153,37 +191,135 @@ def _lambda_shift(p0: Polynomial) -> Polynomial:
     return p0.substitute(shift)
 
 
+# Nonzero Pfaffians whose gcd h is split into factors before the rest of the
+# enumeration is given up for the certificate.
+_CERTIFY_AFTER = 3
+
+
+def _certified_factors(h: Polynomial):
+    """Irreducible factors f of h with their orders ord_f h, or None.
+
+    First the monomial part: a coordinate x_k dividing every term of h is
+    a factor of order its least exponent.  Then each piece linear in some
+    coordinate v is written c*v + e (c and e free of v) and split into
+    gcd(c, e), free of v, and a primitive f linear in v.  Such an f is
+    irreducible, and it is prime to the later pieces, which lack v, so its
+    order is 1.  None when a factor involves a parameter or a piece is
+    linear in no coordinate.
+    """
+    reg = h.registry
+    shared = None
+    for mono, _ in h.terms():
+        exps = dict(mono)
+        shared = exps if shared is None else {
+            pos: min(k, exps[pos]) for pos, k in shared.items() if pos in exps
+        }
+    factors = []
+    piece = h
+    for pos, k in sorted(shared.items()):
+        if reg.kind_at(pos) is not VarKind.COORDINATE:
+            return None
+        var = reg.var(reg.name_at(pos))
+        factors.append((var, k))
+        piece = div_exact(piece, var ** k)
+    while not piece.is_constant():
+        degrees: dict[int, int] = {}
+        for mono, _ in piece.terms():
+            for pos, k in mono:
+                degrees[pos] = max(degrees.get(pos, 0), k)
+        linear = [
+            pos for pos, k in sorted(degrees.items())
+            if k == 1 and reg.kind_at(pos) is VarKind.COORDINATE
+        ]
+        if not linear:
+            return None
+        view = coefficients(piece, linear[0])
+        common = poly_gcd(view[1], view.get(0, reg.zero()))
+        f = div_exact(piece, common)
+        if f.degree_in([VarKind.PARAMETER]) > 0:
+            return None
+        factors.append((f, 1))
+        piece = common
+    return factors
+
+
+def _certified_p0(cache: PfaffianCache, r: int, h: Polynomial):
+    """p0 from h, a normalized multiple of it, or None when unproven.
+
+    For an irreducible f, rank_f is the rank of the matrix M over the
+    field of fractions of Q[params, x]/(f).  There Pf_J(M) mod f is the
+    Pfaffian of M mod f, so the growth of :func:`generic_rank` finds rank_f
+    with "f does not divide Pf_J" as its test; it stops at r, since
+    rank_f <= r.  Over the discrete valuation ring Q[params, x] localized
+    at f, M has a skew Smith form with r/2 blocks f^(a_i) (Newman, Integral
+    Matrices, 1972).  rank_f is twice the number of a_i = 0, and
+    ord_f p0 = sum a_i.  So rank_f = r means f does not divide p0, and
+    otherwise ord_f h >= ord_f p0 >= (r - rank_f)/2.  When every factor of
+    h with rank_f < r has ord_f h <= (r - rank_f)/2, p0 is the product of
+    those factors to their order in h.
+    """
+    factors = _certified_factors(h)
+    if factors is None:
+        return None
+    p0 = h.registry.one()
+    for f, order in factors:
+        rank_f = _grow(cache, r, lambda pf, f=f: not divides(f, pf))
+        if rank_f == r:
+            continue
+        if 2 * order > r - rank_f:
+            return None
+        p0 = p0 * f ** order
+    return normalize(p0)
+
+
 def pencil_profile(source: LieAlgebra | SkewPolyMatrix) -> PencilProfile:
-    """Compute rank, index, principal Pfaffians, and their gcd.
+    """Compute rank, index, and the gcd p0 of the principal Pfaffians.
 
     Accepts either a bracket table (the matrix A_x is built from it) or a
     ready-made skew polynomial matrix.
+
+    The rank-sized principal Pfaffians are taken in lexicographic order
+    into a running gcd g, with poly_gcd skipped when g already divides the
+    next one.  The walk stops once g is constant, since p0 is then 1.
+    After the third nonzero Pfaffian, with subsets still left, h = g is
+    split into factors and the rank of the matrix on each factor decides
+    p0 (see :func:`_certified_p0`); that is route "certified".  When the
+    certificate does not apply the walk goes on to the end, and p0 is the
+    gcd of all of them: route "enumerated".
     """
     matrix = build_ax(source) if isinstance(source, LieAlgebra) else source
     n = matrix.size
     r = generic_rank(matrix)
+    total = math.comb(n, r)
     cache = PfaffianCache(matrix)
-    collected = []
     gcd_far = None
-    for subset in principal_subsets(n, r):
+    nonzero = 0
+    p0 = None
+    for done, subset in enumerate(principal_subsets(n, r), start=1):
         pf = cache.pfaffian(subset)
-        collected.append((subset, pf))
         if not pf:
             continue
+        nonzero += 1
         if gcd_far is None:
             gcd_far = pf
-        elif not gcd_far.is_constant():
-            # a constant running gcd is already p0 = 1; later Pfaffians
-            # are still collected but cannot change it
+        elif not divides(gcd_far, pf):
             gcd_far = poly_gcd(gcd_far, pf)
+        if gcd_far.is_constant():
+            break
+        if nonzero == _CERTIFY_AFTER and done < total:
+            p0 = _certified_p0(cache, r, normalize(gcd_far))
+            if p0 is not None:
+                break
     # generic_rank stops at an index set whose r x r Pfaffian is nonzero
     # (at r = 0 that is Pf of the empty set, 1), so gcd_far is never None
-    p0 = normalize(gcd_far)
+    route = "enumerated" if p0 is None else "certified"
+    if p0 is None:
+        p0 = normalize(gcd_far)
     return PencilProfile(
         matrix=matrix,
         generic_rank=r,
         index=n - r,
-        pfaffians=tuple(collected),
         p0=p0,
         p_lambda=_lambda_shift(p0),
+        route=route,
     )

@@ -41,6 +41,7 @@ __all__ = [
     "try_divide",
     "div_exact",
     "divides",
+    "coefficients",
     "poly_gcd",
 ]
 
@@ -564,8 +565,12 @@ def _main_pos(p: Polynomial, q: Polynomial):
     return best
 
 
-def _univar(p: Polynomial, pos: int) -> dict[int, Polynomial]:
-    """View p as univariate in the given variable with polynomial coefficients."""
+def coefficients(p: Polynomial, pos: int) -> dict[int, Polynomial]:
+    """View p as univariate in the variable at registry position ``pos``.
+
+    Maps each exponent that occurs to its coefficient, a polynomial free of
+    that variable; the zero polynomial gives an empty map.
+    """
     reg = p.registry
     coeffs: dict[int, dict] = {}
     for mono, c in p.terms():
@@ -590,24 +595,8 @@ def _deg_in_pos(p: Polynomial, pos: int) -> int:
     return d
 
 
-def _coeff_of(p: Polynomial, pos: int, e: int) -> Polynomial:
-    reg = p.registry
-    terms: dict = {}
-    for mono, c in p.terms():
-        got = 0
-        rest = []
-        for pp, ee in mono:
-            if pp == pos:
-                got = ee
-            else:
-                rest.append((pp, ee))
-        if got == e:
-            terms[tuple(rest)] = terms.get(tuple(rest), Fraction(0)) + c
-    return Polynomial(reg, terms)
-
-
 def _content_in(p: Polynomial, pos: int) -> Polynomial:
-    cs = list(_univar(p, pos).values())
+    cs = list(coefficients(p, pos).values())
     g = cs[0]
     for c in cs[1:]:
         if g.is_constant():
@@ -629,24 +618,39 @@ def _prem(f: Polynomial, g: Polynomial, pos: int) -> Polynomial:
     primitive parts immediately afterwards, so the extra content is noise.
     """
     reg = f.registry
-    n = _deg_in_pos(g, pos)
-    lc_g = _coeff_of(g, pos, n)
+    view = coefficients(g, pos)
+    n = max(view)
+    lc_g = view[n]
     v = reg.var(reg.name_at(pos))
     r = f
     while not r.is_zero():
-        d = _deg_in_pos(r, pos)
+        view = coefficients(r, pos)
+        d = max(view)
         if d < n:
             break
-        lc_r = _coeff_of(r, pos, d)
-        r = lc_g * r - lc_r * v ** (d - n) * g
+        r = lc_g * r - view[d] * v ** (d - n) * g
     return r
+
+
+def _variables(p: Polynomial) -> set[int]:
+    return {pos for mono, _ in p.terms() for pos, _ in mono}
 
 
 def _gcd_rec(p: Polynomial, q: Polynomial) -> Polynomial:
     """gcd of two nonzero polynomials, up to a rational unit."""
-    pos = _main_pos(p, q)
-    if pos is None:
+    if p.is_constant() or q.is_constant():
         return p.registry.one()
+    # a variable in one operand only is absent from the gcd, which therefore
+    # divides that operand's content in it: the smaller problem
+    one_sided = _variables(p) ^ _variables(q)
+    if one_sided:
+        pos = min(one_sided)
+        if _deg_in_pos(p, pos):
+            p = _content_in(p, pos)
+        else:
+            q = _content_in(q, pos)
+        return _gcd_rec(p, q)
+    pos = _main_pos(p, q)
     cont_p = _content_in(p, pos)
     cont_q = _content_in(q, pos)
     a = div_exact(p, cont_p)

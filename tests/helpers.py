@@ -178,12 +178,15 @@ def algebra_from_table(dim, table, name=""):
     return LieAlgebra(dim, reg, brackets=brackets, name=name)
 
 
-def gl_algebra(n):
-    """gl_n in the basis of matrix units E_ab, ordered (1,1), (1,2), ..., (n,n).
+def _matrix_unit_algebra(n, keep, name):
+    """Span of the n x n matrix units E_ab with keep(a, b), ordered (1,1),
+    (1,2), ..., (n,n); the kept units must be closed under the bracket.
 
     [E_ab, E_cd] = delta_bc E_ad - delta_da E_cb.
     """
-    units = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1)]
+    units = [
+        (a, b) for a in range(1, n + 1) for b in range(1, n + 1) if keep(a, b)
+    ]
     index = {unit: i for i, unit in enumerate(units, start=1)}
     table = {}
     for (a, b), (c, d) in itertools.combinations(units, 2):
@@ -195,7 +198,22 @@ def gl_algebra(n):
             comps[index[(c, b)]] = -1
         if comps:
             table[(index[(a, b)], index[(c, d)])] = comps
-    return algebra_from_table(n * n, table, name=f"gl{n}")
+    return algebra_from_table(len(units), table, name=name)
+
+
+def gl_algebra(n):
+    """gl_n in the basis of matrix units E_ab."""
+    return _matrix_unit_algebra(n, lambda a, b: True, f"gl{n}")
+
+
+def borel_algebra(n):
+    """b_n, the upper triangular n x n matrices."""
+    return _matrix_unit_algebra(n, lambda a, b: a <= b, f"b{n}")
+
+
+def nilradical_algebra(n):
+    """n_n, the strictly upper triangular n x n matrices."""
+    return _matrix_unit_algebra(n, lambda a, b: a < b, f"n{n}")
 
 
 def heisenberg_algebra(k):

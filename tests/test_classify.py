@@ -123,6 +123,28 @@ def test_family_substitutes_each_sample_once(monkeypatch):
     assert bound == [dict(t.param_values) for t in report.trials]
 
 
+def test_family_validates_the_symbolic_table_once(monkeypatch):
+    """Bound samples inherit Jacobi from the symbolic table, so neither
+    classify_family nor cross_check validates them again."""
+    calls = []
+    classify_module = importlib.import_module("liepencil.classify")
+    real_validate = classify_module.validate
+
+    def counting(alg):
+        calls.append(alg)
+        return real_validate(alg)
+
+    monkeypatch.setattr(classify_module, "validate", counting)
+    alg = corpus.entry("L4ab").load()
+    fam = classify_family(alg, samples=4, seed=1)
+    assert len(fam.samples) == 4
+    assert calls == [alg]
+    calls.clear()
+    report = cross_check(alg, trials=3, seed=2)
+    assert len(report.trials) == 3
+    assert calls == [alg]
+
+
 def test_family_sampling_respects_exclusions():
     alg = parse_text("dim 3\nparam a != 0\n[e1,e2] = a*e3\n")
     fam = classify_family(alg, samples=8, seed=1)

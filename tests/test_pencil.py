@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 from liepencil import corpus, pencil
-from liepencil.model import SkewPolyMatrix, build_ax
+from liepencil.model import SkewPolyMatrix, build_ax, change_of_basis
+from liepencil.oracle import NumericPencil, pencil_type
 from liepencil.pencil import (
     PfaffianCache,
     generic_rank,
@@ -16,12 +17,15 @@ from liepencil.pencil import (
     pfaffian,
     principal_subsets,
 )
-from liepencil.poly import VarKind, VarRegistry, normalize
+from liepencil.poly import VarKind, VarRegistry, divides, normalize, poly_gcd
 
 from helpers import (
     algebra_from_table,
+    borel_algebra,
     gl_algebra,
+    heisenberg_algebra,
     laplace_det,
+    nilradical_algebra,
     pfaffian_matchings,
     random_skew_linear,
     random_unimodular,
@@ -80,6 +84,20 @@ def test_generic_rank_zero_matrix():
 def test_generic_rank_gl_n_closed_form(n):
     # ind gl_n = n
     assert generic_rank(build_ax(gl_algebra(n))) == n * n - n
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_index_borel_closed_form(n):
+    # ind b_n = floor((n - 1)/2) + 1
+    alg = borel_algebra(n)
+    assert alg.dim - generic_rank(build_ax(alg)) == (n - 1) // 2 + 1
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_index_nilradical_closed_form(n):
+    # ind n_n = floor(n/2)
+    alg = nilradical_algebra(n)
+    assert alg.dim - generic_rank(build_ax(alg)) == n // 2
 
 
 def test_pfaffian_small_matchings_oracle():
@@ -223,3 +241,133 @@ def test_p_lambda_specializes_back_to_p0():
     prof = pencil_profile(corpus.entry("heisenberg3").load())
     at_zero = prof.p_lambda.substitute({"lambda": prof.matrix.registry.zero()})
     assert at_zero == prof.p0
+
+
+# -- p0 from the certificate ----------------------------------------------------
+
+
+def _enumerated_p0(prof):
+    """gcd of every rank-sized principal Pfaffian, the definition of p0."""
+    g = None
+    for _, pf in prof.pfaffians:
+        if pf and (g is None or not divides(g, pf)):
+            g = pf if g is None else poly_gcd(g, pf)
+    return normalize(g)
+
+
+def _corpus_tables():
+    tables = []
+    for entry in corpus.manifest():
+        tables.append(entry.load())
+        if entry.variant is not None:
+            tables.append(entry.load_variant())
+    return tables
+
+
+def _ladder_algebras():
+    return [
+        borel_algebra(4),
+        nilradical_algebra(5),
+        gl_algebra(3),
+        borel_algebra(5),
+        nilradical_algebra(6),
+        *(heisenberg_algebra(k) for k in range(1, 8)),
+    ]
+
+
+def test_p0_matches_enumeration_on_corpus_ladder_and_basis_changes():
+    rng = random.Random(47)
+    algebras = _corpus_tables() + _ladder_algebras()
+    assert len(algebras) == 18 + 12
+    routes = set()
+    for alg in algebras:
+        moved = change_of_basis(alg, random_unimodular(alg.dim, rng))
+        for table in (alg, moved):
+            prof = pencil_profile(table)
+            assert prof.p0 == _enumerated_p0(prof), alg.name
+            routes.add(prof.route)
+    assert routes == {"certified", "enumerated"}
+
+
+@pytest.mark.parametrize("make, n", [(borel_algebra, 4), (borel_algebra, 5), (nilradical_algebra, 6)])
+def test_certified_route_on_borel_and_nilradical(make, n):
+    prof = pencil_profile(make(n))
+    assert prof.route == "certified"
+    assert prof.p0 == _enumerated_p0(prof)
+
+
+def _two_blocks(reg, pair, rest):
+    """The 2 x 2 block [[0, pair], [-pair, 0]] followed by the 4 x 4 skew
+    matrix v w^T - w v^T with v = (0, 1, 1, 1) and w = (rest, 0, x5, x6).
+
+    The second block has rank 2 and 2 x 2 Pfaffians -rest, -rest, -rest,
+    x5, x6, x6 - x5 in lexicographic order; every nonzero 4 x 4 Pfaffian of
+    the whole is pair times one of them, in the same order.  So the first
+    three share pair*rest and p0 = pair.
+    """
+    x5, x6 = reg.coordinate(5), reg.coordinate(6)
+    upper = {
+        (1, 2): pair,
+        (3, 4): -rest, (3, 5): -rest, (3, 6): -rest,
+        (4, 5): x5, (4, 6): x6, (5, 6): x6 - x5,
+    }
+    return SkewPolyMatrix(6, reg, upper)
+
+
+def test_certificate_splits_off_the_gcd_of_the_coefficients():
+    # h = (x1 + x2)(x3 + x4) is linear in x1 with c = x3 + x4 and
+    # e = x2*(x3 + x4); only x1 + x2 divides p0
+    reg = VarRegistry(6)
+    x = reg.coordinate
+    prof = pencil_profile(_two_blocks(reg, x(1) + x(2), x(3) + x(4)))
+    assert prof.generic_rank == 4
+    assert prof.route == "certified"
+    assert str(prof.p0) == "x1 + x2"
+    assert prof.p0 == _enumerated_p0(prof)
+
+
+@pytest.mark.parametrize("square", ["x1", "x1 + x2"])
+def test_certificate_never_keeps_a_square_that_p0_lacks(square):
+    # the first three nonzero Pfaffians share f^2 while p0 = f
+    reg = VarRegistry(6)
+    x = reg.coordinate
+    f = x(1) if square == "x1" else x(1) + x(2)
+    prof = pencil_profile(_two_blocks(reg, f, f))
+    assert str(prof.p0) == square
+    assert prof.p0 == _enumerated_p0(prof)
+    assert prof.route == "enumerated"
+
+
+def test_certificate_keeps_a_square_that_p0_has():
+    # x1 * (two 2 x 2 blocks) next to a 3 x 3 block of rank 2: p0 = x1^2,
+    # and the rank drops by 4 on x1 = 0
+    reg = VarRegistry(7)
+    x = reg.coordinate
+    upper = {(1, 2): x(1), (3, 4): x(1), (5, 6): x(5), (5, 7): x(6), (6, 7): x(7)}
+    prof = pencil_profile(SkewPolyMatrix(7, reg, upper))
+    assert prof.route == "certified"
+    assert str(prof.p0) == "x1^2"
+    assert prof.p0 == _enumerated_p0(prof)
+
+
+def test_profile_pfaffians_are_lazy():
+    prof = pencil_profile(borel_algebra(4))
+    assert "pfaffians" not in prof.__dict__
+    assert len(prof.pfaffians) == math.comb(prof.dim, prof.generic_rank)
+    assert prof.pfaffians is prof.pfaffians
+
+
+@pytest.mark.parametrize("make, n, degree", [(borel_algebra, 6, 3), (nilradical_algebra, 7, 6)])
+def test_dimension_21_p0_degree_matches_numeric_oracle(make, n, degree):
+    alg = make(n)
+    prof = pencil_profile(alg)
+    assert prof.dim == 21
+    assert prof.route == "certified"
+    assert prof.coordinate_degree == degree
+    rng = random.Random(53)
+    points = [
+        {f"x{k}": rng.randint(-1000, 1000) for k in range(1, alg.dim + 1)}
+        for _ in range(2)
+    ]
+    a_rows, b_rows = (prof.matrix.evaluate(pt) for pt in points)
+    assert pencil_type(NumericPencil(a_rows, b_rows)).p0_degree == degree
