@@ -1,11 +1,12 @@
 """Independent numeric checker for skew matrix pencils.
 
 Only :func:`cross_check` touches the symbolic machinery.  The rest works
-with explicit rational matrices: build a pencil out of canonical blocks,
-scramble it by a congruence, and recover the invariants from the numbers
-alone.  The point of the duplication is to have two routes to the same
-answer, so the classifier and the oracle can be played against each other
-in tests and in the ``check`` command.
+with explicit matrices, scaled to integers once when a pencil is built:
+build a pencil out of canonical blocks, scramble it by a congruence, and
+recover the invariants from the numbers alone.  The point of the
+duplication is to have two routes to the same answer, so the classifier
+and the oracle can be played against each other in tests and in the
+``check`` command.
 
 Block conventions (sizes in matrix rows):
 
@@ -142,15 +143,29 @@ class KroneckerBlock:
         )
 
 
+def _rational_rows(rows) -> list[list]:
+    """Ints and Fractions as given, anything else through ``Fraction()``."""
+    return [[v if isinstance(v, (int, Fraction)) else Fraction(v) for v in row] for row in rows]
+
+
 class NumericPencil:
-    """A pair of equal-sized skew-symmetric rational matrices."""
+    """A pair of equal-sized skew-symmetric matrices, held as integers.
+
+    The rows may hold ints, Fractions or anything ``Fraction()`` accepts.
+    ``a`` and ``b`` are the given A and B times one common positive factor,
+    the least common denominator of all their entries.  Scaling A and B
+    together changes neither the rank of A + t*B at any t nor the roots of
+    det(A + t*B), and p0 is taken primitive, so every invariant is read off
+    the integer pair.
+    """
 
     __slots__ = ("a", "b", "size")
 
     def __init__(self, a_rows, b_rows):
-        a = [[Fraction(v) for v in row] for row in a_rows]
-        b = [[Fraction(v) for v in row] for row in b_rows]
+        a = _rational_rows(a_rows)
         n = len(a)
+        stacked, _ = ratmat.scale_to_int(a + _rational_rows(b_rows))
+        a, b = stacked[:n], stacked[n:]
         if len(b) != n or any(len(r) != n for r in a) or any(len(r) != n for r in b):
             raise ValueError("pencil matrices must be square and equally sized")
         if not (ratmat.is_skew(a) and ratmat.is_skew(b)):
@@ -159,8 +174,8 @@ class NumericPencil:
         self.b = b
         self.size = n
 
-    def at(self, t: Fraction) -> list[list[Fraction]]:
-        t = Fraction(t)
+    def at(self, t: int) -> list[list[int]]:
+        """A + t*B for an integer t, an integer matrix."""
         return [
             [x + t * y for x, y in zip(ra, rb)]
             for ra, rb in zip(self.a, self.b)
@@ -188,8 +203,12 @@ def assemble(blocks) -> NumericPencil:
 
 
 def congruence(pencil: NumericPencil, p_rows) -> NumericPencil:
-    """Transform by an invertible P: (A, B) -> (P^T A P, P^T B P)."""
-    p = [[Fraction(v) for v in row] for row in p_rows]
+    """Transform by an invertible P: (A, B) -> (P^T A P, P^T B P).
+
+    P is scaled to an integer matrix s*P first; that scales both results by
+    the same s^2, which the pencil does not see.
+    """
+    p, _ = ratmat.scale_to_int(_rational_rows(p_rows))
     if len(p) != pencil.size or any(len(r) != pencil.size for r in p):
         raise ValueError("congruence matrix size does not match the pencil")
     if ratmat.det(p) == 0:
@@ -256,7 +275,7 @@ _MINOR_BUDGET = 20000
 
 
 def _certified_rank(pencil: NumericPencil) -> tuple[int, dict[int, int]]:
-    """max rank of A + t*B over t = 0..n equals the generic rank.
+    """max rank of A + t*B over the integers t = 0..n equals the generic rank.
 
     Any single evaluation only bounds the rank from below, but a nonzero
     r x r minor of the pencil is a polynomial in t of degree at most n, so
@@ -267,7 +286,7 @@ def _certified_rank(pencil: NumericPencil) -> tuple[int, dict[int, int]]:
     best = 0
     ranks: dict[int, int] = {}
     for t in range(pencil.size + 1):
-        ranks[t] = ratmat.rank(pencil.at(Fraction(t)))
+        ranks[t] = ratmat.rank(pencil.at(t))
         best = max(best, ranks[t])
         if best == pencil.size:
             break
@@ -283,16 +302,8 @@ def _minor_cost(n: int, r: int) -> int:
     return total
 
 
-def _int_pair(pencil: NumericPencil):
-    """Clear denominators with one shared factor; p0 is scale-invariant
-    after taking primitive parts, and the characteristic numbers do not
-    move because A and B are scaled together."""
-    stacked, _ = ratmat.scale_to_int(pencil.a + pencil.b)
-    return stacked[: pencil.size], stacked[pencil.size :]
-
-
 def _pencil_entries(pencil: NumericPencil) -> list[list[unipoly.Poly]]:
-    a, b = _int_pair(pencil)
+    a, b = pencil.a, pencil.b
     return [
         [
             unipoly.trim([Fraction(a[i][j]), Fraction(b[i][j])])
@@ -335,7 +346,7 @@ def _p0_by_minors(pencil: NumericPencil, r: int) -> unipoly.Poly:
 
 def _good_points(
     pencil: NumericPencil, r: int, count: int, ranks: dict[int, int]
-) -> list[Fraction]:
+) -> list[int]:
     """The first ``count`` integers t >= 0 where A + t*B has rank r.
 
     ``ranks`` holds the ranks already evaluated (from
@@ -349,9 +360,9 @@ def _good_points(
     while len(points) < count:
         rank_t = ranks.get(t)
         if rank_t is None:
-            rank_t = ratmat.rank(pencil.at(Fraction(t)))
+            rank_t = ratmat.rank(pencil.at(t))
         if rank_t == r:
-            points.append(Fraction(t))
+            points.append(t)
         t += 1
     return points
 
@@ -374,9 +385,7 @@ def _p0_by_deflation(pencil: NumericPencil, r: int, ranks: dict[int, int]) -> un
             u_span.add(vec)
     u_basis = u_span.basis()
 
-    # one common scale turns A and B into integer matrices; it changes
-    # neither the spans below nor the primitive p0
-    a, b = _int_pair(pencil)
+    a, b = pencil.a, pencil.b
     y_span = ratmat.SpanBuilder(n)
     for vec in u_basis:
         y_span.add(ratmat.mat_vec(a, vec))

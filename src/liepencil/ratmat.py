@@ -16,8 +16,8 @@ from typing import Sequence
 from .errors import SingularMatrix
 
 
-def identity(n: int) -> list[list[Fraction]]:
-    return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+def identity(n: int) -> list[list[int]]:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def transpose(m: Sequence[Sequence]) -> list[list]:
@@ -43,8 +43,11 @@ def is_skew(m) -> bool:
 
 
 def scale_to_int(m) -> tuple[list[list[int]], int]:
-    """(s*m, s) for the least common denominator s of the entries of m."""
-    m = [[Fraction(v) for v in row] for row in m]
+    """(s*m, s) for the least common denominator s of the entries of m.
+
+    Entries are ints or Fractions, read through the ``numerator`` and
+    ``denominator`` both carry.
+    """
     scale = math.lcm(*(v.denominator for row in m for v in row))
     return [[v.numerator * (scale // v.denominator) for v in row] for row in m], scale
 

@@ -177,3 +177,67 @@ def test_cross_check_parametric_family():
     for t in report.trials:
         assert set(t.param_values) == {"a", "b"}
         assert t.param_values["b"] != 0
+
+
+def _all_ints(rows):
+    return all(type(v) is int for row in rows for v in row)
+
+
+def test_pencils_hold_integers():
+    """A and B are scaled to integers once, when the pencil is built."""
+    assembled = assemble([JordanBlock(Fraction(1, 3), 2), KroneckerBlock(1)])
+    p = random_unimodular(assembled.size, random.Random(9))
+    rational_p = [[Fraction(v, 2) for v in row] for row in p]
+    from_rows = NumericPencil(
+        [[0, Fraction(1, 2), "-3/4"], [Fraction(-1, 2), 0, 5], ["3/4", -5, 0]],
+        [[0, 2, 0], [-2, 0, Fraction(1, 6)], [0, Fraction(-1, 6), 0]],
+    )
+    for pencil in (assembled, congruence(assembled, rational_p), from_rows):
+        assert _all_ints(pencil.a) and _all_ints(pencil.b)
+        assert _all_ints(pencil.at(3))
+    # one common factor, the least common denominator of both matrices
+    assert from_rows.a[0] == [0, 6, -9] and from_rows.b[1] == [-24, 0, 2]
+
+
+def test_deflation_hands_integer_grams_to_pencil_det(monkeypatch):
+    """With no singular blocks the Y-span is empty and the coset
+    representatives start from the identity; they stay integer."""
+    from liepencil import unipoly
+
+    seen = []
+    real_det = unipoly.pencil_det
+    monkeypatch.setattr(
+        unipoly, "pencil_det", lambda a, b: seen.append((a, b)) or real_det(a, b)
+    )
+    pencil = _scrambled([JordanBlock(Fraction(2), 2), JordanBlock(Fraction(-1, 2), 1)], seed=10)
+    rep = pencil_type(pencil, method="deflation")
+    assert rep.verdict is Verdict.JORDAN
+    assert dict(rep.char_numbers) == {Fraction(-2): 2, Fraction(1, 2): 1}
+    assert len(seen) == 1
+    gram_a, gram_b = seen[0]
+    assert len(gram_a) == pencil.size
+    assert _all_ints(gram_a) and _all_ints(gram_b)
+
+
+@pytest.mark.parametrize("method", ["minors", "deflation"])
+def test_common_scale_leaves_report_unchanged(method):
+    blocks = [JordanBlock(Fraction(3), 1), KroneckerBlock(1), JordanBlock(Fraction(-1, 3), 1)]
+    pencil = _scrambled(blocks, seed=11)
+    base = pencil_type(pencil, method=method)
+    assert base.verdict is Verdict.MIXED
+    for c in (Fraction(1, 6), Fraction(7, 3), 5):
+        scaled = NumericPencil(
+            [[c * v for v in row] for row in pencil.a],
+            [[c * v for v in row] for row in pencil.b],
+        )
+        assert pencil_type(scaled, method=method) == base, c
+
+
+def test_congruence_by_a_multiple_of_p_gives_the_same_report():
+    pencil = assemble([JordanBlock(Fraction(1, 2), 2), KroneckerBlock(2)])
+    p = random_unimodular(pencil.size, random.Random(12))
+    six_p = [[6 * v for v in row] for row in p]
+    for method in ("minors", "deflation"):
+        assert pencil_type(congruence(pencil, p), method=method) == pencil_type(
+            congruence(pencil, six_p), method=method
+        ), method
