@@ -32,14 +32,7 @@ from .classify import (
     classify_family,
     require_valid,
 )
-from .errors import (
-    ExclusionViolation,
-    InvalidAlgebra,
-    LiePencilError,
-    ParameterBindingError,
-    ParseError,
-    SamplingError,
-)
+from .errors import LiePencilError, ParameterBindingError, ParseError
 from .model import LieAlgebra, build_ax, substitute_params, validate
 from .oracle import cross_check
 from .parser import load_algebra
@@ -64,15 +57,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ParseError, OSError) as exc:
+    except (ParseError, OSError, ParameterBindingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ParameterBindingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (InvalidAlgebra, ExclusionViolation, SamplingError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
     except LiePencilError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

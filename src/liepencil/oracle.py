@@ -228,7 +228,7 @@ class PencilTypeReport:
     """Everything the numeric analysis can say about one pencil.
 
     ``p0`` is the primitive gcd of the rank-sized minor Pfaffians of A + t*B,
-    stored densely in ascending powers of t.  ``char_numbers`` are its
+    stored densely as ints in ascending powers of t.  ``char_numbers`` are its
     rational roots (the values of t where the rank drops) with
     multiplicities; ``residual`` is the rootless cofactor left over after
     dividing them out, and ``char_complete`` records whether the root search
@@ -240,10 +240,10 @@ class PencilTypeReport:
     size: int
     rank: int
     corank: int
-    p0: tuple[Fraction, ...]
+    p0: tuple[int, ...]
     char_numbers: tuple[tuple[Fraction, int], ...]
     char_complete: bool
-    residual: tuple[Fraction, ...]
+    residual: tuple[int, ...]
     has_infinite: bool
     infinite_count: int
     method: str
@@ -306,42 +306,47 @@ def _pencil_entries(pencil: NumericPencil) -> list[list[unipoly.Poly]]:
     a, b = pencil.a, pencil.b
     return [
         [
-            unipoly.trim([Fraction(a[i][j]), Fraction(b[i][j])])
+            unipoly.trim([a[i][j], b[i][j]])
             for j in range(pencil.size)
         ]
         for i in range(pencil.size)
     ]
 
 
+def _minor_pf(
+    entries: list[list[unipoly.Poly]],
+    memo: dict[tuple[int, ...], unipoly.Poly],
+    idx: tuple[int, ...],
+) -> unipoly.Poly:
+    """Pfaffian of the principal minor ``idx`` of the entries, memoized."""
+    hit = memo.get(idx)
+    if hit is not None:
+        return hit
+    first = idx[0]
+    total: unipoly.Poly = []
+    sign = 1
+    for t in range(1, len(idx)):
+        entry = entries[first - 1][idx[t] - 1]
+        if entry:
+            term = unipoly.mul(entry, _minor_pf(entries, memo, idx[1:t] + idx[t + 1:]))
+            total = unipoly.add(total, term if sign > 0 else unipoly.neg(term))
+        sign = -sign
+    memo[idx] = total
+    return total
+
+
 def _p0_by_minors(pencil: NumericPencil, r: int) -> unipoly.Poly:
     entries = _pencil_entries(pencil)
-    memo: dict[tuple[int, ...], unipoly.Poly] = {(): [Fraction(1)]}
-
-    def pf(idx: tuple[int, ...]) -> unipoly.Poly:
-        hit = memo.get(idx)
-        if hit is not None:
-            return hit
-        first = idx[0]
-        total: unipoly.Poly = []
-        sign = 1
-        for t in range(1, len(idx)):
-            entry = entries[first - 1][idx[t] - 1]
-            if entry:
-                term = unipoly.mul(entry, pf(idx[1:t] + idx[t + 1:]))
-                total = unipoly.add(total, term if sign > 0 else unipoly.neg(term))
-            sign = -sign
-        memo[idx] = total
-        return total
-
+    memo: dict[tuple[int, ...], unipoly.Poly] = {(): [1]}
     acc: unipoly.Poly | None = None
     for subset in itertools.combinations(range(1, pencil.size + 1), r):
-        value = pf(subset)
+        value = _minor_pf(entries, memo, subset)
         if not value:
             continue
         acc = value if acc is None else unipoly.gcd_poly(acc, value)
         if unipoly.deg(acc) == 0:
             break
-    return unipoly.primitive(acc) if acc else [Fraction(1)]
+    return unipoly.primitive(acc) if acc else [1]
 
 
 def _good_points(
@@ -400,7 +405,7 @@ def _p0_by_deflation(pencil: NumericPencil, r: int, ranks: dict[int, int]) -> un
         rep_span.add(vec)
     reps = [w for w in w_basis if rep_span.add(w)]
     if not reps:
-        return [Fraction(1)]
+        return [1]
 
     def gram(mat):
         # entry (i, j) is reps[i] . mat reps[j]; each image is formed once

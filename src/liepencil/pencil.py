@@ -289,9 +289,9 @@ def pencil_profile(source: LieAlgebra | SkewPolyMatrix) -> PencilProfile:
     """
     matrix = build_ax(source) if isinstance(source, LieAlgebra) else source
     n = matrix.size
-    r = generic_rank(matrix)
-    total = math.comb(n, r)
     cache = PfaffianCache(matrix)
+    r = _grow(cache, n, bool)
+    total = math.comb(n, r)
     gcd_far = None
     nonzero = 0
     p0 = None
@@ -310,7 +310,7 @@ def pencil_profile(source: LieAlgebra | SkewPolyMatrix) -> PencilProfile:
             p0 = _certified_p0(cache, r, normalize(gcd_far))
             if p0 is not None:
                 break
-    # generic_rank stops at an index set whose r x r Pfaffian is nonzero
+    # the growth stops at an index set whose r x r Pfaffian is nonzero
     # (at r = 0 that is Pf of the empty set, 1), so gcd_far is never None
     route = "enumerated" if p0 is None else "certified"
     if p0 is None:

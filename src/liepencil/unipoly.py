@@ -1,10 +1,13 @@
-"""Dense univariate polynomials over the rationals, as coefficient lists.
+"""Dense univariate polynomials over Z or Q, as coefficient lists.
 
 ``p[i]`` is the coefficient of the i-th power; the zero polynomial is the
-empty list, so there are never trailing zeros.  This tiny layer backs the
-numeric pencil oracle and is deliberately independent from the sparse
-multivariate ring in :mod:`liepencil.poly`: the two implementations check
-each other in the test suite.
+empty list, so there are never trailing zeros.  Coefficients keep the ring
+they come in: integer lists stay in Z[t] through every ring operation and
+every exact division, and a ``Fraction`` appears only where a quotient
+leaves Z.  This tiny layer backs the numeric pencil oracle and is
+deliberately independent from the sparse multivariate ring in
+:mod:`liepencil.poly`: the two implementations check each other in the
+test suite.
 """
 
 from __future__ import annotations
@@ -13,19 +16,14 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-Poly = list  # list[Fraction]
+Poly = list  # list[int] in Z[t]; Fractions enter only over Q
 
 
 def trim(p) -> Poly:
-    q = [Fraction(c) for c in p]
+    q = list(p)
     while q and not q[-1]:
         q.pop()
     return q
-
-
-def const(c) -> Poly:
-    c = Fraction(c)
-    return [c] if c else []
 
 
 def is_zero(p) -> bool:
@@ -39,7 +37,7 @@ def deg(p) -> int:
 
 def add(p, q) -> Poly:
     n = max(len(p), len(q))
-    out = [Fraction(0)] * n
+    out = [0] * n
     for i, c in enumerate(p):
         out[i] += c
     for i, c in enumerate(q):
@@ -55,17 +53,10 @@ def sub(p, q) -> Poly:
     return add(p, neg(q))
 
 
-def scale(p, c) -> Poly:
-    c = Fraction(c)
-    if not c:
-        return []
-    return [v * c for v in p]
-
-
 def mul(p, q) -> Poly:
     if not p or not q:
         return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         if not a:
             continue
@@ -75,11 +66,17 @@ def mul(p, q) -> Poly:
     return trim(out)
 
 
+def _quotient(a, b):
+    """a / b, kept in Z when b divides a, else a Fraction."""
+    f, rem = divmod(a, b)
+    return Fraction(a) / b if rem else f
+
+
 def divmod_poly(p, q) -> tuple[Poly, Poly]:
     if not q:
         raise ZeroDivisionError("univariate division by zero")
     r = list(p)
-    quot = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
+    quot = [0] * max(len(p) - len(q) + 1, 0)
     dq = deg(q)
     lc = q[-1]
     while len(r) - 1 >= dq and any(r):
@@ -88,7 +85,7 @@ def divmod_poly(p, q) -> tuple[Poly, Poly]:
         if len(r) - 1 < dq:
             break
         shift = len(r) - 1 - dq
-        f = r[-1] / lc
+        f = _quotient(r[-1], lc)
         quot[shift] = f
         for i, c in enumerate(q):
             r[shift + i] -= f * c
@@ -111,19 +108,17 @@ def evaluate(p, x) -> Fraction:
 
 
 def primitive(p) -> Poly:
-    """Integer-coefficient scalar multiple, coprime, positive leading."""
+    """Integer scalar multiple as ints, coprime, positive leading."""
     if not p:
         return []
     num = 0
     den = 1
     for c in p:
-        num = math.gcd(num, abs(c.numerator))
+        num = math.gcd(num, c.numerator)
         den = den * c.denominator // math.gcd(den, c.denominator)
-    factor = Fraction(den, num)
-    q = [c * factor for c in p]
-    if q[-1] < 0:
-        q = neg(q)
-    return q
+    if p[-1] < 0:
+        num = -num
+    return [c.numerator * (den // c.denominator) // num for c in p]
 
 
 def gcd_poly(p, q) -> Poly:
@@ -135,14 +130,14 @@ def gcd_poly(p, q) -> Poly:
     return primitive(a)
 
 
-def _sqrt_fraction(c: Fraction):
+def _sqrt_rational(c):
     if c < 0:
         return None
     n = math.isqrt(c.numerator)
     d = math.isqrt(c.denominator)
     if n * n != c.numerator or d * d != c.denominator:
         return None
-    return Fraction(n, d)
+    return n if d == 1 else Fraction(n, d)
 
 
 def sqrt_perfect(p):
@@ -153,18 +148,18 @@ def sqrt_perfect(p):
     if deg(p) % 2 != 0:
         return None
     m = deg(p) // 2
-    lead = _sqrt_fraction(p[-1])
+    lead = _sqrt_rational(p[-1])
     if lead is None:
         return None
-    q = [Fraction(0)] * (m + 1)
+    q = [0] * (m + 1)
     q[m] = lead
     for i in range(m - 1, -1, -1):
         k = m + i
-        acc = p[k] if k < len(p) else Fraction(0)
+        acc = p[k]
         for j in range(i + 1, m):
             if k - j <= m:
                 acc -= q[j] * q[k - j]
-        q[i] = acc / (2 * lead)
+        q[i] = _quotient(acc, 2 * lead)
     return q if mul(q, q) == p else None
 
 
@@ -229,8 +224,8 @@ def rational_roots(p, bound: int = 10**12):
         roots.append((Fraction(0), mult0))
     if deg(p) == 0:
         return roots, p, True
-    nums = _divisors(int(p[0]), bound)
-    dens = _divisors(int(p[-1]), bound)
+    nums = _divisors(p[0], bound)
+    dens = _divisors(p[-1], bound)
     if nums is None or dens is None:
         return roots, p, False
     candidates = sorted(
@@ -241,27 +236,30 @@ def rational_roots(p, bound: int = 10**12):
         if deg(p) == 0:
             break
         mult = 0
+        # p is primitive and so is d*t - n, so by Gauss's lemma the
+        # quotient is again primitive, in Z[t]
         while evaluate(p, cand) == 0:
-            p = div_exact(p, [-cand, Fraction(1)])
+            p = div_exact(p, [-cand.numerator, cand.denominator])
             mult += 1
         if mult:
             roots.append((cand, mult))
-    return roots, primitive(p), True
+    return roots, p, True
 
 
 def pencil_det(a_rows: Sequence[Sequence[int]], b_rows: Sequence[Sequence[int]]) -> Poly:
     """det(A + t B) for integer matrices, by fraction-free elimination.
 
-    Entries live in Q[t]; every division by the previous pivot is exact, so
-    intermediate blowup stays polynomial.
+    Entries live in Z[t]; every division by the previous pivot is exact in
+    Z[t] (Sylvester's identity), so the work stays in ints and intermediate
+    blowup stays polynomial.
     """
     n = len(a_rows)
     if n == 0:
-        return [Fraction(1)]
+        return [1]
     work: list[list[Poly]] = [
         [trim([a_rows[i][j], b_rows[i][j]]) for j in range(n)] for i in range(n)
     ]
-    prev: Poly = [Fraction(1)]
+    prev: Poly = [1]
     sign = 1
     for k in range(n):
         pivot = None

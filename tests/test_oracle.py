@@ -1,5 +1,6 @@
 """Numeric block-pencil analysis used to replay symbolic verdicts."""
 
+import gc
 import random
 from fractions import Fraction
 
@@ -241,3 +242,31 @@ def test_congruence_by_a_multiple_of_p_gives_the_same_report():
         assert pencil_type(congruence(pencil, p), method=method) == pencil_type(
             congruence(pencil, six_p), method=method
         ), method
+
+
+@pytest.mark.parametrize("method", ["minors", "deflation"])
+def test_p0_and_residual_hold_integers(method):
+    # Pf(A + tB) = t^2 - 2, which keeps a residual with no rational root
+    irrational = NumericPencil(
+        [[0, 0, 1, 0], [0, 0, 0, 2], [-1, 0, 0, 0], [0, -2, 0, 0]],
+        [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]],
+    )
+    mixed = _scrambled([JordanBlock(Fraction(1, 3), 2), KroneckerBlock(1)], seed=13)
+    reports = [pencil_type(pencil, method=method) for pencil in (irrational, mixed)]
+    for rep in reports:
+        assert rep.p0 and rep.residual
+        assert all(type(c) is int for c in rep.p0 + rep.residual), rep
+    assert reports[0].p0 == reports[0].residual == (-2, 0, 1)
+
+
+def test_minors_leave_no_reference_cycle():
+    pencil = _scrambled([JordanBlock(Fraction(2), 2), KroneckerBlock(1)], seed=14)
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        pencil_type(pencil, method="minors")
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()

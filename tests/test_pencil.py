@@ -203,6 +203,21 @@ def test_profile_stops_gcd_once_constant(monkeypatch):
     assert len(results) < nonzero - 1  # the early exit really happened
 
 
+def test_profile_builds_one_pfaffian_cache(monkeypatch):
+    """The rank growth and the Pfaffian walk share one memo."""
+    built = []
+
+    class CountingCache(pencil.PfaffianCache):
+        def __init__(self, matrix):
+            built.append(matrix)
+            super().__init__(matrix)
+
+    monkeypatch.setattr(pencil, "PfaffianCache", CountingCache)
+    prof = pencil_profile(borel_algebra(4))
+    assert prof.index == 2
+    assert len(built) == 1
+
+
 def test_profile_p0_divides_every_pfaffian():
     from liepencil.poly import divides
 

@@ -140,3 +140,37 @@ def test_pencil_det_against_laplace():
                 for i in range(n)
             ]
             assert evaluate(got, Fraction(t)) == laplace_det(rows)
+
+
+def _all_ints(p):
+    return all(type(c) is int for c in p)
+
+
+def test_pencil_det_stays_in_integers():
+    """Every Bareiss division is exact in Z[t], so no Fraction appears."""
+    rng = random.Random(23)
+    for n in (0, 1, 2, 3, 5):
+        a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        b = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        got = pencil_det(a, b)
+        assert got and _all_ints(got), (n, got)
+
+
+def test_integer_input_stays_in_integers():
+    p, q = [2, -3, 1], [-1, 0, 4]
+    for got in (
+        unipoly.trim([1, 2, 0]),
+        unipoly.add(p, q),
+        mul(p, q),
+        div_exact(mul(p, q), q),
+        primitive([Fraction(4, 3), Fraction(-2, 3)]),
+        sqrt_perfect([1, 4, 4]),
+        rational_roots([-6, 4, 2, 0, 1, 1])[1],
+    ):
+        assert got and _all_ints(got), got
+
+
+def test_divmod_falls_back_to_fractions_when_inexact():
+    quo, rem = divmod_poly([1, 0, 1], [1, 3])
+    assert quo == [Fraction(-1, 9), Fraction(1, 3)]
+    assert rem == [Fraction(10, 9)]
