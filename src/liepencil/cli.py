@@ -65,6 +65,19 @@ def main(argv=None) -> int:
         return EXIT_DOMAIN
 
 
+def _count(minimum: int):
+    """argparse type for an integer count no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="liepencil",
@@ -98,7 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
     # degenerate value a = -2).
     sp = sub.add_parser("classify", help="determine the type of one algebra")
     sp.add_argument("path")
-    sp.add_argument("--samples", type=int, default=3, metavar="N",
+    sp.add_argument("--samples", type=_count(0), default=3, metavar="N",
                     help="random parameter samples to cross-classify (families only)")
     sp.add_argument("--seed", type=int, default=1)
     common(sp)
@@ -117,14 +130,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("table", help="classify the bundled families against their published types")
     sp.add_argument("--corpus", metavar="DIR", default=None,
                     help="external corpus directory (default: bundled)")
-    sp.add_argument("--samples", type=int, default=3, metavar="N")
+    sp.add_argument("--samples", type=_count(0), default=3, metavar="N")
     sp.add_argument("--seed", type=int, default=1)
     common(sp, params=False)
     sp.set_defaults(func=cmd_table)
 
     sp = sub.add_parser("check", help="compare the symbolic verdict with the numeric analysis")
     sp.add_argument("path")
-    sp.add_argument("--trials", type=int, default=5, metavar="N")
+    sp.add_argument("--trials", type=_count(1), default=5, metavar="N")
     sp.add_argument("--seed", type=int, default=0)
     common(sp)
     sp.set_defaults(func=cmd_check)

@@ -162,8 +162,9 @@ def validate(alg: LieAlgebra) -> ValidationReport:
     over the stored terms of [e_a,e_b] and m over the stored terms of
     [e_l,e_c], each read with its antisymmetry sign.  A triple none of
     whose pairs (i,j), (j,k), (i,k) is stored has all three inner brackets
-    zero and is skipped, so the work follows the stored brackets rather
-    than n^5.  Violations come in ascending (i, j, k, m) order.
+    zero, so only the triples through a stored pair are visited, and the
+    work follows the stored brackets rather than n^5 or even n^3.
+    Violations come in ascending (i, j, k, m) order.
     """
     stored = alg._brackets
     zero = alg.registry.zero()
@@ -172,10 +173,13 @@ def validate(alg: LieAlgebra) -> ValidationReport:
         # [e_a, e_b] as (stored terms, sign) for a != b
         return (stored.get((a, b)), 1) if a < b else (stored.get((b, a)), -1)
 
+    triples = set()
+    for a, b in stored:
+        triples.update((c, a, b) for c in range(1, a))
+        triples.update((a, c, b) for c in range(a + 1, b))
+        triples.update((a, b, c) for c in range(b + 1, alg.dim + 1))
     bad = []
-    for i, j, k in itertools.combinations(range(1, alg.dim + 1), 3):
-        if (i, j) not in stored and (j, k) not in stored and (i, k) not in stored:
-            continue
+    for i, j, k in sorted(triples):
         total: dict[int, Polynomial] = {}
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
             outer, s_ab = signed(a, b)
@@ -260,8 +264,9 @@ class SkewPolyMatrix:
                     upper[(i + 1, j + 1)] = entry
         return SkewPolyMatrix(n, self.registry, upper)
 
-    def evaluate(self, values: Mapping[str, Fraction | int]) -> list[list[Fraction]]:
-        return [[self.entry(i, j).evaluate(values) if i != j else Fraction(0)
+    def evaluate(self, values: Mapping[str, Fraction | int]) -> list[list[Fraction | int]]:
+        """Entries at the given values; ints for an integer matrix at ints."""
+        return [[self.entry(i, j).evaluate(values) if i != j else 0
                  for j in range(1, self.size + 1)]
                 for i in range(1, self.size + 1)]
 

@@ -371,9 +371,8 @@ def parse_text(doc: SourceDoc | str) -> LieAlgebra:
         decls.append(ParamDecl(name, exclusions))
 
     brackets: dict[tuple[int, int], dict[int, Polynomial]] = {}
-    seen: set[tuple[int, int]] = set()
     for cur in bracket_lines:
-        _parse_bracket_line(cur, registry, dim, brackets, seen)
+        _parse_bracket_line(cur, registry, dim, brackets)
 
     return LieAlgebra(
         dim,
@@ -390,7 +389,25 @@ def _origin_stem(origin: str) -> str:
     return Path(origin).stem
 
 
-def _parse_bracket_line(cur: _Cursor, registry: VarRegistry, dim: int, brackets, seen) -> None:
+def _store_bracket(brackets, i: int, j: int, terms: dict[int, Polynomial]) -> str | None:
+    """Record [e_i, e_j] = terms, for either index order, keyed by i < j.
+
+    A reversed pair is negated.  Every pair seen is kept, an all-zero
+    bracket as an empty map, so that a later definition of the same pair
+    must repeat it.  Returns the error message for a conflicting
+    redefinition, None otherwise.
+    """
+    sign = 1
+    if i > j:
+        i, j = j, i
+        sign = -1
+    terms = {k: sign * v for k, v in terms.items()}
+    if brackets.setdefault((i, j), terms) != terms:
+        return f"conflicting redefinition of [e{i},e{j}]"
+    return None
+
+
+def _parse_bracket_line(cur: _Cursor, registry: VarRegistry, dim: int, brackets) -> None:
     open_tok = cur.peek()
     cur.expect_op("[")
     i = _basis_index(cur, dim)
@@ -408,21 +425,9 @@ def _parse_bracket_line(cur: _Cursor, registry: VarRegistry, dim: int, brackets,
     for k in parts:
         if not (1 <= k <= dim):
             cur.fail(f"basis index e{k} out of range for dimension {dim}", open_tok)
-    sign = 1
-    if i > j:
-        i, j = j, i
-        sign = -1
-    terms = {k: sign * v for k, v in parts.items()}
-    if (i, j) in seen:
-        if brackets.get((i, j), {}) != terms:
-            cur.fail(
-                f"conflicting redefinition of [e{i},e{j}]",
-                open_tok,
-            )
-        return
-    seen.add((i, j))
-    if terms:
-        brackets[(i, j)] = terms
+    conflict = _store_bracket(brackets, i, j, parts)
+    if conflict:
+        cur.fail(conflict, open_tok)
 
 
 def _basis_index(cur: _Cursor, dim: int) -> int:
@@ -537,17 +542,9 @@ def parse_structured(doc: SourceDoc | str) -> LieAlgebra:
                 raise SchemaError(f"bad polynomial: {exc.message}", path=tpath, origin=origin) from None
             if coeff:
                 terms[k] = coeff
-        sign = 1
-        if i > j:
-            i, j = j, i
-            sign = -1
-        terms = {k: sign * v for k, v in terms.items()}
-        if (i, j) in brackets:
-            if brackets[(i, j)] != terms:
-                raise SchemaError(f"conflicting redefinition of [e{i},e{j}]", path=path, origin=origin)
-            continue
-        if terms:
-            brackets[(i, j)] = terms
+        conflict = _store_bracket(brackets, i, j, terms)
+        if conflict:
+            raise SchemaError(conflict, path=path, origin=origin)
 
     name = data.get("name", "")
     if not isinstance(name, str):

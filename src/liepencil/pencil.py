@@ -19,8 +19,10 @@ from .poly import (
     Polynomial,
     VarKind,
     coefficients,
+    content,
     div_exact,
     divides,
+    integer_multiple,
     normalize,
     poly_gcd,
 )
@@ -272,6 +274,22 @@ def _certified_p0(cache: PfaffianCache, r: int, h: Polynomial):
     return normalize(p0)
 
 
+def _integer_matrix(matrix: SkewPolyMatrix) -> SkewPolyMatrix:
+    """``matrix`` times the lcm of its coefficient denominators, in ints.
+
+    A positive scalar s changes no rank, and it multiplies every r x r
+    principal Pfaffian by s^(r/2), so the normalized gcd is the same.
+    """
+    pairs = itertools.combinations(range(1, matrix.size + 1), 2)
+    upper = {(i, j): p for i, j in pairs if (p := matrix.entry(i, j))}
+    scale = math.lcm(*(content(p).denominator for p in upper.values()))
+    return SkewPolyMatrix(
+        matrix.size,
+        matrix.registry,
+        {ij: integer_multiple(p, scale) for ij, p in upper.items()},
+    )
+
+
 def pencil_profile(source: LieAlgebra | SkewPolyMatrix) -> PencilProfile:
     """Compute rank, index, and the gcd p0 of the principal Pfaffians.
 
@@ -286,10 +304,14 @@ def pencil_profile(source: LieAlgebra | SkewPolyMatrix) -> PencilProfile:
     p0 (see :func:`_certified_p0`); that is route "certified".  When the
     certificate does not apply the walk goes on to the end, and p0 is the
     gcd of all of them: route "enumerated".
+
+    All of this runs on an integer multiple of the matrix (see
+    :func:`_integer_matrix`), so every Pfaffian, gcd and trial division
+    stays in Z[params, x]; the profile keeps the matrix as given.
     """
     matrix = build_ax(source) if isinstance(source, LieAlgebra) else source
     n = matrix.size
-    cache = PfaffianCache(matrix)
+    cache = PfaffianCache(_integer_matrix(matrix))
     r = _grow(cache, n, bool)
     total = math.comb(n, r)
     gcd_far = None

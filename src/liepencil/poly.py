@@ -1,9 +1,13 @@
-"""Sparse multivariate polynomials with exact rational coefficients.
+"""Sparse multivariate polynomials with exact integer or rational coefficients.
 
 Everything downstream computes in one commutative ring: entries of skew
 matrices of linear forms, Pfaffians of their principal submatrices, and the
 characteristic polynomial extracted from their greatest common divisor.  No
-floating point is used anywhere; coefficients are ``fractions.Fraction``.
+floating point is used anywhere.  Coefficients keep the ring they come in:
+an integer polynomial stays in Z[params, x] through every ring operation,
+substitution and exact division, and a ``fractions.Fraction`` appears only
+where the input had one or where a quotient leaves Z.  :func:`normalize`
+always returns int coefficients.
 
 Representation.  A monomial is a tuple of ``(position, exponent)`` pairs,
 sorted by variable position, with zero exponents never stored.  A polynomial
@@ -37,6 +41,7 @@ __all__ = [
     "VarRegistry",
     "Polynomial",
     "content",
+    "integer_multiple",
     "normalize",
     "try_divide",
     "div_exact",
@@ -160,12 +165,11 @@ class VarRegistry:
         return self.constant(1)
 
     def constant(self, value: Scalar) -> "Polynomial":
-        c = Fraction(value)
-        return Polynomial(self, {(): c} if c else {})
+        return Polynomial(self, {(): value} if value else {})
 
     def var(self, name: str) -> "Polynomial":
         pos = self.position(name)
-        return Polynomial(self, {((pos, 1),): Fraction(1)})
+        return Polynomial(self, {((pos, 1),): 1})
 
     def coordinate(self, k: int) -> "Polynomial":
         return self.var(f"x{k}")
@@ -252,21 +256,18 @@ class Polynomial:
     def is_constant(self) -> bool:
         return not self._terms or (len(self._terms) == 1 and () in self._terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> Scalar:
         if not self._terms:
-            return Fraction(0)
+            return 0
         if self.is_constant():
             return self._terms[()]
         raise ValueError(f"{self} is not constant")
 
-    def terms(self) -> Iterator[tuple[Mono, Fraction]]:
+    def terms(self) -> Iterator[tuple[Mono, Scalar]]:
         return iter(self._terms.items())
 
     def term_count(self) -> int:
         return len(self._terms)
-
-    def coefficient(self, mono: Mono) -> Fraction:
-        return self._terms.get(mono, Fraction(0))
 
     # -- monomial order ----------------------------------------------------
 
@@ -276,14 +277,14 @@ class Polynomial:
             dense[p] = e
         return (_mono_degree(mono), tuple(dense))
 
-    def leading(self) -> tuple[Mono, Fraction]:
+    def leading(self) -> tuple[Mono, Scalar]:
         """Greatest term under graded lex; errors on the zero polynomial."""
         if not self._terms:
             raise ValueError("zero polynomial has no leading term")
         m = max(self._terms, key=self._key)
         return m, self._terms[m]
 
-    def sorted_terms(self) -> list[tuple[Mono, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Mono, Scalar]]:
         return sorted(self._terms.items(), key=lambda t: self._key(t[0]), reverse=True)
 
     # -- degrees -----------------------------------------------------------
@@ -325,7 +326,7 @@ class Polynomial:
             return NotImplemented
         terms = dict(self._terms)
         for m, c in other._terms.items():
-            s = terms.get(m, Fraction(0)) + c
+            s = terms.get(m, 0) + c
             if s:
                 terms[m] = s
             else:
@@ -351,11 +352,10 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
+            if not other:
                 return self.registry.zero()
             return Polynomial(
-                self.registry, {m: v * c for m, v in self._terms.items()}
+                self.registry, {m: v * other for m, v in self._terms.items()}
             )
         other = self._coerce(other)
         if other is None:
@@ -364,7 +364,7 @@ class Polynomial:
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
                 m = _mono_mul(m1, m2)
-                s = terms.get(m, Fraction(0)) + c1 * c2
+                s = terms.get(m, 0) + c1 * c2
                 if s:
                     terms[m] = s
                 else:
@@ -431,13 +431,16 @@ class Polynomial:
             result = result + term
         return result
 
-    def evaluate(self, values: Mapping[str, Scalar]) -> Fraction:
-        """Evaluate with every occurring variable bound to a rational."""
+    def evaluate(self, values: Mapping[str, Scalar]) -> Scalar:
+        """Evaluate with every occurring variable bound to a rational.
+
+        An integer polynomial at integer values gives an int.
+        """
         reg = self.registry
-        bound: dict[int, Fraction] = {}
+        bound: dict[int, Scalar] = {}
         for name, v in values.items():
-            bound[reg.position(name)] = Fraction(v)
-        total = Fraction(0)
+            bound[reg.position(name)] = v if isinstance(v, (int, Fraction)) else Fraction(v)
+        total = 0
         for mono, coeff in self._terms.items():
             acc = coeff
             for p, e in mono:
@@ -486,30 +489,43 @@ class Polynomial:
 # -- content, normalization, division ----------------------------------------
 
 
-def content(p: Polynomial) -> Fraction:
-    """Positive rational c with p/c primitive (coprime integer coefficients)."""
-    if p.is_zero():
-        return Fraction(0)
+def content(p: Polynomial) -> Scalar:
+    """Positive rational c with p/c primitive (coprime integer coefficients).
+
+    An int when p has integer coefficients, and 0 for the zero polynomial.
+    """
     num = 0
     den = 1
     for _, c in p.terms():
-        num = math.gcd(num, abs(c.numerator))
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    return Fraction(num, den)
+        num = math.gcd(num, c.numerator)
+        den = math.lcm(den, c.denominator)
+    return num if den == 1 else Fraction(num, den)
+
+
+def integer_multiple(p: Polynomial, mult: int, div: int = 1) -> Polynomial:
+    """p * mult / div with int coefficients.
+
+    ``mult`` must be a multiple of every coefficient denominator of p, and
+    ``div`` must divide every coefficient of p * mult.
+    """
+    return Polynomial(
+        p.registry,
+        {m: c.numerator * (mult // c.denominator) // div for m, c in p.terms()},
+    )
 
 
 def normalize(p: Polynomial) -> Polynomial:
     """Canonical scalar multiple: primitive with positive leading coefficient.
 
-    normalize(0) = 0 and any nonzero constant normalizes to 1.
+    The result has int coefficients.  normalize(0) = 0 and any nonzero
+    constant normalizes to 1.
     """
     if p.is_zero():
         return p
     c = content(p)
-    q = p * (1 / c)
-    if q.leading()[1] < 0:
-        q = -q
-    return q
+    if p.leading()[1] < 0:
+        c = -c
+    return integer_multiple(p, c.denominator, c.numerator)
 
 
 def try_divide(p: Polynomial, d: Polynomial):
@@ -526,8 +542,10 @@ def try_divide(p: Polynomial, d: Polynomial):
         q_mono = _mono_div(lm_r, lm_d)
         if q_mono is None:
             return None
-        q_coeff = lc_r / lc_d
-        quotient[q_mono] = quotient.get(q_mono, Fraction(0)) + q_coeff
+        q_coeff, rem = divmod(lc_r, lc_d)
+        if rem:
+            q_coeff = Fraction(lc_r) / lc_d
+        quotient[q_mono] = q_coeff
         shifted = Polynomial(
             reg,
             {_mono_mul(m, q_mono): c * q_coeff for m, c in d.terms()},
@@ -582,7 +600,7 @@ def coefficients(p: Polynomial, pos: int) -> dict[int, Polynomial]:
             else:
                 rest.append((pp, ee))
         bucket = coeffs.setdefault(e, {})
-        bucket[tuple(rest)] = bucket.get(tuple(rest), Fraction(0)) + c
+        bucket[tuple(rest)] = bucket.get(tuple(rest), 0) + c
     return {e: Polynomial(reg, t) for e, t in coeffs.items()}
 
 

@@ -18,6 +18,11 @@ from liepencil.model import LieAlgebra, SkewPolyMatrix
 from liepencil.poly import Polynomial, VarRegistry
 
 
+def holds_ints(p: Polynomial) -> bool:
+    """Every coefficient of p is an int (not a Fraction)."""
+    return all(type(c) is int for _, c in p.terms())
+
+
 def laplace_det(rows):
     """Determinant by first-row Laplace expansion.
 
@@ -169,10 +174,13 @@ def random_skew_linear(reg: VarRegistry, size: int, rng: random.Random,
 
 
 def algebra_from_table(dim, table, name=""):
-    """Build a LieAlgebra from {(i, j): {k: rational}} with i < j."""
+    """Build a LieAlgebra from {(i, j): {k: rational}} with i < j.
+
+    Coefficients keep their type, so an int table gives an integer algebra.
+    """
     reg = VarRegistry(dim)
     brackets = {
-        pair: {k: reg.constant(Fraction(c)) for k, c in comps.items()}
+        pair: {k: reg.constant(c) for k, c in comps.items()}
         for pair, comps in table.items()
     }
     return LieAlgebra(dim, reg, brackets=brackets, name=name)

@@ -81,6 +81,31 @@ def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["frobnicate"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "sl2.lie", "--trials", "0"],
+        ["check", "sl2.lie", "--trials", "-3"],
+        ["classify", "L3a.lie", "--samples", "-2"],
+        ["table", "--samples", "-1"],
+    ],
+    ids=["trials-0", "trials-negative", "classify-samples", "table-samples"],
+)
+def test_count_out_of_range_is_usage_error(argv, corpus_file, capsys):
+    argv = [corpus_file(a) if a.endswith(".lie") else a for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be at least" in captured.err
+
+
+def test_smallest_counts_accepted(corpus_file, capsys):
+    assert main(["check", corpus_file("sl2.lie"), "--trials", "1"]) == 0
+    assert "agreement: 1/1" in capsys.readouterr().out
+    assert main(["classify", corpus_file("L3a.lie"), "--samples", "0"]) == 0
+    assert "sample" not in capsys.readouterr().out
+
+
 def test_parse_error_reports_position(tmp_path, capsys):
     bad = tmp_path / "bad.lie"
     bad.write_text("dim 3\n[e1,e2] = e9\n")

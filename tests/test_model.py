@@ -1,6 +1,7 @@
 """Bracket tables, Jacobi validation, and the symbolic bracket matrix."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -135,6 +136,18 @@ def test_validate_at_scale(alg):
     # guards the sparse path: a dense n^5 loop takes minutes at these sizes
     assert alg.dim in (16, 25, 31)
     assert validate(alg).ok
+
+
+def test_validate_work_follows_stored_pairs():
+    # two brackets in dimension 1000: C(1000, 3) = 166 M triples, of which
+    # only the 2 * 998 through a stored pair can fail
+    alg = algebra_from_table(1000, {(1, 2): {3: 1}, (999, 1000): {1: 1}})
+    started = time.perf_counter()
+    got = _violation_tuples(alg)
+    elapsed = time.perf_counter() - started
+    # [[e999,e1000],e2] = [e1,e2] = e3, the other two terms vanish
+    assert got == [(2, 999, 1000, 3, alg.registry.one())]
+    assert elapsed < 5.0, elapsed
 
 
 def test_out_of_range_brackets_rejected():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from liepencil.errors import ParseError
+from liepencil.errors import ParseError, SchemaError
 from liepencil.model import validate
 from liepencil.parser import (
     SourceDoc,
@@ -100,6 +100,26 @@ def test_conflicting_pair_rejected():
     # a restatement that agrees (including the sign flip) is tolerated
     alg = parse_text("dim 3\n[e1,e2] = e3\n[e2,e1] = -e3\n")
     assert alg.bracket(1, 2) == {3: alg.registry.one()}
+
+
+def test_structured_conflicting_pair_rejected():
+    """The JSON form checks redefinitions like the text form, including
+    one that follows an all-zero bracket."""
+    def doc(*brackets):
+        return json.dumps({"dim": 3, "brackets": list(brackets)})
+
+    zero = {"i": 1, "j": 2, "terms": {}}
+    nonzero = {"i": 1, "j": 2, "terms": {"3": "1"}}
+    with pytest.raises(ParseError, match="redefinition"):
+        parse_text("dim 3\n[e1,e2] = 0\n[e1,e2] = e3\n")
+    for first, second in ((zero, nonzero), (nonzero, zero)):
+        with pytest.raises(SchemaError, match="redefinition") as err:
+            parse_structured(doc(first, second))
+        assert err.value.path == "brackets[1]"
+    # agreeing restatements, with the sign flip, are tolerated in both forms
+    alg = parse_structured(doc(nonzero, {"i": 2, "j": 1, "terms": {"3": "-1"}}))
+    assert alg == parse_text("dim 3\n[e1,e2] = e3\n[e2,e1] = -e3\n")
+    assert parse_structured(doc(zero, zero)).stored_pairs() == []
 
 
 def test_basis_vectors_linear_only():

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from liepencil import corpus, pencil
-from liepencil.model import SkewPolyMatrix, build_ax, change_of_basis
+from liepencil.model import SkewPolyMatrix, build_ax, change_of_basis, substitute_params
 from liepencil.oracle import NumericPencil, pencil_type
 from liepencil.pencil import (
     PfaffianCache,
@@ -24,6 +24,7 @@ from helpers import (
     borel_algebra,
     gl_algebra,
     heisenberg_algebra,
+    holds_ints,
     laplace_det,
     nilradical_algebra,
     pfaffian_matchings,
@@ -386,3 +387,48 @@ def test_dimension_21_p0_degree_matches_numeric_oracle(make, n, degree):
     ]
     a_rows, b_rows = (prof.matrix.evaluate(pt) for pt in points)
     assert pencil_type(NumericPencil(a_rows, b_rows)).p0_degree == degree
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: borel_algebra(5), lambda: gl_algebra(3), lambda: corpus.entry("L7a").load()],
+    ids=["b5", "gl3", "L7a"],
+)
+def test_integer_table_stays_in_integers(make):
+    prof = pencil_profile(make())
+    assert holds_ints(prof.p0) and holds_ints(prof.p_lambda)
+    assert all(holds_ints(pf) for _, pf in prof.pfaffians)
+    assert all(holds_ints(pf) for pf in (pfaffian(prof.matrix), prof.matrix.entry(1, 2)))
+    point = {name: k for k, name in enumerate(prof.matrix.registry.names(), start=2)}
+    rows = prof.matrix.evaluate(point)
+    assert all(type(v) is int for row in rows for v in row)
+
+
+@pytest.mark.parametrize(
+    "a, b, p0",
+    [
+        (Fraction(1, 2), Fraction(-3, 4), "1"),
+        (Fraction(-1), Fraction(2, 3), "x4"),
+        (Fraction(-2), Fraction(1, 3), "2*x2*x4 - x3^2"),
+    ],
+    ids=["generic", "linear", "quadric"],
+)
+def test_rational_sample_p0_matches_its_integer_multiple(a, b, p0):
+    """A family sample bound at rational values gives the p0 of the same
+    table times the lcm of its denominators, and that p0 holds ints."""
+    bound = substitute_params(corpus.entry("L4ab").load(), {"a": a, "b": b})
+    table = {
+        pair: {k: c.constant_value() for k, c in bound.bracket(*pair).items()}
+        for pair in bound.stored_pairs()
+    }
+    scale = math.lcm(*(c.denominator for comps in table.values() for c in comps.values()))
+    assert scale > 1
+    integer = algebra_from_table(bound.dim, {
+        pair: {k: int(c * scale) for k, c in comps.items()}
+        for pair, comps in table.items()
+    })
+    prof = pencil_profile(bound)
+    assert str(prof.p0) == p0
+    assert holds_ints(prof.p0) and holds_ints(prof.p_lambda)
+    assert prof.p0 == pencil_profile(integer).p0
+    assert prof.generic_rank == generic_rank(build_ax(integer))

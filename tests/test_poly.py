@@ -19,7 +19,7 @@ from liepencil.poly import (
     try_divide,
 )
 
-from helpers import polys_equal_at_random, random_point
+from helpers import holds_ints, polys_equal_at_random, random_point
 
 REG = VarRegistry(3, params=("t",))
 
@@ -186,3 +186,35 @@ def test_foreign_registry_rejected():
     different = VarRegistry(4)
     with pytest.raises(Exception):
         V("x1") + different.var("x1")
+
+
+def test_integer_input_stays_in_integers():
+    x1, x2, t = V("x1"), V("x2"), V("t")
+    assert type(REG.constant(5).constant_value()) is int
+    assert type(REG.zero().constant_value()) is int
+    assert holds_ints(x1) and holds_ints(REG.one())
+    p = (x1 + 2 * x2 - 3) * (x1 - t)
+    q = (x1 - t) * (4 * x2 + 6)
+    for value in (p, q, p + q, p * q, p - 7, (x1 + t) ** 3):
+        assert holds_ints(value), value
+    assert holds_ints(p.substitute({"x1": x2 + 2 * t, "t": 3}))
+    value = p.evaluate({"x1": 2, "x2": -1, "t": 5})
+    assert type(value) is int and value == 9
+    assert type(p.evaluate({"x1": 2, "x2": -1, "t": Fraction(1, 2)})) is Fraction
+    assert holds_ints(div_exact(p * q, x1 - t))
+    assert holds_ints(normalize(Fraction(-2, 3) * x1 * x2 - Fraction(4, 3) * x2))
+    assert normalize(-4 * x1 + 6) == 2 * x1 - 3
+    assert type(content(6 * x1 - 4)) is int and content(6 * x1 - 4) == 2
+    assert content(Fraction(3, 2) * x1 + 3) == Fraction(3, 2)
+    g = poly_gcd(p, q)
+    assert g == x1 - t and holds_ints(g)
+
+
+def test_try_divide_leaves_integers_only_when_inexact():
+    x1, x2 = V("x1"), V("x2")
+    half = try_divide(x1, 2 * x1)
+    assert half == REG.constant(Fraction(1, 2))
+    assert half.constant_value() == Fraction(1, 2)
+    q = try_divide(3 * x1 * x2 + x2, 2 * x2)
+    assert q == Fraction(3, 2) * x1 + Fraction(1, 2)
+    assert holds_ints(try_divide(6 * x1 * x2 + 4 * x2, 2 * x2))

@@ -1,0 +1,118 @@
+"""sympy as an independent check of gcd, Pfaffian and generic rank.
+
+A development-only oracle: the module is skipped when sympy is not
+installed.  Each case is small (matrices of size at most 6) and seeded,
+with integer and with rational coefficients.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+from sympy.polys.matrices import DomainMatrix  # noqa: E402
+
+from liepencil.model import SkewPolyMatrix  # noqa: E402
+from liepencil.pencil import generic_rank, pfaffian  # noqa: E402
+from liepencil.poly import VarRegistry, poly_gcd  # noqa: E402
+
+REG = VarRegistry(3, params=("t",))
+NAMES = ("x1", "x2", "t")
+SYMBOLS = {name: sympy.Symbol(name) for name in NAMES}
+
+
+def to_sympy(p):
+    """The same polynomial as a sympy expression, coefficient by coefficient."""
+    total = sympy.Integer(0)
+    for mono, c in p.terms():
+        term = sympy.Rational(c.numerator, c.denominator)
+        for pos, e in mono:
+            term *= SYMBOLS[REG.name_at(pos)] ** e
+        total += term
+    return total
+
+
+def _coefficient(rng, rational):
+    c = rng.randint(-4, 4)
+    return Fraction(c, rng.randint(1, 5)) if rational else c
+
+
+def _linear(rng, rational):
+    p = REG.zero()
+    for name in rng.sample(NAMES, 2):
+        p = p + _coefficient(rng, rational) * REG.var(name)
+    return p + _coefficient(rng, rational)
+
+
+def _product(rng, rational, factors):
+    p = REG.one()
+    for _ in range(factors):
+        p = p * _linear(rng, rational)
+    return p
+
+
+def _skew_matrix(rng, rational, size, layers):
+    """Skew matrix of linear forms: the sum of ``layers`` terms
+    u v^T - v u^T of rank at most 2 (u constant, v linear forms), or a
+    dense random one when ``layers`` is None."""
+    upper = {}
+    if layers is None:
+        for i in range(1, size + 1):
+            for j in range(i + 1, size + 1):
+                upper[(i, j)] = _linear(rng, rational)
+    else:
+        vectors = [
+            ([_coefficient(rng, rational) for _ in range(size)],
+             [_linear(rng, rational) for _ in range(size)])
+            for _ in range(layers)
+        ]
+        for i in range(size):
+            for j in range(i + 1, size):
+                upper[(i + 1, j + 1)] = sum(
+                    (u[i] * v[j] - v[i] * u[j] for u, v in vectors), REG.zero()
+                )
+    return SkewPolyMatrix(size, REG, upper)
+
+
+def _to_sympy_matrix(m):
+    return sympy.Matrix(
+        [[to_sympy(m.entry(i, j)) for j in range(1, m.size + 1)] for i in range(1, m.size + 1)]
+    )
+
+
+@pytest.mark.parametrize("rational", [False, True], ids=["integer", "rational"])
+def test_gcd_matches_sympy(rational):
+    rng = random.Random(61 + rational)
+    for _ in range(8):
+        common = _product(rng, rational, rng.randint(0, 2))
+        p = common * _product(rng, rational, rng.randint(0, 2))
+        q = common * _product(rng, rational, rng.randint(0, 2))
+        ours = to_sympy(poly_gcd(p, q))
+        theirs = sympy.gcd(to_sympy(p), to_sympy(q))
+        ratio = sympy.cancel(ours / theirs)
+        assert ratio.is_number and ratio != 0, (p, q, ours, theirs)
+
+
+@pytest.mark.parametrize("rational", [False, True], ids=["integer", "rational"])
+def test_pfaffian_squared_is_sympy_determinant(rational):
+    rng = random.Random(67 + rational)
+    for size in (2, 3, 4, 5, 6):
+        m = _skew_matrix(rng, rational, size, None)
+        det = _to_sympy_matrix(m).det(method="domain-ge")
+        assert sympy.expand(to_sympy(pfaffian(m)) ** 2 - det) == 0, size
+
+
+@pytest.mark.parametrize("rational", [False, True], ids=["integer", "rational"])
+def test_generic_rank_matches_sympy(rational):
+    rng = random.Random(71 + rational)
+    ranks = set()
+    for size, layers in ((4, 1), (5, 2), (6, 2), (6, None)):
+        m = _skew_matrix(rng, rational, size, layers)
+        # fraction-free row reduction over Z[x] or Q[x]: its pivots count
+        # the rank over the field of fractions
+        _, _, pivots = DomainMatrix.from_Matrix(_to_sympy_matrix(m)).rref_den()
+        want = len(pivots)
+        assert generic_rank(m) == want, (size, layers)
+        ranks.add(want)
+    assert ranks == {2, 4, 6}
