@@ -32,7 +32,7 @@ from .classify import (
     classify_family,
     require_valid,
 )
-from .errors import LiePencilError, ParameterBindingError, ParseError
+from .errors import InvalidAlgebra, LiePencilError, ParameterBindingError, ParseError
 from .model import LieAlgebra, build_ax, substitute_params, validate
 from .oracle import cross_check
 from .parser import load_algebra
@@ -289,12 +289,10 @@ def _classify_entry(item: corpus.CorpusEntry, samples: int, seed: int):
     """
     attempts = []  # (label, report, fam)
     failure = None
-    alg = item.load()
-    vrep = validate(alg)
-    if vrep.ok:
-        attempts.append((item.name,) + _family_maybe(alg, samples, seed))
-    else:
-        failure = vrep
+    try:
+        attempts.append((item.name,) + _family_maybe(item.load(), samples, seed))
+    except InvalidAlgebra as exc:
+        failure = exc.report
     need_variant = item.variant is not None and (
         failure is not None
         or all(rep.verdict.value != item.expected for _, rep, _ in attempts)

@@ -49,8 +49,7 @@ class CorpusEntry:
         return read_text(filename)
 
     def _load_file(self, filename: str, name: str) -> LieAlgebra:
-        fmt = "structured" if filename.endswith(".json") else "text"
-        doc = SourceDoc(self._read(filename), origin=filename, format=fmt)
+        doc = SourceDoc(self._read(filename), origin=filename)
         return parse_source(doc).with_name(name)
 
     def load(self) -> LieAlgebra:

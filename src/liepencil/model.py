@@ -219,6 +219,10 @@ class SkewPolyMatrix:
             return self._upper.get((i, j), self.registry.zero())
         return -self._upper.get((j, i), self.registry.zero())
 
+    def stored(self):
+        """The nonzero entries above the diagonal, as ((i, j), p) pairs."""
+        return self._upper.items()
+
     def rows(self) -> list[list[Polynomial]]:
         return [
             [self.entry(i, j) for j in range(1, self.size + 1)]
@@ -244,7 +248,7 @@ class SkewPolyMatrix:
         """P^T M P for a rational matrix P (kept exact, entries stay skew)."""
         n = self.size
         rows = self.rows()
-        p = [[Fraction(v) for v in row] for row in p_matrix]
+        p = ratmat.rational_rows(p_matrix)
         if len(p) != n or any(len(row) != n for row in p):
             raise ValueError("congruence matrix has the wrong shape")
         mp = [
@@ -266,9 +270,12 @@ class SkewPolyMatrix:
 
     def evaluate(self, values: Mapping[str, Fraction | int]) -> list[list[Fraction | int]]:
         """Entries at the given values; ints for an integer matrix at ints."""
-        return [[self.entry(i, j).evaluate(values) if i != j else 0
-                 for j in range(1, self.size + 1)]
-                for i in range(1, self.size + 1)]
+        out: list[list[Fraction | int]] = [[0] * self.size for _ in range(self.size)]
+        for (i, j), p in self.stored():
+            v = p.evaluate(values)
+            out[i - 1][j - 1] = v
+            out[j - 1][i - 1] = -v
+        return out
 
     def __eq__(self, other):
         if not isinstance(other, SkewPolyMatrix):
@@ -295,7 +302,7 @@ def change_of_basis(alg: LieAlgebra, p_matrix) -> LieAlgebra:
     P must be invertible over the rationals; parameters ride along unchanged.
     """
     n = alg.dim
-    p = [[Fraction(v) for v in row] for row in p_matrix]
+    p = ratmat.rational_rows(p_matrix)
     if len(p) != n or any(len(row) != n for row in p):
         raise ValueError("basis change matrix has the wrong shape")
     p_inv = ratmat.inverse(p)

@@ -143,11 +143,6 @@ class KroneckerBlock:
         )
 
 
-def _rational_rows(rows) -> list[list]:
-    """Ints and Fractions as given, anything else through ``Fraction()``."""
-    return [[v if isinstance(v, (int, Fraction)) else Fraction(v) for v in row] for row in rows]
-
-
 class NumericPencil:
     """A pair of equal-sized skew-symmetric matrices, held as integers.
 
@@ -162,9 +157,9 @@ class NumericPencil:
     __slots__ = ("a", "b", "size")
 
     def __init__(self, a_rows, b_rows):
-        a = _rational_rows(a_rows)
+        a = ratmat.rational_rows(a_rows)
         n = len(a)
-        stacked, _ = ratmat.scale_to_int(a + _rational_rows(b_rows))
+        stacked, _ = ratmat.scale_to_int(a + ratmat.rational_rows(b_rows))
         a, b = stacked[:n], stacked[n:]
         if len(b) != n or any(len(r) != n for r in a) or any(len(r) != n for r in b):
             raise ValueError("pencil matrices must be square and equally sized")
@@ -208,7 +203,7 @@ def congruence(pencil: NumericPencil, p_rows) -> NumericPencil:
     P is scaled to an integer matrix s*P first; that scales both results by
     the same s^2, which the pencil does not see.
     """
-    p, _ = ratmat.scale_to_int(_rational_rows(p_rows))
+    p, _ = ratmat.scale_to_int(ratmat.rational_rows(p_rows))
     if len(p) != pencil.size or any(len(r) != pencil.size for r in p):
         raise ValueError("congruence matrix size does not match the pencil")
     if ratmat.det(p) == 0:

@@ -42,23 +42,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SourceDoc:
-    """Raw input together with where it came from and how it is encoded."""
+    """Raw input together with where it came from."""
 
     text: str
     origin: str = "<string>"
-    format: str = "text"  # "text" | "structured"
 
 
 def load_algebra(path) -> LieAlgebra:
     """Read a .lie (text) or .json (structured) file."""
     p = Path(path)
-    raw = p.read_text(encoding="utf-8")
-    fmt = "structured" if p.suffix.lower() == ".json" else "text"
-    return parse_source(SourceDoc(raw, origin=str(p), format=fmt))
+    return parse_source(SourceDoc(p.read_text(encoding="utf-8"), origin=str(p)))
 
 
 def parse_source(doc: SourceDoc) -> LieAlgebra:
-    if doc.format == "structured":
+    """The structured form when the origin ends in .json, else the text form."""
+    if Path(doc.origin).suffix.lower() == ".json":
         return parse_structured(doc)
     return parse_text(doc)
 
@@ -446,7 +444,7 @@ def _basis_index(cur: _Cursor, dim: int) -> int:
 
 def parse_structured(doc: SourceDoc | str) -> LieAlgebra:
     if isinstance(doc, str):
-        doc = SourceDoc(doc, format="structured")
+        doc = SourceDoc(doc)
     origin = doc.origin
     try:
         data = json.loads(doc.text)

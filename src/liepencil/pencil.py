@@ -97,11 +97,10 @@ class PfaffianCache:
         self._zero = reg.zero()
         self._one = reg.one()
         # the expansion runs along the smallest index, so it only reads
-        # entries right of the diagonal; keep the nonzero ones by row
-        self._right: list[dict[int, Polynomial]] = [{}]
-        for i in range(1, matrix.size + 1):
-            row = {j: matrix.entry(i, j) for j in range(i + 1, matrix.size + 1)}
-            self._right.append({j: p for j, p in row.items() if p})
+        # entries right of the diagonal; keep the stored ones by row
+        self._right: list[dict[int, Polynomial]] = [{} for _ in range(matrix.size + 1)]
+        for (i, j), p in matrix.stored():
+            self._right[i][j] = p
         self._memo: dict[tuple[int, ...], Polynomial] = {}
 
     def pfaffian(self, indices) -> Polynomial:
@@ -152,21 +151,24 @@ class PencilProfile:
     ``p0`` is the greatest common divisor of the rank-sized principal
     Pfaffians, normalized to coprime integer coefficients with a positive
     leading term; ``route`` says how it was found (see
-    :func:`pencil_profile`).  ``p_lambda`` is p0 with every x_k shifted to
-    x_k + lambda*a_k.  ``pfaffians`` lists each rank-sized principal index
-    set with its Pfaffian; it is computed on first read.
+    :func:`pencil_profile`).  ``index`` is dim minus the generic rank.
+    ``p_lambda`` and ``pfaffians`` are computed on first read: p_lambda is
+    p0 with every x_k shifted to x_k + lambda*a_k, and ``pfaffians`` lists
+    each rank-sized principal index set with its Pfaffian.
     """
 
     matrix: SkewPolyMatrix
     generic_rank: int
-    index: int
     p0: Polynomial
-    p_lambda: Polynomial
     route: str
 
     @property
     def dim(self) -> int:
         return self.matrix.size
+
+    @property
+    def index(self) -> int:
+        return self.dim - self.generic_rank
 
     @property
     def coordinate_degree(self) -> int:
@@ -182,15 +184,15 @@ class PencilProfile:
             for subset in principal_subsets(self.dim, self.generic_rank)
         )
 
-
-def _lambda_shift(p0: Polynomial) -> Polynomial:
-    reg = p0.registry
-    lam = reg.pencil()
-    shift = {
-        f"x{k}": reg.coordinate(k) + lam * reg.point(k)
-        for k in range(1, reg.dim + 1)
-    }
-    return p0.substitute(shift)
+    @cached_property
+    def p_lambda(self) -> Polynomial:
+        reg = self.p0.registry
+        lam = reg.pencil()
+        shift = {
+            f"x{k}": reg.coordinate(k) + lam * reg.point(k)
+            for k in range(1, reg.dim + 1)
+        }
+        return self.p0.substitute(shift)
 
 
 # Nonzero Pfaffians whose gcd h is split into factors before the rest of the
@@ -280,13 +282,11 @@ def _integer_matrix(matrix: SkewPolyMatrix) -> SkewPolyMatrix:
     A positive scalar s changes no rank, and it multiplies every r x r
     principal Pfaffian by s^(r/2), so the normalized gcd is the same.
     """
-    pairs = itertools.combinations(range(1, matrix.size + 1), 2)
-    upper = {(i, j): p for i, j in pairs if (p := matrix.entry(i, j))}
-    scale = math.lcm(*(content(p).denominator for p in upper.values()))
+    scale = math.lcm(*(content(p).denominator for _, p in matrix.stored()))
     return SkewPolyMatrix(
         matrix.size,
         matrix.registry,
-        {ij: integer_multiple(p, scale) for ij, p in upper.items()},
+        {ij: integer_multiple(p, scale) for ij, p in matrix.stored()},
     )
 
 
@@ -337,11 +337,4 @@ def pencil_profile(source: LieAlgebra | SkewPolyMatrix) -> PencilProfile:
     route = "enumerated" if p0 is None else "certified"
     if p0 is None:
         p0 = normalize(gcd_far)
-    return PencilProfile(
-        matrix=matrix,
-        generic_rank=r,
-        index=n - r,
-        p0=p0,
-        p_lambda=_lambda_shift(p0),
-        route=route,
-    )
+    return PencilProfile(matrix=matrix, generic_rank=r, p0=p0, route=route)

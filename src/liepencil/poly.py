@@ -574,15 +574,6 @@ def divides(d: Polynomial, p: Polynomial) -> bool:
 # remainder sequence on the primitive parts, and recurse on the contents.
 
 
-def _main_pos(p: Polynomial, q: Polynomial):
-    best = None
-    for poly in (p, q):
-        for mono, _ in poly.terms():
-            if mono and (best is None or mono[0][0] < best):
-                best = mono[0][0]
-    return best
-
-
 def coefficients(p: Polynomial, pos: int) -> dict[int, Polynomial]:
     """View p as univariate in the variable at registry position ``pos``.
 
@@ -658,9 +649,10 @@ def _gcd_rec(p: Polynomial, q: Polynomial) -> Polynomial:
     """gcd of two nonzero polynomials, up to a rational unit."""
     if p.is_constant() or q.is_constant():
         return p.registry.one()
+    variables = _variables(p)
     # a variable in one operand only is absent from the gcd, which therefore
     # divides that operand's content in it: the smaller problem
-    one_sided = _variables(p) ^ _variables(q)
+    one_sided = variables ^ _variables(q)
     if one_sided:
         pos = min(one_sided)
         if _deg_in_pos(p, pos):
@@ -668,7 +660,8 @@ def _gcd_rec(p: Polynomial, q: Polynomial) -> Polynomial:
         else:
             q = _content_in(q, pos)
         return _gcd_rec(p, q)
-    pos = _main_pos(p, q)
+    # past that branch both operands hold the same variables
+    pos = min(variables)
     cont_p = _content_in(p, pos)
     cont_q = _content_in(q, pos)
     a = div_exact(p, cont_p)

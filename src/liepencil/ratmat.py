@@ -42,6 +42,11 @@ def is_skew(m) -> bool:
     ) and all(m[i][j] == -m[j][i] for i in range(n) for j in range(n))
 
 
+def rational_rows(rows) -> list[list]:
+    """Ints and Fractions as given, anything else through ``Fraction()``."""
+    return [[v if isinstance(v, (int, Fraction)) else Fraction(v) for v in row] for row in rows]
+
+
 def scale_to_int(m) -> tuple[list[list[int]], int]:
     """(s*m, s) for the least common denominator s of the entries of m.
 
@@ -146,15 +151,23 @@ def det(m) -> Fraction:
     return Fraction(sign * d, scale**n)
 
 
-def inverse(m) -> list[list[Fraction]]:
-    """Eliminate [s*M | I]; the right half ends as d * (s*M)^-1."""
+def inverse(m) -> list[list[int | Fraction]]:
+    """Eliminate [s*M | I]; the right half ends as d * (s*M)^-1.
+
+    Each entry is an int wherever it is one, as for a unimodular M.
+    """
     n = len(m)
     ints, scale = scale_to_int(m)
     work = [row + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(ints)]
     pivots, d, _ = _eliminate(work)
     if pivots != list(range(n)):
         raise SingularMatrix("matrix is not invertible")
-    return [[Fraction(scale * v, d) for v in row[n:]] for row in work]
+    return [[_quotient(scale * v, d) for v in row[n:]] for row in work]
+
+
+def _quotient(a: int, d: int) -> int | Fraction:
+    q, r = divmod(a, d)
+    return Fraction(a, d) if r else q
 
 
 class SpanBuilder:

@@ -214,6 +214,30 @@ def test_table_external_corpus_match(tmp_path, capsys):
     assert "1 of 1" in capsys.readouterr().out
 
 
+def test_table_checks_jacobi_once_per_table(monkeypatch, capsys):
+    """Each loaded table is validated once, by the classification itself;
+    a failing primary keeps its report for the output."""
+    # the package attribute liepencil.classify is the function, not the module
+    classify_module = sys.modules["liepencil.classify"]
+    calls = []
+    validate = classify_module.validate
+
+    def counting(alg):
+        calls.append(alg.name)
+        return validate(alg)
+
+    monkeypatch.setattr(classify_module, "validate", counting)
+    monkeypatch.setattr(sys.modules["liepencil.cli"], "validate", counting)
+    main(["table", "--samples", "0", "--output", "structured"])
+    families = json.loads(capsys.readouterr().out)["families"]
+    loaded = [a["label"] for f in families for a in f["attempts"]]
+    loaded += [f["name"] for f in families if f["jacobi_failure"] is not None]
+    assert sorted(calls) == sorted(loaded)
+    failed = [f for f in families if f["jacobi_failure"] is not None]
+    assert [f["name"] for f in failed] == ["L5a"]
+    assert failed[0]["jacobi_failure"].startswith("Jacobi identity fails")
+
+
 def test_table_empty_corpus(tmp_path, capsys):
     (tmp_path / "manifest.json").write_text(json.dumps({"entries": []}))
     assert main(["table", "--corpus", str(tmp_path)]) == 0

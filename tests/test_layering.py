@@ -9,6 +9,8 @@ asks the symbolic classifier for the verdict to compare against.  ``ratmat``
 may use the error types and the standard library, ``unipoly`` the standard
 library alone.  The other way round, ``pencil``, the symbolic core, uses
 ``model`` and ``poly`` alone, so its verdicts never lean on the oracle.
+Below it, ``model`` uses ``poly``, ``ratmat`` and the error types, and
+``poly`` the error types alone.
 """
 
 import ast
@@ -22,6 +24,8 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "liepencil"
 ALLOWED = {
     "oracle.py": {"ratmat", "unipoly", "errors", "classify", "model"},
     "pencil.py": {"model", "poly"},
+    "poly.py": {"errors"},
+    "model.py": {"errors", "poly", "ratmat"},
     "ratmat.py": {"errors"},
     "unipoly.py": set(),
 }

@@ -23,6 +23,7 @@ from helpers import (
     algebra_from_table,
     gl_algebra,
     heisenberg_algebra,
+    holds_ints,
     laplace_det,
     naive_jacobi_violations,
     random_unimodular,
@@ -218,6 +219,33 @@ def test_change_of_basis_keeps_lie_axioms():
             p = random_unimodular(dim, rng)
             moved = change_of_basis(alg, p)
             assert validate(moved).ok
+
+
+def test_integer_basis_change_stays_in_integers():
+    """An integer table moved by a unimodular integer P keeps int coefficients."""
+    rng = random.Random(8)
+    for alg in (algebra_from_table(4, EXAMPLE), gl_algebra(2), corpus.entry("L1").load()):
+        p = random_unimodular(alg.dim, rng)
+        moved = change_of_basis(alg, p)
+        assert validate(moved).ok
+        assert all(
+            holds_ints(c)
+            for pair in moved.stored_pairs()
+            for c in moved.bracket(*pair).values()
+        )
+        congruent = build_ax(alg).congruent(p)
+        assert congruent.stored() and all(holds_ints(e) for _, e in congruent.stored())
+    scaled = change_of_basis(algebra_from_table(3, SL2), [[1, 0, 0], [0, 1, 0], [0, 0, 2]])
+    assert scaled.structure_constant(1, 2, 3).constant_value() == Fraction(1, 2)
+
+
+def test_stored_lists_the_nonzero_upper_entries():
+    ax = build_ax(algebra_from_table(4, EXAMPLE))
+    stored = dict(ax.stored())
+    assert sorted(stored) == [(1, 3), (3, 4)]
+    for i in range(1, 5):
+        for j in range(i + 1, 5):
+            assert ax.entry(i, j) == stored.get((i, j), ax.registry.zero())
 
 
 def test_change_of_basis_identity_is_noop():

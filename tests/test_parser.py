@@ -12,6 +12,7 @@ from liepencil.parser import (
     emit_text,
     load_algebra,
     parse_poly,
+    parse_source,
     parse_structured,
     parse_text,
 )
@@ -194,6 +195,17 @@ def test_load_algebra_dispatches_on_suffix(tmp_path):
         "brackets": [{"i": 1, "j": 2, "terms": {"3": "1"}}],
     }))
     assert load_algebra(str(json_path)) == alg
+
+
+def test_parse_source_reads_the_format_off_the_origin():
+    as_json = json.dumps({"dim": 3, "brackets": [{"i": 1, "j": 2, "terms": {"3": "1"}}]})
+    expected = parse_text(GOOD)
+    for origin in ("h3.json", "dir.lie/H3.JSON"):
+        assert parse_source(SourceDoc(as_json, origin=origin)) == expected
+    for origin in ("h3.lie", "<string>", "h3.json.lie"):
+        assert parse_source(SourceDoc(GOOD, origin=origin)) == expected
+    with pytest.raises(ParseError):
+        parse_source(SourceDoc(GOOD, origin="h3.json"))
 
 
 def test_comments_and_whitespace_ignored():

@@ -1,5 +1,6 @@
 """Generic rank, Pfaffians, and the p0 profile of skew polynomial matrices."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -11,6 +12,7 @@ from liepencil import corpus, pencil
 from liepencil.model import SkewPolyMatrix, build_ax, change_of_basis, substitute_params
 from liepencil.oracle import NumericPencil, pencil_type
 from liepencil.pencil import (
+    PencilProfile,
     PfaffianCache,
     generic_rank,
     pencil_profile,
@@ -371,6 +373,33 @@ def test_profile_pfaffians_are_lazy():
     assert "pfaffians" not in prof.__dict__
     assert len(prof.pfaffians) == math.comb(prof.dim, prof.generic_rank)
     assert prof.pfaffians is prof.pfaffians
+
+
+def test_profile_keeps_only_what_it_computes():
+    """index is read off the rank, and p(lambda) is shifted on first read."""
+    assert [f.name for f in dataclasses.fields(PencilProfile)] == [
+        "matrix", "generic_rank", "p0", "route",
+    ]
+    prof = pencil_profile(heisenberg_algebra(1))
+    assert "p_lambda" not in prof.__dict__
+    assert str(prof.p_lambda) == "a3*lambda + x3"
+    assert prof.p_lambda is prof.p_lambda
+    assert prof.index == 1
+
+
+def test_profile_reads_stored_entries_only(monkeypatch):
+    """The Pfaffian cache and the integer scaling never ask for one entry."""
+    calls = []
+    entry = SkewPolyMatrix.entry
+
+    def counting(self, i, j):
+        calls.append((i, j))
+        return entry(self, i, j)
+
+    monkeypatch.setattr(SkewPolyMatrix, "entry", counting)
+    prof = pencil_profile(build_ax(heisenberg_algebra(15)))
+    assert (prof.dim, prof.index, str(prof.p0)) == (31, 1, "x31^15")
+    assert calls == []
 
 
 @pytest.mark.parametrize("make, n, degree", [(borel_algebra, 6, 3), (nilradical_algebra, 7, 6)])

@@ -76,6 +76,17 @@ def test_inverse_roundtrip():
         assert matmul(inverse(m), m) == identity(n)
 
 
+def test_inverse_keeps_integers_where_exact():
+    rng = random.Random(3)
+    for n in (2, 3, 4):
+        p = random_unimodular(n, rng)
+        inv = inverse(p)
+        assert all(type(v) is int for row in inv for v in row)
+        assert matmul(p, inv) == identity(n)
+    assert inverse([[2, 0], [0, 1]]) == [[Fraction(1, 2), 0], [0, 1]]
+    assert type(inverse([[2, 0], [0, 1]])[1][1]) is int
+
+
 def test_inverse_requires_nonsingular():
     from liepencil.errors import SingularMatrix
 
