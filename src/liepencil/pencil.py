@@ -88,48 +88,68 @@ class PfaffianCache:
 
     Sharing the cache across all r-subsets of an n x n matrix makes the
     recursive expansion reuse the overlapping smaller minors, which is where
-    nearly all of the work lives.
+    nearly all of the work lives.  An index set is held as an int bit mask,
+    bit i for index i, which keys the memo.
     """
 
     def __init__(self, matrix: SkewPolyMatrix):
         self.matrix = matrix
-        reg = matrix.registry
-        self._zero = reg.zero()
-        self._one = reg.one()
-        # the expansion runs along the smallest index, so it only reads
-        # entries right of the diagonal; keep the stored ones by row
+        # the expansion runs along the lowest index, so it only reads
+        # entries right of the diagonal: keep the stored ones by row, keyed
+        # by column bit, with the mask of the columns each row reaches
         self._right: list[dict[int, Polynomial]] = [{} for _ in range(matrix.size + 1)]
+        self._reach = [0] * (matrix.size + 1)
         for (i, j), p in matrix.stored():
-            self._right[i][j] = p
-        self._memo: dict[tuple[int, ...], Polynomial] = {}
+            self._right[i][1 << j] = p
+            self._reach[i] |= 1 << j
+        self._zero = matrix.registry.zero()
+        self._memo: dict[int, Polynomial] = {0: matrix.registry.one()}
 
     def pfaffian(self, indices) -> Polynomial:
-        idx = tuple(indices)
-        if sorted(set(idx)) != list(idx):
-            raise ValueError("indices must be strictly increasing")
-        if idx and not (1 <= idx[0] and idx[-1] <= self.matrix.size):
-            raise ValueError("index out of range")
-        return self._pf(idx)
-
-    def _pf(self, idx: tuple[int, ...]) -> Polynomial:
-        if len(idx) % 2:
+        size = self.matrix.size
+        mask = 0
+        last = 0
+        for i in indices:
+            if not 1 <= i <= size:
+                raise ValueError("index out of range")
+            if i <= last:
+                raise ValueError("indices must be strictly increasing")
+            mask |= 1 << i
+            last = i
+        if mask.bit_count() % 2:
             return self._zero
-        if not idx:
-            return self._one
-        cached = self._memo.get(idx)
-        if cached is not None:
-            return cached
-        row = self._right[idx[0]]
+        cached = self._memo.get(mask)
+        return self._pf(mask) if cached is None else cached
+
+    def _pf(self, mask: int) -> Polynomial:
+        """Pf of the even index set ``mask``, not yet in the memo, expanded
+        along its lowest bit.
+
+        Only the stored entries of that row inside the set are visited.  The
+        term pairing the lowest index with ``bit`` has the sign (-1)^(t+1)
+        for ``bit`` at position t of the set, counted from 0 at the lowest
+        index: the parity of the indices of ``rest`` below ``bit``.
+        """
+        memo = self._memo
+        low = mask & -mask
+        rest = mask ^ low
+        i = low.bit_length() - 1
+        row = self._right[i]
+        hits = self._reach[i] & rest
         total = self._zero
-        for t in range(1, len(idx)):
-            entry = row.get(idx[t])
-            if entry is None:
-                continue
-            rest = self._pf(idx[1:t] + idx[t + 1:])
-            if rest:
-                term = entry * rest
-                total = total + term if t % 2 else total - term
-        self._memo[idx] = total
+        while hits:
+            bit = hits & -hits
+            hits ^= bit
+            sub = memo.get(rest ^ bit)
+            if sub is None:
+                sub = self._pf(rest ^ bit)
+            if sub:
+                term = row[bit] * sub
+                if (rest & (bit - 1)).bit_count() % 2:
+                    total = total - term
+                else:
+                    total = total + term
+        memo[mask] = total
         return total
 
 

@@ -321,9 +321,10 @@ class Polynomial:
         return None
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not Polynomial or other.registry is not self.registry:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         terms = dict(self._terms)
         for m, c in other._terms.items():
             s = terms.get(m, 0) + c
@@ -331,35 +332,42 @@ class Polynomial:
                 terms[m] = s
             else:
                 terms.pop(m, None)
-        return Polynomial(self.registry, terms)
+        return _wrap(self.registry, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.registry, {m: -c for m, c in self._terms.items()})
+        return _wrap(self.registry, {m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        if type(other) is not Polynomial or other.registry is not self.registry:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        terms = dict(self._terms)
+        for m, c in other._terms.items():
+            s = terms.get(m, 0) - c
+            if s:
+                terms[m] = s
+            else:
+                terms.pop(m, None)
+        return _wrap(self.registry, terms)
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return self.registry.zero()
-            return Polynomial(
-                self.registry, {m: v * other for m, v in self._terms.items()}
-            )
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not Polynomial or other.registry is not self.registry:
+            if isinstance(other, (int, Fraction)):
+                if not other:
+                    return self.registry.zero()
+                return _wrap(self.registry, {m: v * other for m, v in self._terms.items()})
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         terms: dict = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
@@ -369,7 +377,7 @@ class Polynomial:
                     terms[m] = s
                 else:
                     terms.pop(m, None)
-        return Polynomial(self.registry, terms)
+        return _wrap(self.registry, terms)
 
     __rmul__ = __mul__
 
@@ -486,6 +494,18 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
+def _wrap(registry: VarRegistry, terms: dict) -> Polynomial:
+    """Polynomial holding ``terms`` itself, neither copied nor filtered.
+
+    For the ring operations, whose term maps never hold a zero coefficient
+    and are not touched again once wrapped.
+    """
+    p = object.__new__(Polynomial)
+    p.registry = registry
+    p._terms = terms
+    return p
+
+
 # -- content, normalization, division ----------------------------------------
 
 
@@ -546,7 +566,7 @@ def try_divide(p: Polynomial, d: Polynomial):
         if rem:
             q_coeff = Fraction(lc_r) / lc_d
         quotient[q_mono] = q_coeff
-        shifted = Polynomial(
+        shifted = _wrap(
             reg,
             {_mono_mul(m, q_mono): c * q_coeff for m, c in d.terms()},
         )

@@ -151,7 +151,36 @@ def test_pfaffian_cache_validates_indices():
         cache.pfaffian((0, 1))
     with pytest.raises(ValueError):
         cache.pfaffian((1, 5))
+    with pytest.raises(ValueError):
+        cache.pfaffian((1, 1))
+    with pytest.raises(ValueError):
+        cache.pfaffian((1, 2, 2, 3))
     assert cache.pfaffian(()) == reg.one()
+    assert cache.pfaffian((1, 2, 4)).is_zero()
+
+
+def _sparse_skew(size, rng):
+    """Seeded skew matrix of nonzero linear forms in x1..x3 on a random half
+    (rounded up) of the places above the diagonal, zero elsewhere."""
+    reg = VarRegistry(3)
+    pairs = list(itertools.combinations(range(1, size + 1), 2))
+    upper = {}
+    for pair in rng.sample(pairs, (len(pairs) + 1) // 2):
+        var = reg.coordinate(rng.randint(1, 3))
+        upper[pair] = var * rng.choice((-2, -1, 1, 2)) + rng.randint(-2, 2)
+    return SkewPolyMatrix(size, reg, upper)
+
+
+@pytest.mark.parametrize("size", range(2, 11))
+def test_sparse_pfaffians_match_the_matchings_oracle(size):
+    """Every even principal Pfaffian, through one shared cache, against the
+    signed sum over perfect matchings of the submatrix."""
+    m = _sparse_skew(size, random.Random(53 + size))
+    cache = PfaffianCache(m)
+    for r in range(0, size + 1, 2):
+        for subset in principal_subsets(size, r):
+            want = pfaffian_matchings(m.submatrix(subset).rows())
+            assert cache.pfaffian(subset) == want, subset
 
 
 def test_profile_known_small_algebra():
@@ -204,6 +233,40 @@ def test_profile_stops_gcd_once_constant(monkeypatch):
     nonzero = sum(1 for _, pf in prof.pfaffians if pf)
     assert results and results[-1].is_constant()
     assert len(results) < nonzero - 1  # the early exit really happened
+
+
+_N7_P0 = (
+    "x4*x5*x6*x10*x11*x15 - x4*x5*x6*x11^2*x14 - x4*x6^2*x10^2*x15"
+    " + x4*x6^2*x10*x11*x14 - x5^2*x6*x9*x11*x15 + x5^2*x6*x11^2*x13"
+    " + x5*x6^2*x9*x10*x15 + x5*x6^2*x9*x11*x14 - 2*x5*x6^2*x10*x11*x13"
+    " - x6^3*x9*x10*x14 + x6^3*x10^2*x13"
+)
+_B6_P0 = (
+    "x4*x10*x15 - x4*x11*x14 - x5*x9*x15 + x5*x11*x13 + x6*x9*x14"
+    " - x6*x10*x13"
+)
+
+
+def test_profile_pins_on_sign_flipped_matrix_units():
+    """Route, rank and p0 of matrix-unit algebras with basis signs flipped
+    by one seeded generator, in this order; the values are frozen."""
+    rng = random.Random(11)
+    pins = [
+        (borel_algebra(4), "certified", 8, "x3*x7 - x4*x6"),
+        (nilradical_algebra(5), "certified", 8, "x3*x4*x7 + x4^2*x6"),
+        (gl_algebra(3), "enumerated", 6, "1"),
+        (borel_algebra(5), "certified", 12, "1"),
+        (nilradical_algebra(6), "certified", 12, "x4*x5*x9 - x5^2*x8"),
+        (gl_algebra(4), "enumerated", 12, "1"),
+        (borel_algebra(6), "certified", 18, _B6_P0),
+        (nilradical_algebra(7), "certified", 18, _N7_P0),
+    ]
+    for alg, route, rank, p0 in pins:
+        n = alg.dim
+        signs = [rng.choice((1, -1)) for _ in range(n)]
+        flip = [[signs[i] if i == j else 0 for j in range(n)] for i in range(n)]
+        prof = pencil_profile(change_of_basis(alg, flip))
+        assert (prof.route, prof.generic_rank, str(prof.p0)) == (route, rank, p0), alg.name
 
 
 def test_profile_builds_one_pfaffian_cache(monkeypatch):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from liepencil.errors import RegistryMismatch
 from liepencil.poly import (
     NEG_INF,
     Polynomial,
@@ -186,6 +187,26 @@ def test_foreign_registry_rejected():
     different = VarRegistry(4)
     with pytest.raises(Exception):
         V("x1") + different.var("x1")
+    with pytest.raises(RegistryMismatch):
+        V("x1") - different.var("x1")
+    with pytest.raises(RegistryMismatch):
+        different.var("x1") - V("x1")
+    # an equal registry that is a different object still combines
+    assert V("x1") - other.var("x1") == REG.zero()
+    assert other.var("x2") * V("x1") == V("x1") * V("x2")
+
+
+@given(polys(), polys(), _coeffs, st.integers(-4, 4))
+@settings(max_examples=80, deadline=None)
+def test_ring_operations_store_no_zero_coefficient(p, q, frac, k):
+    rng = random.Random(17)
+    for value in (p + q, p - q, p * q, -p, p * 0, p - p, p * frac, frac * p,
+                  p + k, k + p, p - k, k - p, p * k, k * p, frac - p, frac + p):
+        assert all(c != 0 for _, c in value.terms()), value
+    assert (p * 0).is_zero() and (p - p).is_zero()
+    assert p - q == p + (-q)
+    assert k - p == -(p - k) and frac - p == -(p - frac)
+    assert polys_equal_at_random(k * p + frac, p * k + REG.constant(frac), rng)
 
 
 def test_integer_input_stays_in_integers():
