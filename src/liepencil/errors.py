@@ -11,6 +11,10 @@ class RegistryMismatch(LiePencilError):
     """Two polynomials from unrelated variable registries were combined."""
 
 
+class DegreeOverflow(LiePencilError):
+    """A polynomial product's total degree exceeds what a monomial can hold."""
+
+
 class ParseError(LiePencilError):
     """Syntax or semantic error in an input document.
 

@@ -27,7 +27,7 @@ from typing import Iterator
 
 from .errors import ParseError, SchemaError
 from .model import LieAlgebra, ParamDecl
-from .poly import Polynomial, VarKind, VarRegistry
+from .poly import MAX_EXPONENT, Polynomial, VarKind, VarRegistry
 
 __all__ = [
     "SourceDoc",
@@ -167,11 +167,12 @@ class _ExprParser:
         self.reg = registry
         self.allow_basis = allow_basis
         self.kinds = kinds
-        # linear combination: basis index -> coefficient polynomial;
-        # index 0 holds the pure-coefficient part.
         self.one = registry.one()
 
     def _atom(self):
+        """The next atom as a linear combination, the form every rule returns:
+        basis index -> coefficient polynomial, index 0 holding the
+        pure-coefficient part."""
         tok = self.c.peek()
         if tok.kind == "int":
             self.c.next()
@@ -226,6 +227,8 @@ class _ExprParser:
     def _power(self, value, exponent, tok):
         if set(value) != {0}:
             self.c.fail("basis elements cannot be raised to powers", tok)
+        if exponent > MAX_EXPONENT:
+            self.c.fail(f"exponent {exponent} exceeds the limit {MAX_EXPONENT}", tok)
         return {0: value[0] ** exponent}
 
     def _combine_mul(self, left, right, tok):
@@ -238,7 +241,6 @@ class _ExprParser:
         return {k: scalar * v for k, v in vector.items()}
 
     def _term(self):
-        tok = self.c.peek()
         value = self._factor()
         while True:
             tok = self.c.peek()
@@ -247,13 +249,12 @@ class _ExprParser:
                 value = self._combine_mul(value, self._factor(), tok)
             elif tok.kind == "op" and tok.value == "/":
                 self.c.next()
-                divisor = self._factor(), tok
-                div, dtok = divisor
+                div = self._factor()
                 if set(div) != {0} or not div[0].is_constant():
-                    self.c.fail("division is only allowed by a rational constant", dtok)
+                    self.c.fail("division is only allowed by a rational constant", tok)
                 c = div[0].constant_value()
                 if c == 0:
-                    self.c.fail("division by zero", dtok)
+                    self.c.fail("division by zero", tok)
                 inv = Fraction(1) / c
                 value = {k: v * inv for k, v in value.items()}
             elif tok.kind in ("int", "ident") or (tok.kind == "op" and tok.value == "("):
@@ -487,7 +488,7 @@ def parse_structured(doc: SourceDoc | str) -> LieAlgebra:
         raise SchemaError(str(exc), path="params", origin=origin) from None
 
     decls = []
-    for name, nz, idx in zip(names, raw_exclusions, range(len(names))):
+    for idx, (name, nz) in enumerate(zip(names, raw_exclusions)):
         exclusions = ()
         if nz is not None:
             try:

@@ -234,7 +234,7 @@ def _certified_factors(h: Polynomial):
     reg = h.registry
     shared = None
     for mono, _ in h.terms():
-        exps = dict(mono)
+        exps = dict(reg.exponents(mono))
         shared = exps if shared is None else {
             pos: min(k, exps[pos]) for pos, k in shared.items() if pos in exps
         }
@@ -249,7 +249,7 @@ def _certified_factors(h: Polynomial):
     while not piece.is_constant():
         degrees: dict[int, int] = {}
         for mono, _ in piece.terms():
-            for pos, k in mono:
+            for pos, k in reg.exponents(mono):
                 degrees[pos] = max(degrees.get(pos, 0), k)
         linear = [
             pos for pos, k in sorted(degrees.items())

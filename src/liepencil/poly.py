@@ -9,12 +9,21 @@ substitution and exact division, and a ``fractions.Fraction`` appears only
 where the input had one or where a quotient leaves Z.  :func:`normalize`
 always returns int coefficients.
 
-Representation.  A monomial is a tuple of ``(position, exponent)`` pairs,
-sorted by variable position, with zero exponents never stored.  A polynomial
-maps monomials to nonzero coefficients; the zero polynomial has an empty term
-map and its degree is the sentinel ``NEG_INF``.  Values are never mutated
-after construction and every operation is a pure function, so independent
-computations can safely share them across threads or processes.
+Representation.  A monomial is one non-negative int (packed exponent
+vectors, Monagan & Pearce, CASC 2007).  Each registry position owns a field
+of ``EXPONENT_BITS`` bits holding its exponent, position 0 in the most
+significant field, and the total degree sits above all the fields.  So graded
+lex is int order, a product of monomials is their sum, and the constant
+monomial is 0.  The top bit of each field is a guard bit that is always
+clear: m2 divides m1 exactly when ``m1 - m2`` borrows into no guard bit.
+Exponents and total degrees are at most ``MAX_EXPONENT``, which
+``Polynomial.__mul__`` enforces with :class:`DegreeOverflow`.  The layout is
+private to this module; other code reads a monomial only through
+:meth:`VarRegistry.exponents`.  A polynomial maps monomials to nonzero
+coefficients; the zero polynomial has an empty term map and its degree is the
+sentinel ``NEG_INF``.  Values are never mutated after construction and every
+operation is a pure function, so independent computations can safely share
+them across threads or processes.
 
 Variable order.  A :class:`VarRegistry` fixes the variable set and the
 monomial order for one computation.  Kinds are ordered
@@ -27,14 +36,17 @@ first and lexicographically second (graded lex).
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import operator
 import re
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from .errors import RegistryMismatch
+from .errors import DegreeOverflow, RegistryMismatch
 
 __all__ = [
+    "MAX_EXPONENT",
     "NEG_INF",
     "PENCIL_NAME",
     "VarKind",
@@ -51,6 +63,11 @@ __all__ = [
 ]
 
 NEG_INF = float("-inf")
+
+# Width of one exponent field of a packed monomial, its guard bit included.
+EXPONENT_BITS = 16
+MAX_EXPONENT = (1 << (EXPONENT_BITS - 1)) - 1
+_FIELD = (1 << EXPONENT_BITS) - 1
 
 PENCIL_NAME = "lambda"
 
@@ -86,7 +103,10 @@ class VarRegistry:
         lambda > a1 > .. > an > x1 > .. > xn > p1 > .. > pm
     """
 
-    __slots__ = ("dim", "params", "_names", "_kinds", "_pos", "_display")
+    __slots__ = (
+        "dim", "params", "_names", "_kinds", "_pos", "_display",
+        "_shift", "_unit", "_guard", "_degree_shift",
+    )
 
     def __init__(self, dim: int, params: Sequence[str] = ()):
         if not isinstance(dim, int) or dim < 0:
@@ -118,9 +138,14 @@ class VarRegistry:
         self._display = tuple(
             (_DISPLAY_RANK[kind], i) for i, kind in enumerate(kinds)
         )
-
-    def __len__(self) -> int:
-        return len(self._names)
+        # packed monomials: the field of position i sits at bit _shift[i],
+        # and _unit[i] is the monomial of that variable, degree included
+        self._degree_shift = EXPONENT_BITS * len(names)
+        self._shift = tuple(
+            EXPONENT_BITS * (len(names) - 1 - i) for i in range(len(names))
+        )
+        self._unit = tuple((1 << s) | (1 << self._degree_shift) for s in self._shift)
+        self._guard = sum(1 << (s + EXPONENT_BITS - 1) for s in self._shift)
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -156,6 +181,18 @@ class VarRegistry:
     def display_key(self, pos: int) -> tuple[int, int]:
         return self._display[pos]
 
+    def exponents(self, mono: int) -> list[tuple[int, int]]:
+        """``(position, exponent)`` pairs of a monomial, by position, zeros left out."""
+        pairs = []
+        rest = mono & ((1 << self._degree_shift) - 1)
+        last = len(self._names) - 1
+        while rest:
+            pos = last - (rest.bit_length() - 1) // EXPONENT_BITS
+            e = rest >> self._shift[pos]
+            pairs.append((pos, e))
+            rest -= e << self._shift[pos]
+        return pairs
+
     # -- polynomial constructors ------------------------------------------
 
     def zero(self) -> "Polynomial":
@@ -165,11 +202,10 @@ class VarRegistry:
         return self.constant(1)
 
     def constant(self, value: Scalar) -> "Polynomial":
-        return Polynomial(self, {(): value} if value else {})
+        return Polynomial(self, {0: value} if value else {})
 
     def var(self, name: str) -> "Polynomial":
-        pos = self.position(name)
-        return Polynomial(self, {((pos, 1),): 1})
+        return Polynomial(self, {self._unit[self.position(name)]: 1})
 
     def coordinate(self, k: int) -> "Polynomial":
         return self.var(f"x{k}")
@@ -184,56 +220,6 @@ class VarRegistry:
         if self.kind_of(name) is not VarKind.PARAMETER:
             raise ValueError(f"{name!r} is not a parameter")
         return self.var(name)
-
-
-Mono = tuple  # tuple[tuple[int, int], ...], sorted by position
-
-
-def _mono_mul(m1: Mono, m2: Mono) -> Mono:
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    out = []
-    i = j = 0
-    while i < len(m1) and j < len(m2):
-        p1, e1 = m1[i]
-        p2, e2 = m2[j]
-        if p1 == p2:
-            out.append((p1, e1 + e2))
-            i += 1
-            j += 1
-        elif p1 < p2:
-            out.append(m1[i])
-            i += 1
-        else:
-            out.append(m2[j])
-            j += 1
-    out.extend(m1[i:])
-    out.extend(m2[j:])
-    return tuple(out)
-
-
-def _mono_div(m1: Mono, m2: Mono):
-    """Quotient monomial m1 / m2, or None when not divisible."""
-    if not m2:
-        return m1
-    rest = dict(m1)
-    out = []
-    for p, e in m2:
-        have = rest.pop(p, 0)
-        if have < e:
-            return None
-        if have > e:
-            out.append((p, have - e))
-    for p, e in rest.items():
-        out.append((p, e))
-    out.sort()
-    return tuple(out)
-
-
-def _mono_degree(m: Mono) -> int:
-    return sum(e for _, e in m)
 
 
 class Polynomial:
@@ -254,16 +240,16 @@ class Polynomial:
         return bool(self._terms)
 
     def is_constant(self) -> bool:
-        return not self._terms or (len(self._terms) == 1 and () in self._terms)
+        return not self._terms or (len(self._terms) == 1 and 0 in self._terms)
 
     def constant_value(self) -> Scalar:
         if not self._terms:
             return 0
         if self.is_constant():
-            return self._terms[()]
+            return self._terms[0]
         raise ValueError(f"{self} is not constant")
 
-    def terms(self) -> Iterator[tuple[Mono, Scalar]]:
+    def terms(self) -> Iterator[tuple[int, Scalar]]:
         return iter(self._terms.items())
 
     def term_count(self) -> int:
@@ -271,28 +257,22 @@ class Polynomial:
 
     # -- monomial order ----------------------------------------------------
 
-    def _key(self, mono: Mono):
-        dense = [0] * len(self.registry)
-        for p, e in mono:
-            dense[p] = e
-        return (_mono_degree(mono), tuple(dense))
-
-    def leading(self) -> tuple[Mono, Scalar]:
+    def leading(self) -> tuple[int, Scalar]:
         """Greatest term under graded lex; errors on the zero polynomial."""
         if not self._terms:
             raise ValueError("zero polynomial has no leading term")
-        m = max(self._terms, key=self._key)
+        m = max(self._terms)
         return m, self._terms[m]
 
-    def sorted_terms(self) -> list[tuple[Mono, Scalar]]:
-        return sorted(self._terms.items(), key=lambda t: self._key(t[0]), reverse=True)
+    def sorted_terms(self) -> list[tuple[int, Scalar]]:
+        return sorted(self._terms.items(), reverse=True)
 
     # -- degrees -----------------------------------------------------------
 
     def total_degree(self):
         if not self._terms:
             return NEG_INF
-        return max(_mono_degree(m) for m in self._terms)
+        return max(self._terms) >> self.registry._degree_shift
 
     def degree_in(self, kinds: Iterable[VarKind]):
         """Largest total exponent of variables of the given kinds; NEG_INF for 0."""
@@ -300,8 +280,10 @@ class Polynomial:
         if not self._terms:
             return NEG_INF
         kind_at = self.registry.kind_at
+        exponents = self.registry.exponents
         return max(
-            sum(e for p, e in m if kind_at(p) in wanted) for m in self._terms
+            sum(e for p, e in exponents(m) if kind_at(p) in wanted)
+            for m in self._terms
         )
 
     # -- arithmetic --------------------------------------------------------
@@ -368,10 +350,16 @@ class Polynomial:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
+        if self._terms and other._terms:
+            degree = (max(self._terms) + max(other._terms)) >> self.registry._degree_shift
+            if degree > MAX_EXPONENT:
+                raise DegreeOverflow(
+                    f"a product of total degree {degree} exceeds the limit {MAX_EXPONENT}"
+                )
         terms: dict = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
-                m = _mono_mul(m1, m2)
+                m = m1 + m2
                 s = terms.get(m, 0) + c1 * c2
                 if s:
                     terms[m] = s
@@ -431,11 +419,11 @@ class Polynomial:
 
         result = reg.zero()
         for mono, coeff in self._terms.items():
-            kept = tuple((p, e) for p, e in mono if p not in resolved)
-            term = Polynomial(reg, {kept: coeff})
-            for p, e in mono:
-                if p in resolved:
-                    term = term * power(p, e)
+            replaced = [(p, e) for p, e in reg.exponents(mono) if p in resolved]
+            kept = mono - sum(e * reg._unit[p] for p, e in replaced)
+            term = _wrap(reg, {kept: coeff})
+            for p, e in replaced:
+                term = term * power(p, e)
             result = result + term
         return result
 
@@ -451,7 +439,7 @@ class Polynomial:
         total = 0
         for mono, coeff in self._terms.items():
             acc = coeff
-            for p, e in mono:
+            for p, e in reg.exponents(mono):
                 if p not in bound:
                     raise ValueError(
                         f"variable {reg.name_at(p)!r} is unbound in evaluate()"
@@ -462,10 +450,10 @@ class Polynomial:
 
     # -- display -------------------------------------------------------------
 
-    def _format_mono(self, mono: Mono) -> str:
+    def _format_mono(self, mono: int) -> str:
         reg = self.registry
         parts = []
-        for p, e in sorted(mono, key=lambda pe: reg.display_key(pe[0])):
+        for p, e in sorted(reg.exponents(mono), key=lambda pe: reg.display_key(pe[0])):
             name = reg.name_at(p)
             parts.append(name if e == 1 else f"{name}^{e}")
         return "*".join(parts)
@@ -559,8 +547,8 @@ def try_divide(p: Polynomial, d: Polynomial):
     r = p
     while not r.is_zero():
         lm_r, lc_r = r.leading()
-        q_mono = _mono_div(lm_r, lm_d)
-        if q_mono is None:
+        q_mono = lm_r - lm_d
+        if q_mono & reg._guard:
             return None
         q_coeff, rem = divmod(lc_r, lc_d)
         if rem:
@@ -568,7 +556,7 @@ def try_divide(p: Polynomial, d: Polynomial):
         quotient[q_mono] = q_coeff
         shifted = _wrap(
             reg,
-            {_mono_mul(m, q_mono): c * q_coeff for m, c in d.terms()},
+            {m + q_mono: c * q_coeff for m, c in d.terms()},
         )
         r = r - shifted
     return Polynomial(reg, quotient)
@@ -601,27 +589,17 @@ def coefficients(p: Polynomial, pos: int) -> dict[int, Polynomial]:
     that variable; the zero polynomial gives an empty map.
     """
     reg = p.registry
+    shift, unit = reg._shift[pos], reg._unit[pos]
     coeffs: dict[int, dict] = {}
     for mono, c in p.terms():
-        e = 0
-        rest = []
-        for pp, ee in mono:
-            if pp == pos:
-                e = ee
-            else:
-                rest.append((pp, ee))
-        bucket = coeffs.setdefault(e, {})
-        bucket[tuple(rest)] = bucket.get(tuple(rest), 0) + c
-    return {e: Polynomial(reg, t) for e, t in coeffs.items()}
+        e = (mono >> shift) & _FIELD
+        coeffs.setdefault(e, {})[mono - e * unit] = c
+    return {e: _wrap(reg, t) for e, t in coeffs.items()}
 
 
 def _deg_in_pos(p: Polynomial, pos: int) -> int:
-    d = 0
-    for mono, _ in p.terms():
-        for pp, ee in mono:
-            if pp == pos and ee > d:
-                d = ee
-    return d
+    shift = p.registry._shift[pos]
+    return max(((mono >> shift) & _FIELD for mono in p._terms), default=0)
 
 
 def _content_in(p: Polynomial, pos: int) -> Polynomial:
@@ -662,7 +640,10 @@ def _prem(f: Polynomial, g: Polynomial, pos: int) -> Polynomial:
 
 
 def _variables(p: Polynomial) -> set[int]:
-    return {pos for mono, _ in p.terms() for pos, _ in mono}
+    # or-ing monomials keeps every field apart, so a field of the union is
+    # nonzero exactly when some term holds that variable
+    support = functools.reduce(operator.or_, p._terms, 0)
+    return {pos for pos, _ in p.registry.exponents(support)}
 
 
 def _gcd_rec(p: Polynomial, q: Polynomial) -> Polynomial:

@@ -1,7 +1,9 @@
 """Command-line behavior: output shapes and exit codes."""
 
+import contextlib
 import json
 import shutil
+import signal
 import sys
 from importlib import metadata
 from pathlib import Path
@@ -13,6 +15,7 @@ from liepencil.classify import classify
 from liepencil.cli import main
 from liepencil.errors import InvalidAlgebra
 from liepencil.parser import load_algebra
+from liepencil.poly import MAX_EXPONENT
 
 
 @pytest.fixture
@@ -112,6 +115,47 @@ def test_parse_error_reports_position(tmp_path, capsys):
     assert main(["classify", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "bad.lie" in err and "2" in err
+
+
+@pytest.mark.parametrize(
+    "command, text, where",
+    [
+        ("validate", "dim 2\n[e1,e2] = 2^99999999999*e1\n", "huge.lie:2:13:"),
+        ("classify", "dim 2\nparam a\n[e1,e2] = a^99999999999*e1\n", "huge.lie:3:13:"),
+    ],
+    ids=["integer-base", "parameter-base"],
+)
+def test_huge_exponent_is_refused_at_its_token(command, text, where, tmp_path, capsys):
+    path = tmp_path / "huge.lie"
+    path.write_text(text)
+    with _deadline(1.0):
+        code = main([command, str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert where in err and "exponent 99999999999 exceeds the limit" in err
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail the test, instead of hanging, when the body runs past ``seconds``."""
+    def expire(signum, frame):
+        pytest.fail(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_degree_overflow_is_a_domain_error(tmp_path, capsys):
+    path = tmp_path / "deep.lie"
+    path.write_text(f"dim 2\nparam a\n[e1,e2] = a^{MAX_EXPONENT}*e1\n")
+    assert main(["classify", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: a product of total degree {MAX_EXPONENT + 1} exceeds the limit")
 
 
 def test_validate_ok_and_failing(corpus_file, capsys):

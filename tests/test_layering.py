@@ -10,7 +10,9 @@ may use the error types and the standard library, ``unipoly`` the standard
 library alone.  The other way round, ``pencil``, the symbolic core, uses
 ``model`` and ``poly`` alone, so its verdicts never lean on the oracle.
 Below it, ``model`` uses ``poly``, ``ratmat`` and the error types, and
-``poly`` the error types alone.
+``poly`` the error types alone.  The packed monomial format is ``poly``'s
+own: no other module imports a private name from it or reads a private
+attribute of a ``VarRegistry``.
 """
 
 import ast
@@ -64,3 +66,54 @@ def test_import_reader_sees_relative_and_absolute_imports(tmp_path):
         "    from .pencil import pfaffian\n"
     )
     assert imported_modules(source) == {"os", "ratmat", "poly", "classify", "liepencil", "pencil"}
+
+
+def registry_private_slots() -> set[str]:
+    """Private ``VarRegistry`` slots, read from the ``poly`` source."""
+    tree = ast.parse((PACKAGE / "poly.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name == "VarRegistry":
+            for stmt in node.body:
+                target = stmt.targets[0] if isinstance(stmt, ast.Assign) else None
+                if isinstance(target, ast.Name) and target.id == "__slots__":
+                    return {c.value for c in stmt.value.elts if c.value.startswith("_")}
+    raise AssertionError("VarRegistry.__slots__ not found in poly.py")
+
+
+def poly_internals(path: Path, slots: set[str]) -> set[str]:
+    """Private names a module imports from ``poly`` or reads as ``poly._x``,
+    and the private registry slots it reads as attributes."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "poly":
+            found.update(alias.name for alias in node.names if alias.name.startswith("_"))
+        elif isinstance(node, ast.Attribute):
+            if node.attr in slots:
+                found.add(node.attr)
+            elif isinstance(node.value, ast.Name) and node.value.id == "poly" \
+                    and node.attr.startswith("_"):
+                found.add(node.attr)
+    return found
+
+
+@pytest.mark.parametrize(
+    "name", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "poly.py")
+)
+def test_monomial_format_stays_inside_poly(name):
+    used = poly_internals(PACKAGE / name, registry_private_slots())
+    assert not used, f"{name} reaches into poly: {sorted(used)}"
+
+
+def test_poly_internals_reader_sees_imports_and_slots(tmp_path):
+    slots = registry_private_slots()
+    assert {"_shift", "_unit", "_guard"} <= slots
+    source = tmp_path / "sample.py"
+    source.write_text(
+        "from .poly import Polynomial, _wrap\n"
+        "from liepencil.poly import _FIELD\n"
+        "from . import poly\n"
+        "def f(p, reg):\n"
+        "    q = poly._wrap(reg, {})\n"
+        "    return p.registry._unit[0] & reg._guard, reg.exponents(0)\n"
+    )
+    assert poly_internals(source, slots) == {"_wrap", "_FIELD", "_unit", "_guard"}

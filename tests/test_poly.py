@@ -4,14 +4,16 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from liepencil.errors import RegistryMismatch
+from liepencil.errors import DegreeOverflow, RegistryMismatch
 from liepencil.poly import (
+    MAX_EXPONENT,
     NEG_INF,
     Polynomial,
     VarKind,
     VarRegistry,
+    coefficients,
     content,
     div_exact,
     divides,
@@ -35,14 +37,41 @@ _coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool
 
 
 @st.composite
-def polys(draw, max_terms=4, max_factors=2):
+def polys(draw, max_terms=4, max_factors=2, max_power=1):
     p = REG.zero()
     for _ in range(draw(st.integers(0, max_terms))):
         term = REG.constant(draw(_coeffs))
         for _ in range(draw(st.integers(0, max_factors))):
-            term = term * V(draw(_names))
+            power = draw(st.integers(1, max_power)) if max_power > 1 else 1
+            term = term * V(draw(_names)) ** power
         p = p + term
     return p
+
+
+# Exponents up to a third of the limit, so that three factors stay within it.
+_wide_polys = polys(max_terms=6, max_factors=3, max_power=MAX_EXPONENT // 3)
+_edge_exponents = st.sampled_from([0, 1, 2, MAX_EXPONENT - 1, MAX_EXPONENT]) | st.integers(0, 3)
+
+
+@st.composite
+def monomials(draw):
+    """A monomial's exponents by name, its total degree within the limit;
+    edge exponents at the limit and one below it come up often."""
+    exps = {}
+    budget = MAX_EXPONENT
+    for name in draw(st.lists(_names, unique=True, max_size=4)):
+        e = min(draw(_edge_exponents), budget)
+        if e:
+            exps[name] = e
+            budget -= e
+    return exps
+
+
+def monomial(exps):
+    term = REG.one()
+    for name, e in exps.items():
+        term = term * V(name) ** e
+    return term
 
 
 def test_zero_and_constants():
@@ -239,3 +268,88 @@ def test_try_divide_leaves_integers_only_when_inexact():
     q = try_divide(3 * x1 * x2 + x2, 2 * x2)
     assert q == Fraction(3, 2) * x1 + Fraction(1, 2)
     assert holds_ints(try_divide(6 * x1 * x2 + 4 * x2, 2 * x2))
+
+
+def _dense_key(mono):
+    """Graded lex built naively: total degree, then the dense exponent tuple."""
+    dense = [0] * len(REG.names())
+    for pos, e in REG.exponents(mono):
+        dense[pos] = e
+    return sum(dense), tuple(dense)
+
+
+@given(_wide_polys)
+@settings(max_examples=80, deadline=None)
+def test_term_order_is_graded_lex(p):
+    monos = [m for m, _ in p.terms()]
+    want = sorted(monos, key=_dense_key, reverse=True)
+    assert [m for m, _ in p.sorted_terms()] == want
+    if monos:
+        assert p.leading()[0] == want[0]
+        assert p.total_degree() == _dense_key(want[0])[0]
+
+
+@given(monomials())
+@settings(max_examples=60, deadline=None)
+def test_exponents_read_back_each_variable(exps):
+    [(mono, coeff)] = monomial(exps).terms()
+    assert coeff == 1
+    assert REG.exponents(mono) == sorted((REG.position(n), e) for n, e in exps.items())
+    shown = sorted(exps.items(), key=lambda ne: REG.display_key(REG.position(ne[0])))
+    want = "*".join(n if e == 1 else f"{n}^{e}" for n, e in shown) or "1"
+    assert str(monomial(exps)) == want
+
+
+@given(monomials(), monomials())
+@example({"x1": MAX_EXPONENT}, {"x1": MAX_EXPONENT - 1})
+@example({"x1": MAX_EXPONENT - 1}, {"x1": MAX_EXPONENT})
+@example({"x1": MAX_EXPONENT - 1, "t": 1}, {"x1": MAX_EXPONENT - 1})
+@example({"a1": 1}, {"x1": MAX_EXPONENT})
+@settings(max_examples=150, deadline=None)
+def test_monomial_division_compares_field_by_field(d, m):
+    expected = all(m.get(name, 0) >= e for name, e in d.items())
+    assert divides(monomial(d), monomial(m)) == expected
+    q = try_divide(monomial(m), monomial(d))
+    if expected:
+        rest = {name: e - d.get(name, 0) for name, e in m.items() if e != d.get(name, 0)}
+        assert q == monomial(rest)
+    else:
+        assert q is None
+
+
+@given(_wide_polys)
+@settings(max_examples=60, deadline=None)
+def test_coefficients_reassemble_the_polynomial(p):
+    for name in REG.names():
+        pos = REG.position(name)
+        view = coefficients(p, pos)
+        assert sum((c * V(name) ** e for e, c in view.items()), REG.zero()) == p
+        for c in view.values():
+            assert c and all(pos not in dict(REG.exponents(m)) for m, _ in c.terms())
+
+
+@given(st.integers(0, MAX_EXPONENT), st.integers(0, MAX_EXPONENT))
+@example(MAX_EXPONENT, 0)
+@example(MAX_EXPONENT - 1, 1)
+@example(MAX_EXPONENT, 1)
+@example(MAX_EXPONENT // 2, MAX_EXPONENT // 2 + 2)
+@settings(max_examples=40, deadline=None)
+def test_product_past_the_degree_limit_raises(d1, d2):
+    left, right = V("x1") ** d1, V("x2") ** d2 + 1
+    if d1 + d2 > MAX_EXPONENT:
+        with pytest.raises(DegreeOverflow):
+            left * right
+    else:
+        product = left * right
+        assert product.total_degree() == d1 + d2
+        assert product == right * left
+
+
+def test_growth_past_the_limit_raises_through_power_and_substitute():
+    x1, x2 = V("x1"), V("x2")
+    assert (x1 ** MAX_EXPONENT).total_degree() == MAX_EXPONENT
+    with pytest.raises(DegreeOverflow):
+        x1 ** (MAX_EXPONENT + 1)
+    with pytest.raises(DegreeOverflow):
+        (x1 ** MAX_EXPONENT).substitute({"x1": x1 * x2})
+    assert (x1 ** MAX_EXPONENT).substitute({"x1": x2}) == x2 ** MAX_EXPONENT

@@ -27,7 +27,7 @@ def to_sympy(p):
     total = sympy.Integer(0)
     for mono, c in p.terms():
         term = sympy.Rational(c.numerator, c.denominator)
-        for pos, e in mono:
+        for pos, e in REG.exponents(mono):
             term *= SYMBOLS[REG.name_at(pos)] ** e
         total += term
     return total
