@@ -24,8 +24,6 @@ Block conventions (sizes in matrix rows):
 
 from __future__ import annotations
 
-import itertools
-import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -228,7 +226,8 @@ class PencilTypeReport:
     multiplicities; ``residual`` is the rootless cofactor left over after
     dividing them out, and ``char_complete`` records whether the root search
     ran to the end.  ``infinite_count`` counts Jordan blocks living at
-    t = infinity, visible as a rank deficit of B alone.
+    t = infinity, visible as a rank deficit of B alone.  ``method`` names
+    the route p0 took; there is one, "deflation".
     """
 
     verdict: Verdict
@@ -266,138 +265,67 @@ class PencilTypeReport:
         }
 
 
-_MINOR_BUDGET = 20000
+def _samples(pencil: NumericPencil) -> tuple[int, list[list[list[int]]]]:
+    """The rank r of A + t*B and its kernels at the first n//2 + 1 points of rank r.
 
-
-def _certified_rank(pencil: NumericPencil) -> tuple[int, dict[int, int]]:
-    """max rank of A + t*B over the integers t = 0..n equals the generic rank.
-
-    Any single evaluation only bounds the rank from below, but a nonzero
-    r x r minor of the pencil is a polynomial in t of degree at most n, so
-    among n+1 distinct sample points at least one must miss all of its
-    roots.  Returns the rank and the rank at each t evaluated, so that
-    later searches need not evaluate those points again.
-    """
-    best = 0
-    ranks: dict[int, int] = {}
-    for t in range(pencil.size + 1):
-        ranks[t] = ratmat.rank(pencil.at(t))
-        best = max(best, ranks[t])
-        if best == pencil.size:
-            break
-    return best, ranks
-
-
-def _minor_cost(n: int, r: int) -> int:
-    total = 0
-    for k in range(0, r + 1, 2):
-        total += math.comb(n, k)
-        if total > _MINOR_BUDGET:
-            break
-    return total
-
-
-def _pencil_entries(pencil: NumericPencil) -> list[list[unipoly.Poly]]:
-    a, b = pencil.a, pencil.b
-    return [
-        [
-            unipoly.trim([a[i][j], b[i][j]])
-            for j in range(pencil.size)
-        ]
-        for i in range(pencil.size)
-    ]
-
-
-def _minor_pf(
-    entries: list[list[unipoly.Poly]],
-    memo: dict[tuple[int, ...], unipoly.Poly],
-    idx: tuple[int, ...],
-) -> unipoly.Poly:
-    """Pfaffian of the principal minor ``idx`` of the entries, memoized."""
-    hit = memo.get(idx)
-    if hit is not None:
-        return hit
-    first = idx[0]
-    total: unipoly.Poly = []
-    sign = 1
-    for t in range(1, len(idx)):
-        entry = entries[first - 1][idx[t] - 1]
-        if entry:
-            term = unipoly.mul(entry, _minor_pf(entries, memo, idx[1:t] + idx[t + 1:]))
-            total = unipoly.add(total, term if sign > 0 else unipoly.neg(term))
-        sign = -sign
-    memo[idx] = total
-    return total
-
-
-def _p0_by_minors(pencil: NumericPencil, r: int) -> unipoly.Poly:
-    entries = _pencil_entries(pencil)
-    memo: dict[tuple[int, ...], unipoly.Poly] = {(): [1]}
-    acc: unipoly.Poly | None = None
-    for subset in itertools.combinations(range(1, pencil.size + 1), r):
-        value = _minor_pf(entries, memo, subset)
-        if not value:
-            continue
-        acc = value if acc is None else unipoly.gcd_poly(acc, value)
-        if unipoly.deg(acc) == 0:
-            break
-    return unipoly.primitive(acc) if acc else [1]
-
-
-def _good_points(
-    pencil: NumericPencil, r: int, count: int, ranks: dict[int, int]
-) -> list[int]:
-    """The first ``count`` integers t >= 0 where A + t*B has rank r.
-
-    ``ranks`` holds the ranks already evaluated (from
-    :func:`_certified_rank`); only points missing from it are evaluated.  A
-    nonzero principal r-Pfaffian of A + t*B has degree at most r/2 in t, and
-    the rank drops only at its roots, so at least n//2 + 1 of t = 0..n are
-    regular and the search for ``count <= n//2 + 1`` points ends by t = n.
-    """
-    points = []
-    t = 0
-    while len(points) < count:
-        rank_t = ranks.get(t)
-        if rank_t is None:
-            rank_t = ratmat.rank(pencil.at(t))
-        if rank_t == r:
-            points.append(t)
-        t += 1
-    return points
-
-
-def _p0_by_deflation(pencil: NumericPencil, r: int, ranks: dict[int, int]) -> unipoly.Poly:
-    """Split off the singular part and take det on the regular quotient.
-
-    The kernels of A + t*B at enough regular points span exactly the
-    growing parts of the singular blocks (a Vandermonde argument: each
-    singular block contributes a polynomial curve of kernels whose degree
-    is bounded by half the block size).  Pairing that span U with its image
-    Y = A(U) + B(U) and passing to ann(Y)/U removes every singular block
-    and leaves the regular part, where p0 is just the square root of the
-    determinant.
+    One elimination per integer t = 0, 1, ...: the kernel of A + t*B, whose
+    rank is n minus the kernel's length.  A point of full rank ends the walk
+    at once.  Otherwise r is the largest rank over t = 0..n//2, and that is
+    a proof, not an estimate: the rank of a skew matrix is the largest size
+    R of a nonzero principal Pfaffian, a polynomial of degree at most
+    R/2 <= n//2 in t, which cannot vanish at all n//2 + 1 of those points.
+    The same bound leaves at most n//2 points below rank r, so the search
+    for n//2 + 1 points of rank r ends by t = n.
     """
     n = pencil.size
+    need = n // 2 + 1
+    best = -1
+    kernels: list[list[list[int]]] = []
+    t = 0
+    while t < need or len(kernels) < need:
+        kernel = ratmat.kernel(pencil.at(t))
+        rank_t = n - len(kernel)
+        if rank_t == n:
+            return n, []
+        if t < need and rank_t > best:
+            best, kernels = rank_t, []
+        if rank_t == best:
+            kernels.append(kernel)
+        t += 1
+    return best, kernels
+
+
+def _p0_by_deflation(pencil: NumericPencil, kernels: list[list[list[int]]]) -> unipoly.Poly:
+    """Split off the singular part and take det on the regular quotient.
+
+    ``kernels`` are the kernels of A + t*B at n//2 + 1 points of generic
+    rank, as :func:`_samples` returns them.  They span exactly the growing
+    parts of the singular blocks (a Vandermonde argument: each singular
+    block contributes a polynomial curve of kernels whose degree is bounded
+    by half the block size).  Pairing that span U with its image
+    Y = A(U) + B(U) and passing to ann(Y)/U removes every singular block and
+    leaves the regular part, where p0 is the square root of the
+    determinant.  With U = 0 (no singular block) the quotient is the whole
+    space and the determinant is that of A + t*B itself.
+    """
+    n = pencil.size
+    a, b = pencil.a, pencil.b
     u_span = ratmat.SpanBuilder(n)
-    for t in _good_points(pencil, r, n // 2 + 1, ranks):
-        for vec in ratmat.kernel(pencil.at(t)):
+    for kernel in kernels:
+        for vec in kernel:
             u_span.add(vec)
     u_basis = u_span.basis()
 
-    a, b = pencil.a, pencil.b
     y_span = ratmat.SpanBuilder(n)
     for vec in u_basis:
         y_span.add(ratmat.mat_vec(a, vec))
         y_span.add(ratmat.mat_vec(b, vec))
-    y_basis = y_span.basis()
-
-    w_basis = ratmat.kernel(y_basis) if y_basis else ratmat.identity(n)
-
     # coset representatives for ann(Y)/U
     rep_span = ratmat.SpanBuilder(n)
     for vec in u_basis:
         rep_span.add(vec)
+    y_basis = y_span.basis()
+    w_basis = ratmat.kernel(y_basis) if y_basis else ratmat.identity(n)
     reps = [w for w in w_basis if rep_span.add(w)]
     if not reps:
         return [1]
@@ -416,31 +344,20 @@ def _p0_by_deflation(pencil: NumericPencil, r: int, ranks: dict[int, int]) -> un
     return unipoly.primitive(root)
 
 
-def pencil_type(pencil: NumericPencil, method: str = "auto") -> PencilTypeReport:
+def pencil_type(pencil: NumericPencil) -> PencilTypeReport:
     """Recover the block-structure invariants of one numeric pencil.
 
-    ``method`` picks how p0 is computed: "minors" enumerates rank-sized
-    principal Pfaffians (faithful to the definition, exponential in the
-    size), "deflation" quotients out the singular part first (polynomial
-    cost), "auto" switches on an operation estimate.  Both must agree; the
-    tests hold them against each other.
+    The rank comes from :func:`_samples`, one kernel of A + t*B per sample
+    point, and p0 from :func:`_p0_by_deflation` on those same kernels; B
+    alone is eliminated once more for the blocks at t = infinity.
     """
-    if method not in ("auto", "minors", "deflation"):
-        raise ValueError(f"unknown method {method!r}")
     n = pencil.size
-    r, ranks = _certified_rank(pencil)
+    r, kernels = _samples(pencil)
     corank = n - r
     rank_b = ratmat.rank(pencil.b)
     infinite_count = (r - rank_b) // 2
     has_infinite = rank_b < r
-
-    chosen = method
-    if method == "auto":
-        chosen = "minors" if _minor_cost(n, r) <= _MINOR_BUDGET else "deflation"
-    if chosen == "minors":
-        p0 = _p0_by_minors(pencil, r)
-    else:
-        p0 = _p0_by_deflation(pencil, r, ranks)
+    p0 = _p0_by_deflation(pencil, kernels)
 
     if corank == 0:
         verdict = Verdict.JORDAN
@@ -461,7 +378,7 @@ def pencil_type(pencil: NumericPencil, method: str = "auto") -> PencilTypeReport
         residual=tuple(residual),
         has_infinite=has_infinite,
         infinite_count=infinite_count,
-        method=chosen,
+        method="deflation",
     )
 
 

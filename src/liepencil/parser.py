@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -136,6 +137,19 @@ class _Cursor:
         tok = tok or self.peek()
         raise ParseError(message, line=tok.line, column=tok.column, origin=self.origin)
 
+    def integer(self, tok: Token, digits: str | None = None) -> int:
+        """The value of ``digits`` (by default the token's text), failing at
+        the token past Python's limit on the digits of an int."""
+        digits = tok.value if digits is None else digits
+        try:
+            return int(digits)
+        except ValueError:
+            self.fail(
+                f"integer of {len(digits)} digits exceeds the limit of "
+                f"{sys.get_int_max_str_digits()} digits",
+                tok,
+            )
+
 
 # -- expression parser --------------------------------------------------------
 #
@@ -176,14 +190,14 @@ class _ExprParser:
         tok = self.c.peek()
         if tok.kind == "int":
             self.c.next()
-            return {0: self.reg.constant(int(tok.value))}
+            return {0: self.reg.constant(self.c.integer(tok))}
         if tok.kind == "ident":
             self.c.next()
             m = _BASIS_RE.match(tok.value)
             if m:
                 if not self.allow_basis:
                     self.c.fail("basis elements are not allowed here", tok)
-                return {int(m.group(1)): self.one}
+                return {self.c.integer(tok, m.group(1)): self.one}
             try:
                 kind = self.reg.kind_of(tok.value)
             except ValueError:
@@ -217,7 +231,7 @@ class _ExprParser:
                 if etok.kind != "int":
                     self.c.fail("exponent must be a non-negative integer", etok)
                 self.c.next()
-                value = self._power(value, int(etok.value), etok)
+                value = self._power(value, self.c.integer(etok), etok)
             else:
                 break
         if sign < 0:
@@ -320,11 +334,11 @@ def parse_text(doc: SourceDoc | str) -> LieAlgebra:
     if head.kind != "ident" or head.value != "dim":
         cur.fail("the first statement must be 'dim <n>'", head)
     size_tok = cur.next()
-    if size_tok.kind != "int" or int(size_tok.value) < 1:
+    dim = cur.integer(size_tok) if size_tok.kind == "int" else 0
+    if dim < 1:
         cur.fail("dimension must be a positive integer", size_tok)
     if not cur.at_end():
         cur.fail("unexpected trailing input after the dimension")
-    dim = int(size_tok.value)
 
     param_names: list[str] = []
     param_lines: list[tuple[_Cursor, str, Token]] = []
@@ -434,7 +448,7 @@ def _basis_index(cur: _Cursor, dim: int) -> int:
     m = _BASIS_RE.match(tok.value) if tok.kind == "ident" else None
     if not m:
         cur.fail("expected a basis element like e3", tok)
-    k = int(m.group(1))
+    k = cur.integer(tok, m.group(1))
     if not (1 <= k <= dim):
         cur.fail(f"basis index e{k} out of range for dimension {dim}", tok)
     return k
@@ -443,12 +457,21 @@ def _basis_index(cur: _Cursor, dim: int) -> int:
 # -- structured format ---------------------------------------------------------
 
 
+def _json_int(digits: str) -> int | float:
+    """``int(digits)``, or an infinity past Python's digit limit, so that the
+    schema checks refuse it at its path as they refuse any non-integer."""
+    try:
+        return int(digits)
+    except ValueError:
+        return float("-inf") if digits.startswith("-") else float("inf")
+
+
 def parse_structured(doc: SourceDoc | str) -> LieAlgebra:
     if isinstance(doc, str):
         doc = SourceDoc(doc)
     origin = doc.origin
     try:
-        data = json.loads(doc.text)
+        data = json.loads(doc.text, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc}", origin=origin) from None
     if not isinstance(data, dict):

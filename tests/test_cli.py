@@ -135,6 +135,32 @@ def test_huge_exponent_is_refused_at_its_token(command, text, where, tmp_path, c
     assert where in err and "exponent 99999999999 exceeds the limit" in err
 
 
+HUGE = "9" * (sys.get_int_max_str_digits() + 700)
+
+
+@pytest.mark.parametrize(
+    "filename, text, where",
+    [
+        ("huge.lie", f"dim 2\n[e1,e2] = {HUGE}*e1\n", "huge.lie:2:11: integer of"),
+        ("huge.lie", f"dim 2\n[e1,e2] = 2^{HUGE}*e1\n", "huge.lie:2:13: integer of"),
+        ("huge.lie", f"dim {HUGE}\n", "huge.lie:1:5: integer of"),
+        ("huge.lie", f"dim 2\n[e1,e{HUGE}] = e1\n", "huge.lie:2:5: integer of"),
+        ("huge.lie", f"dim 2\n[e1,e2] = e{HUGE}\n", "huge.lie:2:11: integer of"),
+        ("huge.json", f'{{"dim": {HUGE}}}', "huge.json: dim: must be a positive integer"),
+    ],
+    ids=["coefficient", "exponent", "dim", "bracket-index", "basis-term", "json-dim"],
+)
+def test_huge_integer_literal_is_a_positioned_error(filename, text, where, tmp_path, capsys):
+    """Past Python's limit on the digits of an int, a literal is refused at
+    its position, or at its path in a JSON document, with no traceback."""
+    path = tmp_path / filename
+    path.write_text(text)
+    code = main(["validate", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert where in err and "Traceback" not in err
+
+
 @contextlib.contextmanager
 def _deadline(seconds):
     """Fail the test, instead of hanging, when the body runs past ``seconds``."""

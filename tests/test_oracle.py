@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from liepencil import corpus
+from liepencil import corpus, ratmat, unipoly
 from liepencil.classify import Verdict, classify
 from liepencil.errors import SingularMatrix
 from liepencil.oracle import (
@@ -119,17 +119,41 @@ def test_char_numbers_with_multiplicities():
     assert rep.p0_degree == 4
 
 
-def test_methods_agree():
-    blocks = [JordanBlock(Fraction(3), 1), KroneckerBlock(2), JordanBlock(Fraction(-1, 3), 2)]
-    pencil = _scrambled(blocks, seed=7)
-    by_minors = pencil_type(pencil, method="minors")
-    by_deflation = pencil_type(pencil, method="deflation")
-    assert by_minors.verdict is by_deflation.verdict
-    assert by_minors.rank == by_deflation.rank
-    assert by_minors.p0 == by_deflation.p0
-    assert by_minors.char_numbers == by_deflation.char_numbers
-    assert by_minors.method == "minors"
-    assert by_deflation.method == "deflation"
+def _closed_form_p0(blocks):
+    """The primitive product of (d*t + m)^k over the JordanBlock(m/d, k)s."""
+    p0 = [1]
+    for b in blocks:
+        if isinstance(b, JordanBlock):
+            mu = b.eigenvalue
+            for _ in range(b.size):
+                p0 = unipoly.mul(p0, [mu.numerator, mu.denominator])
+    return tuple(unipoly.primitive(p0))
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [
+        [JordanBlock(Fraction(3), 1), KroneckerBlock(2), JordanBlock(Fraction(-1, 3), 2)],
+        [InfiniteJordanBlock(1), JordanBlock(Fraction(5, 2), 2), KroneckerBlock(0)],
+        [
+            KroneckerBlock(3),
+            JordanBlock(Fraction(2, 5), 2),
+            InfiniteJordanBlock(2),
+            JordanBlock(Fraction(-1), 1),
+            KroneckerBlock(1),
+            JordanBlock(Fraction(-1), 3),
+        ],
+        [JordanBlock(Fraction(-7, 4), 3), InfiniteJordanBlock(2), JordanBlock(Fraction(0), 2)],
+    ],
+    ids=["small", "small-infinite", "large", "jordan"],
+)
+def test_p0_matches_the_closed_form(blocks):
+    """Each finite JordanBlock(m/d, k) puts (d*t + m)^k into p0; Kronecker
+    and infinite blocks add no factor."""
+    rep = pencil_type(_scrambled(blocks, seed=7))
+    assert rep.p0 == _closed_form_p0(blocks)
+    assert rep.corank == sum(isinstance(b, KroneckerBlock) for b in blocks)
+    assert rep.infinite_count == sum(isinstance(b, InfiniteJordanBlock) for b in blocks)
 
 
 def test_large_pencil_uses_deflation():
@@ -142,18 +166,46 @@ def test_large_pencil_uses_deflation():
     assert dict(rep.char_numbers) == {Fraction(-1): 2}
 
 
-def test_deflation_reuses_certified_ranks(monkeypatch):
-    """The good-point search reads the ranks at t = 0..n already taken for
-    the certified rank: n+1 evaluations plus one for B alone."""
-    from liepencil import ratmat
+def test_rank_is_read_past_singular_sample_points():
+    """A + t*B drops rank at t = 0, 1 and 2; the sampling walks past them."""
+    blocks = [
+        JordanBlock(Fraction(0), 1),
+        JordanBlock(Fraction(-1), 1),
+        JordanBlock(Fraction(-2), 1),
+        KroneckerBlock(1),
+    ]
+    rep = pencil_type(_scrambled(blocks, seed=15))
+    assert rep.rank == 8 and rep.corank == 1
+    assert dict(rep.char_numbers) == {Fraction(0): 1, Fraction(1): 1, Fraction(2): 1}
 
-    calls = []
-    real_rank = ratmat.rank
-    monkeypatch.setattr(ratmat, "rank", lambda m: calls.append(m) or real_rank(m))
+
+def _count_eliminations(monkeypatch):
+    ranks, kernels = [], []
+    real_rank, real_kernel = ratmat.rank, ratmat.kernel
+    monkeypatch.setattr(ratmat, "rank", lambda m: ranks.append(m) or real_rank(m))
+    monkeypatch.setattr(ratmat, "kernel", lambda m: kernels.append(m) or real_kernel(m))
+    return ranks, kernels
+
+
+def test_one_elimination_per_sample_point(monkeypatch):
+    """One kernel of A + t*B per point t = 0..n at most, one more on Y, and
+    one rank, of B alone."""
     pencil = _scrambled([KroneckerBlock(1), JordanBlock(Fraction(1), 2)], seed=4)
-    rep = pencil_type(pencil, method="deflation")
+    ranks, kernels = _count_eliminations(monkeypatch)
+    rep = pencil_type(pencil)
     assert rep.corank == 1 and dict(rep.char_numbers) == {Fraction(-1): 2}
-    assert len(calls) == pencil.size + 2
+    assert ranks == [pencil.b]
+    assert len(kernels) <= pencil.size + 2
+
+
+def test_jordan_pencil_is_eliminated_once(monkeypatch):
+    """A regular A ends the sampling at t = 0, and p0 needs no kernel."""
+    pencil = _scrambled([JordanBlock(Fraction(2), 2), InfiniteJordanBlock(1)], seed=17)
+    ranks, kernels = _count_eliminations(monkeypatch)
+    rep = pencil_type(pencil)
+    assert rep.verdict is Verdict.JORDAN
+    assert kernels == [pencil.at(0)]
+    assert ranks == [pencil.b]
 
 
 def test_numeric_pencil_validation():
@@ -201,58 +253,56 @@ def test_pencils_hold_integers():
 
 
 def test_deflation_hands_integer_grams_to_pencil_det(monkeypatch):
-    """With no singular blocks the Y-span is empty and the coset
-    representatives start from the identity; they stay integer."""
-    from liepencil import unipoly
-
+    """The Gram pair on ann(Y)/U holds ints: with no singular block it is
+    A, B themselves, and a K(1) block leaves a quotient three rows smaller."""
     seen = []
     real_det = unipoly.pencil_det
     monkeypatch.setattr(
         unipoly, "pencil_det", lambda a, b: seen.append((a, b)) or real_det(a, b)
     )
-    pencil = _scrambled([JordanBlock(Fraction(2), 2), JordanBlock(Fraction(-1, 2), 1)], seed=10)
-    rep = pencil_type(pencil, method="deflation")
-    assert rep.verdict is Verdict.JORDAN
-    assert dict(rep.char_numbers) == {Fraction(-2): 2, Fraction(1, 2): 1}
-    assert len(seen) == 1
-    gram_a, gram_b = seen[0]
-    assert len(gram_a) == pencil.size
-    assert _all_ints(gram_a) and _all_ints(gram_b)
+    for singular, verdict in (((), Verdict.JORDAN), ((KroneckerBlock(1),), Verdict.MIXED)):
+        seen.clear()
+        blocks = [JordanBlock(Fraction(2), 2), *singular, JordanBlock(Fraction(-1, 2), 1)]
+        pencil = _scrambled(blocks, seed=10)
+        rep = pencil_type(pencil)
+        assert rep.verdict is verdict
+        assert dict(rep.char_numbers) == {Fraction(-2): 2, Fraction(1, 2): 1}
+        assert len(seen) == 1
+        gram_a, gram_b = seen[0]
+        assert len(gram_a) == 6
+        assert _all_ints(gram_a) and _all_ints(gram_b)
+        if not singular:
+            assert (gram_a, gram_b) == (pencil.a, pencil.b)
 
 
-@pytest.mark.parametrize("method", ["minors", "deflation"])
-def test_common_scale_leaves_report_unchanged(method):
+def test_common_scale_leaves_report_unchanged():
     blocks = [JordanBlock(Fraction(3), 1), KroneckerBlock(1), JordanBlock(Fraction(-1, 3), 1)]
     pencil = _scrambled(blocks, seed=11)
-    base = pencil_type(pencil, method=method)
+    base = pencil_type(pencil)
     assert base.verdict is Verdict.MIXED
     for c in (Fraction(1, 6), Fraction(7, 3), 5):
         scaled = NumericPencil(
             [[c * v for v in row] for row in pencil.a],
             [[c * v for v in row] for row in pencil.b],
         )
-        assert pencil_type(scaled, method=method) == base, c
+        assert pencil_type(scaled) == base, c
 
 
 def test_congruence_by_a_multiple_of_p_gives_the_same_report():
     pencil = assemble([JordanBlock(Fraction(1, 2), 2), KroneckerBlock(2)])
     p = random_unimodular(pencil.size, random.Random(12))
     six_p = [[6 * v for v in row] for row in p]
-    for method in ("minors", "deflation"):
-        assert pencil_type(congruence(pencil, p), method=method) == pencil_type(
-            congruence(pencil, six_p), method=method
-        ), method
+    assert pencil_type(congruence(pencil, p)) == pencil_type(congruence(pencil, six_p))
 
 
-@pytest.mark.parametrize("method", ["minors", "deflation"])
-def test_p0_and_residual_hold_integers(method):
+def test_p0_and_residual_hold_integers():
     # Pf(A + tB) = t^2 - 2, which keeps a residual with no rational root
     irrational = NumericPencil(
         [[0, 0, 1, 0], [0, 0, 0, 2], [-1, 0, 0, 0], [0, -2, 0, 0]],
         [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]],
     )
     mixed = _scrambled([JordanBlock(Fraction(1, 3), 2), KroneckerBlock(1)], seed=13)
-    reports = [pencil_type(pencil, method=method) for pencil in (irrational, mixed)]
+    reports = [pencil_type(pencil) for pencil in (irrational, mixed)]
     for rep in reports:
         assert rep.p0 and rep.residual
         assert all(type(c) is int for c in rep.p0 + rep.residual), rep
@@ -265,7 +315,7 @@ def test_minors_leave_no_reference_cycle():
     gc.collect()
     gc.disable()
     try:
-        pencil_type(pencil, method="minors")
+        pencil_type(pencil)
         assert gc.collect() == 0
     finally:
         if was_enabled:
