@@ -24,6 +24,7 @@ Block conventions (sizes in matrix rows):
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -296,7 +297,7 @@ def _samples(pencil: NumericPencil) -> tuple[int, list[list[list[int]]]]:
 
 
 def _p0_by_deflation(pencil: NumericPencil, kernels: list[list[list[int]]]) -> unipoly.Poly:
-    """Split off the singular part and take det on the regular quotient.
+    """Split off the singular part and take the Pfaffian on the regular quotient.
 
     ``kernels`` are the kernels of A + t*B at n//2 + 1 points of generic
     rank, as :func:`_samples` returns them.  They span exactly the growing
@@ -304,9 +305,10 @@ def _p0_by_deflation(pencil: NumericPencil, kernels: list[list[list[int]]]) -> u
     block contributes a polynomial curve of kernels whose degree is bounded
     by half the block size).  Pairing that span U with its image
     Y = A(U) + B(U) and passing to ann(Y)/U removes every singular block and
-    leaves the regular part, where p0 is the square root of the
-    determinant.  With U = 0 (no singular block) the quotient is the whole
-    space and the determinant is that of A + t*B itself.
+    leaves the regular part, where p0 is the Pfaffian of the Gram pair of
+    A and B on coset representatives, up to a constant.  With U = 0 (no
+    singular block) the quotient is the whole space and the Gram pair is
+    A, B themselves.
     """
     n = pencil.size
     a, b = pencil.a, pencil.b
@@ -333,15 +335,12 @@ def _p0_by_deflation(pencil: NumericPencil, kernels: list[list[list[int]]]) -> u
     def gram(mat):
         # entry (i, j) is reps[i] . mat reps[j]; each image is formed once
         images = [ratmat.mat_vec(mat, v) for v in reps]
-        return [[sum(x * y for x, y in zip(u, w)) for w in images] for u in reps]
+        return [[sum(map(operator.mul, u, w)) for w in images] for u in reps]
 
-    det = unipoly.pencil_det(gram(a), gram(b))
-    if not det:
+    pf = unipoly.pencil_pfaffian(gram(a), gram(b))
+    if not pf:
         raise ArithmeticError("deflated pencil is singular; rank certificate failed")
-    root = unipoly.sqrt_perfect(unipoly.primitive(det))
-    if root is None:
-        raise ArithmeticError("determinant of a skew pencil must be a perfect square")
-    return unipoly.primitive(root)
+    return unipoly.primitive(pf)
 
 
 def pencil_type(pencil: NumericPencil) -> PencilTypeReport:

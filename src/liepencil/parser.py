@@ -14,11 +14,17 @@ parameters, or parenthesized polynomials in the parameters.  The structured
 form is a JSON document with fields ``dim``, ``params`` and ``brackets``
 carrying the same data; coefficients travel as strings in the usual display
 syntax.
+
+Both forms refuse a dimension above :data:`MAX_DIM`, and an expression
+refuses a power or product whose coefficients could grow past Python's
+limit on the digits of an int literal (4300 by default): an input of a few
+bytes cannot make the parser build a huge registry or a huge integer.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -38,7 +44,12 @@ __all__ = [
     "parse_poly",
     "emit_text",
     "load_algebra",
+    "MAX_DIM",
 ]
+
+# Largest dimension either form accepts.  The registry names one coordinate
+# per basis element up front, so an unchecked 'dim' line could hang there.
+MAX_DIM = 1000
 
 
 @dataclass(frozen=True)
@@ -165,6 +176,19 @@ class _Cursor:
 _BASIS_RE = re.compile(r"^e([0-9]+)$")
 
 
+def _digits_bound(p: Polynomial) -> float:
+    """log10 of a bound H on max(|numerator|, denominator) of every coefficient.
+
+    H = D * max(1, sum |c|) with D the common denominator of p.  The H of a
+    product is at most the product of the H of its factors, and that of a
+    power at most H to the exponent, so sizes are checked before they are
+    built.  For a constant the bound is its own height.
+    """
+    coeffs = [c for _, c in p.terms()]
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return math.log10(max(den, sum(abs(c.numerator) * (den // c.denominator) for c in coeffs)))
+
+
 _ALL_KINDS = frozenset(VarKind)
 _PARAMS_ONLY = frozenset({VarKind.PARAMETER})
 
@@ -231,18 +255,19 @@ class _ExprParser:
                 if etok.kind != "int":
                     self.c.fail("exponent must be a non-negative integer", etok)
                 self.c.next()
-                value = self._power(value, self.c.integer(etok), etok)
+                value = self._power(value, self.c.integer(etok), tok, etok)
             else:
                 break
         if sign < 0:
             value = {k: -v for k, v in value.items()}
         return value
 
-    def _power(self, value, exponent, tok):
+    def _power(self, value, exponent, op_tok, exp_tok):
         if set(value) != {0}:
-            self.c.fail("basis elements cannot be raised to powers", tok)
+            self.c.fail("basis elements cannot be raised to powers", exp_tok)
         if exponent > MAX_EXPONENT:
-            self.c.fail(f"exponent {exponent} exceeds the limit {MAX_EXPONENT}", tok)
+            self.c.fail(f"exponent {exponent} exceeds the limit {MAX_EXPONENT}", exp_tok)
+        self._check_digits(exponent * _digits_bound(value[0]), "power", op_tok)
         return {0: value[0] ** exponent}
 
     def _combine_mul(self, left, right, tok):
@@ -252,7 +277,19 @@ class _ExprParser:
             scalar, vector = left[0], right
         else:
             scalar, vector = right[0], left
+        return self._scale(vector, scalar, tok)
+
+    def _scale(self, vector, scalar, tok):
+        """scalar * vector, refused at ``tok`` before it grows too long."""
+        scalar_digits = _digits_bound(scalar)
+        for v in vector.values():
+            self._check_digits(scalar_digits + _digits_bound(v), "product", tok)
         return {k: scalar * v for k, v in vector.items()}
+
+    def _check_digits(self, digits: float, what: str, tok):
+        limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+        if digits >= limit:
+            self.c.fail(f"a coefficient of this {what} would exceed the limit of {limit} digits", tok)
 
     def _term(self):
         value = self._factor()
@@ -269,8 +306,7 @@ class _ExprParser:
                 c = div[0].constant_value()
                 if c == 0:
                     self.c.fail("division by zero", tok)
-                inv = Fraction(1) / c
-                value = {k: v * inv for k, v in value.items()}
+                value = self._scale(value, self.reg.constant(Fraction(1) / c), tok)
             elif tok.kind in ("int", "ident") or (tok.kind == "op" and tok.value == "("):
                 value = self._combine_mul(value, self._factor(), tok)
             else:
@@ -337,6 +373,8 @@ def parse_text(doc: SourceDoc | str) -> LieAlgebra:
     dim = cur.integer(size_tok) if size_tok.kind == "int" else 0
     if dim < 1:
         cur.fail("dimension must be a positive integer", size_tok)
+    if dim > MAX_DIM:
+        cur.fail(f"dimension {dim} exceeds the limit {MAX_DIM}", size_tok)
     if not cur.at_end():
         cur.fail("unexpected trailing input after the dimension")
 
@@ -483,6 +521,8 @@ def parse_structured(doc: SourceDoc | str) -> LieAlgebra:
     dim = data.get("dim")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise SchemaError("must be a positive integer", path="dim", origin=origin)
+    if dim > MAX_DIM:
+        raise SchemaError(f"dimension {dim} exceeds the limit {MAX_DIM}", path="dim", origin=origin)
 
     raw_params = data.get("params", [])
     if not isinstance(raw_params, list):

@@ -1,15 +1,18 @@
 """Exact linear algebra over rationals and integers.
 
-Plain lists of lists, no floats.  Every elimination is fraction-free
-Gauss–Jordan (Bareiss, Math. Comp. 22, 1968) on the input scaled to
-integers, one :func:`_step` per pivot: :func:`_eliminate` for the rank,
-kernel, determinant and inverse, and one step per accepted vector in
-:class:`SpanBuilder`.
+Plain lists of lists, no floats.  Every elimination is forward
+fraction-free elimination (Bareiss, Math. Comp. 22, 1968) on the input
+scaled to integers, one :func:`_reduce` step per row and pivot:
+:func:`_eliminate` brings a matrix to echelon form for the rank and the
+determinant, :func:`_back_substitute` solves that form for the kernel and
+the inverse, and :class:`SpanBuilder` reduces each new vector against the
+rows it has accepted.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Sequence
 
@@ -28,11 +31,11 @@ def matmul(a, b):
     if not a or not b:
         return []
     bt = transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    return [[sum(map(operator.mul, row, col)) for col in bt] for row in a]
 
 
 def mat_vec(a, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
+    return [sum(map(operator.mul, row, v)) for row in a]
 
 
 def is_skew(m) -> bool:
@@ -54,40 +57,51 @@ def scale_to_int(m) -> tuple[list[list[int]], int]:
     ``denominator`` both carry.
     """
     scale = math.lcm(*(v.denominator for row in m for v in row))
+    if scale == 1:
+        return [[v.numerator for v in row] for row in m], 1
     return [[v.numerator * (scale // v.denominator) for v in row] for row in m], scale
 
 
-def _step(work: list[list[int]], row: int, col: int, d: int) -> int:
-    """One fraction-free Gauss–Jordan step on the pivot ``work[row][col]``.
+def _reduce(w: list[int], pivot_row: list[int], col: int, d: int) -> list[int]:
+    """One fraction-free (Bareiss) step on the row w: (p*w - w[col]*pivot_row) / d.
 
-    With p the pivot and d the previous one, every other row w becomes
-    (p*w - w[col]*pivot_row) / d, in place; returns p, the next d.  The
-    division is exact: after each step every entry is a minor of the
-    input, taken on the pivot rows and columns so far plus its own row and
-    column (Sylvester's identity), and d is the minor on the pivot rows and
-    columns alone.  A row with w[col] = 0 is only rescaled.
+    p is ``pivot_row[col]`` and d the pivot before it.  The division is
+    exact: if w and the pivot row hold the minors of the input bordered by
+    their own row and column on the pivots so far, the result holds those
+    minors bordered with one pivot more (Sylvester's identity).  A row with
+    w[col] = 0 is only rescaled.
+    """
+    p = pivot_row[col]
+    f = w[col]
+    if f:
+        return [(p * a - f * b) // d for a, b in zip(w, pivot_row)]
+    if p != d:
+        return [p * a // d for a in w]
+    return w
+
+
+def _step(work: list[list[int]], row: int, col: int, d: int) -> int:
+    """Forward Bareiss step on the pivot ``work[row][col]``, in place.
+
+    Every row below the pivot goes through :func:`_reduce`; the rows above
+    are left as they are.  Returns the pivot, the next d.
     """
     wr = work[row]
-    p = wr[col]
-    for i, wi in enumerate(work):
-        if i != row:
-            f = wi[col]
-            if f:
-                work[i] = [(p * a - f * b) // d for a, b in zip(wi, wr)]
-            elif p != d:
-                work[i] = [p * a // d for a in wi]
-    return p
+    for i in range(row + 1, len(work)):
+        work[i] = _reduce(work[i], wr, col, d)
+    return wr[col]
 
 
 def _eliminate(work: list[list[int]]) -> tuple[list[int], int, int]:
-    """Fraction-free Gauss–Jordan elimination of an integer matrix, in place.
+    """Forward fraction-free elimination of an integer matrix, in place.
 
     Returns ``(pivot_cols, d, sign)``.  Pivots are taken column by column,
     from the first row at or below the current one with a nonzero entry,
-    and each is cleared from the other rows by :func:`_step`.  At the end
-    row i holds d at ``pivot_cols[i]`` and 0 at the other pivot columns,
-    rows past the rank are zero, and ``sign`` is the parity of the row
-    swaps.  With no pivot at all, d is 1.
+    and each is cleared from the rows below by :func:`_step`.  At the end
+    the matrix is in echelon form: row i starts at ``pivot_cols[i]`` with
+    the minor of the input on the first i + 1 pivot rows and columns, rows
+    past the rank are zero, d is the last pivot (1 with no pivot at all)
+    and ``sign`` is the parity of the row swaps.
     """
     rows = len(work)
     cols = len(work[0]) if rows else 0
@@ -109,6 +123,39 @@ def _eliminate(work: list[list[int]]) -> tuple[list[int], int, int]:
     return pivots, d, sign
 
 
+def _back_substitute(work: list[list[int]], pivots: list[int], d: int) -> dict[int, list[int]]:
+    """Solve the echelon system for every free column at once.
+
+    For the k-th free column f, x_k is the solution with x_k[f] = d, the
+    last pivot, and 0 at the other free columns.  Returns, for each column
+    c, the list of x_k[c] over k.  Every quotient is exact: d is the minor
+    on the pivot rows and columns, so by Cramer's rule each x_k[c] is a
+    minor of the same size; a remainder means the echelon form is corrupt,
+    and raises ArithmeticError.
+    """
+    cols = len(work[0])
+    pivot_set = set(pivots)
+    free = [c for c in range(cols) if c not in pivot_set]
+    x = {f: [d if g == f else 0 for g in free] for f in free}
+    for i in range(len(pivots) - 1, -1, -1):
+        row = work[i]
+        # free columns left of the pivot hold zero in an echelon row
+        acc = [-d * row[f] for f in free]
+        for c in pivots[i + 1:]:
+            coef = row[c]
+            if coef:
+                acc = [a - coef * v for a, v in zip(acc, x[c])]
+        p = row[pivots[i]]
+        out = []
+        for a in acc:
+            q, rem = divmod(a, p)
+            if rem:
+                raise ArithmeticError("back substitution left a remainder")
+            out.append(q)
+        x[pivots[i]] = out
+    return x
+
+
 def rank(m) -> int:
     """Rank over the rationals: the number of pivots."""
     work, _ = scale_to_int(m)
@@ -125,18 +172,13 @@ def kernel(m) -> list[list[int]]:
         return []
     work, _ = scale_to_int(m)
     pivots, d, _ = _eliminate(work)
-    unit = 1 if d > 0 else -1
-    pivot_set = set(pivots)
+    x = _back_substitute(work, pivots, d)
     cols = len(work[0])
+    unit = 1 if d > 0 else -1
     basis = []
-    for f in range(cols):
-        if f in pivot_set:
-            continue
-        vec = [0] * cols
-        vec[f] = abs(d)
-        for row, c in zip(work, pivots):
-            vec[c] = -unit * row[f]
-        g = math.gcd(*vec)
+    for k in range(cols - len(pivots)):
+        vec = [x[c][k] for c in range(cols)]
+        g = unit * math.gcd(*vec)
         basis.append([v // g for v in vec])
     return basis
 
@@ -152,7 +194,7 @@ def det(m) -> Fraction:
 
 
 def inverse(m) -> list[list[int | Fraction]]:
-    """Eliminate [s*M | I]; the right half ends as d * (s*M)^-1.
+    """Back substitution on [s*M | I]: free column n + k gives -d*(s*M)^-1 e_k.
 
     Each entry is an int wherever it is one, as for a unimodular M.
     """
@@ -162,7 +204,8 @@ def inverse(m) -> list[list[int | Fraction]]:
     pivots, d, _ = _eliminate(work)
     if pivots != list(range(n)):
         raise SingularMatrix("matrix is not invertible")
-    return [[_quotient(scale * v, d) for v in row[n:]] for row in work]
+    x = _back_substitute(work, pivots, d)
+    return [[_quotient(-scale * v, d) for v in x[c]] for c in range(n)]
 
 
 def _quotient(a: int, d: int) -> int | Fraction:
@@ -173,27 +216,27 @@ def _quotient(a: int, d: int) -> int | Fraction:
 class SpanBuilder:
     """Incrementally grown row space with exact membership tests.
 
-    The rows are kept reduced as :func:`_eliminate` leaves them, row i
-    holding d at ``_pivots[i]`` and 0 at the other pivots.  A vector v
-    reduces in one pass to d*v - sum_i v[pivot_i]*row_i, zero exactly when
-    v is in the span; otherwise one :func:`_step` takes it in.
+    The rows are kept in forward echelon form, as :func:`_eliminate` leaves
+    them: row i is the i-th accepted vector after one :func:`_reduce` step
+    on each row before it, and its pivot is its first nonzero column.  A
+    vector reduces the same way, one step per row, and is in the span
+    exactly when nothing of it is left.
     """
 
     def __init__(self, width: int):
         self.width = width
         self._accepted: list[list[int]] = []
-        self._reduced: list[list[int]] = []
+        self._rows: list[list[int]] = []
         self._pivots: list[int] = []
-        self._d = 1
 
     def _residual(self, vec) -> tuple[list[int], list[int]]:
         """vec scaled to integers, and its reduction against the span."""
         (ints,), _ = scale_to_int([vec])
-        res = [self._d * x for x in ints]
-        for row, c in zip(self._reduced, self._pivots):
-            f = ints[c]
-            if f:
-                res = [a - f * b for a, b in zip(res, row)]
+        res = ints
+        d = 1
+        for row, c in zip(self._rows, self._pivots):
+            res = _reduce(res, row, c, d)
+            d = row[c]
         return ints, res
 
     def add(self, vec) -> bool:
@@ -202,8 +245,7 @@ class SpanBuilder:
         col = next((j for j, x in enumerate(res) if x), None)
         if col is None:
             return False
-        self._reduced.append(res)
-        self._d = _step(self._reduced, len(self._pivots), col, self._d)
+        self._rows.append(res)
         self._pivots.append(col)
         self._accepted.append(ints)
         return True

@@ -288,3 +288,72 @@ def pencil_det(a_rows: Sequence[Sequence[int]], b_rows: Sequence[Sequence[int]])
         prev = pv
     result = work[n - 1][n - 1]
     return neg(result) if sign < 0 else result
+
+
+def pencil_pfaffian(a_rows: Sequence[Sequence[int]], b_rows: Sequence[Sequence[int]]) -> Poly:
+    """Pf(A + t B) for skew-symmetric integer matrices, by fraction-free elimination.
+
+    Each step takes a nonzero entry (i, j), i < j, of the remaining indices,
+    the shortest one, as the pivot pair and moves it to the front; that
+    reordering multiplies the Pfaffian by (-1)^(pos_i + pos_j - 1), where
+    pos is the place among the remaining indices.  Every other entry (p, q)
+    with p < q becomes
+
+        (w_ij w_pq - w_ip w_jq + w_iq w_jp) / prev
+
+    with prev the previous pivot, and only that upper triangle is kept.
+    The division is exact in Z[t] by the Pfaffian analogue of Sylvester's
+    identity (Knuth, "Overlapping Pfaffians", 1996): the new entry is the
+    Pfaffian on the pivot pairs so far plus p and q, so the last pivot is
+    Pf(A + t B) up to the sign of the reorderings.  With no nonzero entry
+    left, or an odd size, the Pfaffian is zero.  Input that is not
+    skew-symmetric raises ValueError.
+    """
+    n = len(a_rows)
+    if (
+        len(b_rows) != n
+        or any(len(row) != n for row in (*a_rows, *b_rows))
+        or any(
+            m[i][j] != -m[j][i] for m in (a_rows, b_rows) for i in range(n) for j in range(i, n)
+        )
+    ):
+        raise ValueError("a Pfaffian needs two skew-symmetric matrices of one size")
+    if n % 2:
+        return []
+    w: list[list[Poly]] = [
+        [trim([a_rows[i][j], b_rows[i][j]]) if i < j else [] for j in range(n)]
+        for i in range(n)
+    ]
+    live = list(range(n))
+    prev: Poly = [1]
+    sign = 1
+    while live:
+        best, shortest = None, 0
+        for x, i in enumerate(live):
+            wi = w[i]
+            for y in range(x + 1, len(live)):
+                size = len(wi[live[y]])
+                if size and (best is None or size < shortest):
+                    best, shortest = (x, y), size
+        if best is None:
+            return []
+        x, y = best
+        i, j = live[x], live[y]
+        if (x + y - 1) % 2:
+            sign = -sign
+        rest = live[:x] + live[x + 1:y] + live[y + 1:]
+        pivot = w[i][j]
+        # rows i and j over the rest, read through skew symmetry
+        row_i = [w[i][p] if i < p else neg(w[p][i]) for p in rest]
+        row_j = [w[j][p] if j < p else neg(w[p][j]) for p in rest]
+        for x, p in enumerate(rest):
+            wp = w[p]
+            for y in range(x + 1, len(rest)):
+                num = add(
+                    sub(mul(pivot, wp[rest[y]]), mul(row_i[x], row_j[y])),
+                    mul(row_i[y], row_j[x]),
+                )
+                wp[rest[y]] = div_exact(num, prev) if num else []
+        prev = pivot
+        live = rest
+    return neg(prev) if sign < 0 else prev

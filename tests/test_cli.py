@@ -14,7 +14,7 @@ from liepencil import corpus
 from liepencil.classify import classify
 from liepencil.cli import main
 from liepencil.errors import InvalidAlgebra
-from liepencil.parser import load_algebra
+from liepencil.parser import MAX_DIM, load_algebra, parse_text
 from liepencil.poly import MAX_EXPONENT
 
 
@@ -159,6 +159,67 @@ def test_huge_integer_literal_is_a_positioned_error(filename, text, where, tmp_p
     err = capsys.readouterr().err
     assert code == 2
     assert where in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "filename, text, where",
+    [
+        ("big.lie", "dim 99999999999999\n", "big.lie:1:5: dimension 99999999999999 exceeds"),
+        ("big.lie", f"# one past the limit\ndim {MAX_DIM + 1}\n", f"big.lie:2:5: dimension {MAX_DIM + 1} exceeds"),
+        ("big.json", '{"dim": 99999999999999}', "big.json: dim: dimension 99999999999999 exceeds"),
+        ("big.json", f'{{"dim": {MAX_DIM + 1}}}', f"big.json: dim: dimension {MAX_DIM + 1} exceeds"),
+    ],
+    ids=["text", "text-one-past", "json", "json-one-past"],
+)
+def test_large_dimension_is_refused_at_its_token(filename, text, where, tmp_path, capsys):
+    path = tmp_path / filename
+    path.write_text(text)
+    with _deadline(1.0):
+        code = main(["validate", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert where in err and f"the limit {MAX_DIM}" in err and "Traceback" not in err
+
+
+def test_largest_dimension_is_accepted(tmp_path, capsys):
+    for name, text in (("top.lie", f"dim {MAX_DIM}\n"), ("top.json", f'{{"dim": {MAX_DIM}}}')):
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["validate", str(path)]) == 0
+        assert f"dim {MAX_DIM}" in capsys.readouterr().out
+
+
+LIMIT = sys.get_int_max_str_digits()
+
+
+@pytest.mark.parametrize(
+    "text, where, what",
+    [
+        # 2^32767 alone has 9865 digits, so the inner power is refused
+        ("[e1,e2] = (2^32767)^1000*e1", "huge.lie:3:13:", "power"),
+        # 2^1000 has 302 digits and passes; its 1000th power does not
+        ("[e1,e2] = (2^1000)^1000*e1", "huge.lie:3:19:", "power"),
+        ("[e1,e2] = ((2^1000)^1000)^1000*e1", "huge.lie:3:20:", "power"),
+        ("[e1,e2] = 2^14000*2^14000*e1", "huge.lie:3:18:", "product"),
+        ("[e1,e2] = e1/3^5000/3^5000", "huge.lie:3:20:", "product"),
+        ("[e1,e2] = (1/3 + a)^10000*e1", "huge.lie:3:20:", "power"),
+    ],
+    ids=["nested-power", "outer-power", "triple-power", "product", "quotient", "parameter"],
+)
+def test_overlong_coefficient_is_refused_at_its_operator(text, where, what, tmp_path, capsys):
+    path = tmp_path / "huge.lie"
+    path.write_text(f"dim 2\nparam a\n{text}\n")
+    with _deadline(1.0):
+        code = main(["validate", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{where} a coefficient of this {what} would exceed the limit of {LIMIT} digits" in err
+
+
+def test_coefficients_up_to_the_limit_are_accepted():
+    # 2^14000 has 4215 digits and 3^9000 has 4295
+    alg = parse_text("dim 2\n[e1,e2] = 2^14000*e1 + e2/3^9000\n")
+    assert alg.structure_constant(1, 2, 1).constant_value() == 2**14000
 
 
 @contextlib.contextmanager

@@ -252,13 +252,13 @@ def test_pencils_hold_integers():
     assert from_rows.a[0] == [0, 6, -9] and from_rows.b[1] == [-24, 0, 2]
 
 
-def test_deflation_hands_integer_grams_to_pencil_det(monkeypatch):
+def test_deflation_hands_integer_grams_to_pencil_pfaffian(monkeypatch):
     """The Gram pair on ann(Y)/U holds ints: with no singular block it is
     A, B themselves, and a K(1) block leaves a quotient three rows smaller."""
     seen = []
-    real_det = unipoly.pencil_det
+    real_pf = unipoly.pencil_pfaffian
     monkeypatch.setattr(
-        unipoly, "pencil_det", lambda a, b: seen.append((a, b)) or real_det(a, b)
+        unipoly, "pencil_pfaffian", lambda a, b: seen.append((a, b)) or real_pf(a, b)
     )
     for singular, verdict in (((), Verdict.JORDAN), ((KroneckerBlock(1),), Verdict.MIXED)):
         seen.clear()

@@ -1,10 +1,13 @@
 """Exact linear algebra over Fraction matrices."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from liepencil import ratmat
 from liepencil.ratmat import (
     SpanBuilder,
     det,
@@ -113,8 +116,6 @@ def test_rank_and_kernel_dimensions():
 def test_kernel_vectors_are_integer_primitive():
     """One vector per free column, in column order: integer, primitive,
     positive at its own column and zero at the other free columns."""
-    import math
-
     inputs = [[[Fraction(1), Fraction(2), Fraction(3)]]] + _deficient_inputs(16)
     for m in inputs:
         cols = len(m[0])
@@ -131,6 +132,59 @@ def test_kernel_vectors_are_integer_primitive():
             assert vec[f] > 0
             assert all(vec[g] == 0 for g in free if g != f)
             assert all(x == 0 for x in mat_vec(m, vec))
+
+
+def _rank_by_minors(m):
+    """The largest k with a nonzero k x k minor, by Laplace expansion."""
+    rows, cols = len(m), len(m[0])
+    for k in range(min(rows, cols), 0, -1):
+        for ri in itertools.combinations(range(rows), k):
+            for ci in itertools.combinations(range(cols), k):
+                if laplace_det([[m[i][j] for j in ci] for i in ri]):
+                    return k
+    return 0
+
+
+def _int_and_fraction_inputs(seed):
+    """Rank-deficient and full-rank inputs, as Fractions and scaled to ints."""
+    rng = random.Random(seed)
+    fractions = _deficient_inputs(seed) + [_random_matrix(rng, n, n) for n in (1, 3, 4)]
+    ints = []
+    for m in fractions:
+        s = math.lcm(*(v.denominator for row in m for v in row))
+        ints.append([[int(s * v) for v in row] for row in m])
+    ints.append([[0, 0, 3], [0, 0, -6], [2, 1, 0]])  # every pivot needs a row swap
+    return fractions + ints
+
+
+def test_rank_det_inverse_against_laplace():
+    for m in _int_and_fraction_inputs(21):
+        r = _rank_by_minors(m)
+        assert rank(m) == r
+        null = kernel(m)
+        assert len(null) == len(m[0]) - r
+        assert all(x == 0 for vec in null for x in mat_vec(m, vec))
+        if len(m) != len(m[0]):
+            continue
+        n = len(m)
+        assert det(m) == laplace_det(m)
+        if r < n:
+            continue
+        inv = inverse(m)
+        d = laplace_det(m)
+        for i, j in itertools.product(range(n), repeat=2):
+            # the (i, j) entry of the inverse is the (j, i) cofactor over det
+            minor = [[m[a][b] for b in range(n) if b != i] for a in range(n) if a != j]
+            assert inv[i][j] == (-1) ** (i + j) * Fraction(laplace_det(minor)) / d
+
+
+def test_back_substitution_refuses_a_remainder():
+    """An echelon form that does not come from elimination can leave a
+    remainder; it raises instead of being rounded away."""
+    # row [2, 1] with pivot column 0: x = (-1/2, 1) scaled by d = 1
+    with pytest.raises(ArithmeticError):
+        ratmat._back_substitute([[2, 1]], [0], 1)
+    assert ratmat._back_substitute([[2, 1]], [0], 2) == {0: [-1], 1: [2]}
 
 
 def test_is_skew():
@@ -194,3 +248,20 @@ def test_span_builder_agrees_with_rank(seed):
             assert sb.dim == rank(rows[: k + 1])
         assert all(sb.contains(row) for row in rows)
         assert sb.contains([Fraction(0)] * len(rows[0]))
+
+
+def test_span_builder_membership_matches_rank():
+    """contains(v) holds exactly when v leaves the rank of the span alone,
+    for integer vectors and for Fractions, without changing the span."""
+    rng = random.Random(31)
+    m = _rank_deficient(rng, 5, 7, 3)
+    sb = SpanBuilder(7)
+    for row in m:
+        sb.add(row)
+    assert sb.dim == 3
+    probes = [[rng.randint(-3, 3) for _ in range(7)] for _ in range(5)]
+    probes += [[3 * a - 2 * b for a, b in zip(m[0], m[4])], [0] * 7, [1] + [0] * 6]
+    for v in probes:
+        assert sb.contains(v) == (rank(m + [v]) == 3), v
+        assert sb.contains([Fraction(x, 5) for x in v]) == sb.contains(v)
+    assert sb.dim == 3

@@ -16,12 +16,13 @@ from liepencil.unipoly import (
     gcd_poly,
     mul,
     pencil_det,
+    pencil_pfaffian,
     primitive,
     rational_roots,
     sqrt_perfect,
 )
 
-from helpers import laplace_det
+from helpers import laplace_det, pfaffian_matchings
 
 coeffs = st.fractions(min_value=-6, max_value=6, max_denominator=5)
 polys = st.lists(coeffs, min_size=0, max_size=5)
@@ -154,6 +155,83 @@ def test_pencil_det_stays_in_integers():
         b = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
         got = pencil_det(a, b)
         assert got and _all_ints(got), (n, got)
+
+
+def _skew(rng, n, density=1.0):
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                m[i][j] = rng.randint(-4, 4)
+                m[j][i] = -m[i][j]
+    return m
+
+
+def _at(a, b, t):
+    return [[x + t * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def _skew_pairs(seed):
+    """Seeded skew pairs of sizes 0..12, dense and sparse."""
+    rng = random.Random(seed)
+    for n in range(13):
+        for density in (1.0, 0.35):
+            yield _skew(rng, n, density), _skew(rng, n, density)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_pencil_pfaffian_squares_to_pencil_det(seed):
+    for a, b in _skew_pairs(seed):
+        pf = pencil_pfaffian(a, b)
+        assert mul(pf, pf) == pencil_det(a, b), (a, b)
+        assert _all_ints(pf)
+        if len(a) % 2:
+            assert pf == []
+
+
+def test_pencil_pfaffian_sign_against_matchings():
+    rng = random.Random(5)
+    for n in (0, 2, 4, 6, 8):
+        for density in (1.0, 0.4):
+            a, b = _skew(rng, n, density), _skew(rng, n, density)
+            pf = pencil_pfaffian(a, b)
+            for t in range(-2, 3):
+                assert evaluate(pf, t) == pfaffian_matchings(_at(a, b, t)), (n, t)
+
+
+def test_pencil_pfaffian_pivots_past_a_zero_entry():
+    # the (1,2) entry is zero, so the first pivot pair has to be moved
+    a = [[0, 0, 1, 2], [0, 0, 3, 1], [-1, -3, 0, 0], [-2, -1, 0, 0]]
+    b = [[0, 0, 0, 1], [0, 0, 1, 0], [0, -1, 0, 1], [-1, 0, -1, 0]]
+    pf = pencil_pfaffian(a, b)
+    assert pf == [5, 5, 1]  # w12 w34 - w13 w24 + w14 w23 = 0 - 1 + (2 + t)(3 + t)
+    for t in range(-2, 3):
+        assert evaluate(pf, t) == pfaffian_matchings(_at(a, b, t))
+
+
+def test_pencil_pfaffian_of_a_singular_pencil_is_zero():
+    # rows 0 and 1 are equal for every t, so Pf(A + tB) vanishes identically
+    rng = random.Random(7)
+    a, b = _skew(rng, 6), _skew(rng, 6)
+    for m in (a, b):
+        m[0][1] = m[1][0] = 0
+        for j in range(2, 6):
+            m[1][j], m[j][1] = m[0][j], -m[0][j]
+    assert pencil_det(a, b) == []
+    assert pencil_pfaffian(a, b) == []
+    assert pencil_pfaffian([[0] * 4 for _ in range(4)], [[0] * 4 for _ in range(4)]) == []
+
+
+def test_pencil_pfaffian_refuses_non_skew_input():
+    skew = [[0, 1], [-1, 0]]
+    for a, b in (
+        ([[0, 1], [1, 0]], skew),
+        (skew, [[1, 0], [0, -1]]),
+        (skew, [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]),
+        ([[0, 1], [-1]], skew),
+    ):
+        with pytest.raises(ValueError):
+            pencil_pfaffian(a, b)
 
 
 def test_integer_input_stays_in_integers():
