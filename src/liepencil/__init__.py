@@ -54,7 +54,7 @@ from .oracle import (
 from .parser import emit_text, load_algebra, parse_poly, parse_structured, parse_text
 from .pencil import PencilProfile, generic_rank, pencil_profile, pfaffian
 from .poly import NEG_INF, Polynomial, VarRegistry
-from .unipoly import rational_roots, sqrt_perfect
+from .unipoly import rational_roots
 
 __version__ = "0.1.0"
 
@@ -101,7 +101,6 @@ __all__ = [
     "pencil_type",
     "pfaffian",
     "rational_roots",
-    "sqrt_perfect",
     "substitute_params",
     "validate",
     "__version__",

@@ -49,15 +49,40 @@ VERDICT_SENTENCES = {
 
 @dataclass(frozen=True)
 class ClassificationReport:
+    """The verdict on one table.  Only the name, the time and the profile
+    are stored; every other reading, the verdict included, is derived."""
+
     name: str
-    dim: int
-    generic_rank: int
-    index: int
-    p0: Polynomial
-    p0_coordinate_degree: int
-    verdict: Verdict
     elapsed: float
     profile: PencilProfile
+
+    @property
+    def dim(self) -> int:
+        return self.profile.dim
+
+    @property
+    def generic_rank(self) -> int:
+        return self.profile.generic_rank
+
+    @property
+    def index(self) -> int:
+        return self.profile.index
+
+    @property
+    def p0(self) -> Polynomial:
+        return self.profile.p0
+
+    @property
+    def p0_coordinate_degree(self) -> int:
+        return self.profile.coordinate_degree
+
+    @property
+    def verdict(self) -> Verdict:
+        if self.index == 0:
+            return Verdict.JORDAN
+        if self.p0_coordinate_degree == 0:
+            return Verdict.KRONECKER
+        return Verdict.MIXED
 
     @property
     def sentence(self) -> str:
@@ -91,7 +116,7 @@ def require_valid(alg: LieAlgebra) -> None:
         raise InvalidAlgebra(shown, report=report)
 
 
-def classify(alg: LieAlgebra, name: str | None = None) -> ClassificationReport:
+def classify(alg: LieAlgebra) -> ClassificationReport:
     """Classify one bracket table.
 
     Raises InvalidAlgebra when the Jacobi identity fails (see
@@ -99,36 +124,18 @@ def classify(alg: LieAlgebra, name: str | None = None) -> ClassificationReport:
     """
     started = time.perf_counter()
     require_valid(alg)
-    return _classify_checked(alg, name, started)
+    return _classify_checked(alg, alg.name, started)
 
 
-def _classify_checked(
-    alg: LieAlgebra, name: str | None, started: float
-) -> ClassificationReport:
-    """The verdict for a table already known to satisfy Jacobi.
+def _classify_checked(alg: LieAlgebra, name: str, started: float) -> ClassificationReport:
+    """The report for a table already known to satisfy Jacobi.
 
     The samples of a family need no check of their own: the symbolic table
     satisfies Jacobi as a polynomial identity, so every binding of its
     parameters does too.
     """
     profile = pencil_profile(alg)
-    if profile.index == 0:
-        verdict = Verdict.JORDAN
-    elif profile.coordinate_degree == 0:
-        verdict = Verdict.KRONECKER
-    else:
-        verdict = Verdict.MIXED
-    return ClassificationReport(
-        name=name if name is not None else alg.name,
-        dim=alg.dim,
-        generic_rank=profile.generic_rank,
-        index=profile.index,
-        p0=profile.p0,
-        p0_coordinate_degree=profile.coordinate_degree,
-        verdict=verdict,
-        elapsed=time.perf_counter() - started,
-        profile=profile,
-    )
+    return ClassificationReport(name, time.perf_counter() - started, profile)
 
 
 @dataclass(frozen=True)
@@ -173,12 +180,7 @@ def _draw_values(alg: LieAlgebra, rng: Random) -> tuple[Mapping[str, Fraction], 
     )
 
 
-def classify_family(
-    alg: LieAlgebra,
-    samples: int = 3,
-    seed: int = 0,
-    name: str | None = None,
-) -> FamilyReport:
+def classify_family(alg: LieAlgebra, samples: int = 3, seed: int = 0) -> FamilyReport:
     """Symbolic verdict plus verdicts at random admissible parameter values.
 
     Generic parameters are treated symbolically first; then ``samples``
@@ -187,12 +189,12 @@ def classify_family(
     usual sanity check for a family; a disagreement flags parameter values
     where the family degenerates.
     """
-    symbolic = classify(alg, name=name)
+    symbolic = classify(alg)
     rng = Random(seed)
     points = []
+    label = alg.name or "G"
     for _ in range(samples if alg.param_names() else 0):
         values, bound = _draw_values(alg, rng)
-        label = (name if name is not None else alg.name) or "G"
         pt_name = f"{label}[" + ", ".join(f"{k}={v}" for k, v in values.items()) + "]"
         report = _classify_checked(bound, pt_name, time.perf_counter())
         points.append(SamplePoint(values=values, report=report))

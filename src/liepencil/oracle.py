@@ -221,34 +221,49 @@ def congruence(pencil: NumericPencil, p_rows) -> NumericPencil:
 class PencilTypeReport:
     """Everything the numeric analysis can say about one pencil.
 
-    ``p0`` is the primitive gcd of the rank-sized minor Pfaffians of A + t*B,
-    stored densely as ints in ascending powers of t.  ``char_numbers`` are its
+    Only what the analysis computed is stored.  ``rank`` is the generic rank
+    of A + t*B, and ``p0`` the primitive gcd of its rank-sized minor
+    Pfaffians, as ints in ascending powers of t.  ``char_numbers`` are its
     rational roots (the values of t where the rank drops) with
-    multiplicities; ``residual`` is the rootless cofactor left over after
-    dividing them out, and ``char_complete`` records whether the root search
-    ran to the end.  ``infinite_count`` counts Jordan blocks living at
-    t = infinity, visible as a rank deficit of B alone.  ``method`` names
-    the route p0 took; there is one, "deflation".
+    multiplicities; ``residual`` is the rootless cofactor left after them,
+    and ``char_complete`` records whether the root search ran to the end.
+    ``infinite_count`` counts Jordan blocks at t = infinity, half the rank
+    deficit of B alone.  ``corank``, ``has_infinite`` and ``verdict`` are
+    read off these; ``method`` names the one route p0 takes, "deflation".
     """
 
-    verdict: Verdict
     size: int
     rank: int
-    corank: int
     p0: tuple[int, ...]
     char_numbers: tuple[tuple[Fraction, int], ...]
     char_complete: bool
     residual: tuple[int, ...]
-    has_infinite: bool
     infinite_count: int
-    method: str
+
+    method = "deflation"
+
+    @property
+    def corank(self) -> int:
+        return self.size - self.rank
+
+    @property
+    def has_infinite(self) -> bool:
+        return self.infinite_count > 0
 
     @property
     def p0_degree(self) -> int:
-        return unipoly.deg(list(self.p0))
+        return unipoly.deg(self.p0)
 
-    def p0_text(self, var: str = "t") -> str:
-        return unipoly.format_poly(list(self.p0), var=var)
+    @property
+    def verdict(self) -> Verdict:
+        if self.corank == 0:
+            return Verdict.JORDAN
+        if self.p0_degree > 0 or self.has_infinite:
+            return Verdict.MIXED
+        return Verdict.KRONECKER
+
+    def p0_text(self) -> str:
+        return unipoly.format_poly(list(self.p0), var="t")
 
     def to_dict(self) -> dict:
         return {
@@ -309,26 +324,19 @@ def _p0_by_deflation(pencil: NumericPencil, kernels: list[list[list[int]]]) -> u
     A and B on coset representatives, up to a constant.  With U = 0 (no
     singular block) the quotient is the whole space and the Gram pair is
     A, B themselves.
+
+    One span serves both: ann(Y) is the kernel of the images A u, B u of a
+    basis of U, and the span of U accepts coset representatives from it.
     """
-    n = pencil.size
     a, b = pencil.a, pencil.b
-    u_span = ratmat.SpanBuilder(n)
+    span = ratmat.SpanBuilder(pencil.size)
     for kernel in kernels:
         for vec in kernel:
-            u_span.add(vec)
-    u_basis = u_span.basis()
-
-    y_span = ratmat.SpanBuilder(n)
-    for vec in u_basis:
-        y_span.add(ratmat.mat_vec(a, vec))
-        y_span.add(ratmat.mat_vec(b, vec))
-    # coset representatives for ann(Y)/U
-    rep_span = ratmat.SpanBuilder(n)
-    for vec in u_basis:
-        rep_span.add(vec)
-    y_basis = y_span.basis()
-    w_basis = ratmat.kernel(y_basis) if y_basis else ratmat.identity(n)
-    reps = [w for w in w_basis if rep_span.add(w)]
+            span.add(vec)
+    u_basis = span.basis()
+    y_rows = [ratmat.mat_vec(m, vec) for vec in u_basis for m in (a, b)]
+    w_basis = ratmat.kernel(y_rows) if y_rows else ratmat.identity(pencil.size)
+    reps = [w for w in w_basis if span.add(w)]
     if not reps:
         return [1]
 
@@ -350,34 +358,17 @@ def pencil_type(pencil: NumericPencil) -> PencilTypeReport:
     point, and p0 from :func:`_p0_by_deflation` on those same kernels; B
     alone is eliminated once more for the blocks at t = infinity.
     """
-    n = pencil.size
     r, kernels = _samples(pencil)
-    corank = n - r
-    rank_b = ratmat.rank(pencil.b)
-    infinite_count = (r - rank_b) // 2
-    has_infinite = rank_b < r
     p0 = _p0_by_deflation(pencil, kernels)
-
-    if corank == 0:
-        verdict = Verdict.JORDAN
-    elif unipoly.deg(p0) > 0 or has_infinite:
-        verdict = Verdict.MIXED
-    else:
-        verdict = Verdict.KRONECKER
-
-    roots, residual, complete = unipoly.rational_roots(list(p0))
+    roots, residual, complete = unipoly.rational_roots(p0)
     return PencilTypeReport(
-        verdict=verdict,
-        size=n,
+        size=pencil.size,
         rank=r,
-        corank=corank,
         p0=tuple(p0),
         char_numbers=tuple(roots),
         char_complete=complete,
         residual=tuple(residual),
-        has_infinite=has_infinite,
-        infinite_count=infinite_count,
-        method="deflation",
+        infinite_count=(r - ratmat.rank(pencil.b)) // 2,
     )
 
 
@@ -416,7 +407,6 @@ def cross_check(
     alg: LieAlgebra,
     trials: int = 5,
     seed: int = 0,
-    name: str | None = None,
 ) -> CrossCheckReport:
     """Replay the classification numerically at random integer points.
 
@@ -428,13 +418,13 @@ def cross_check(
     report is ok when any trial agrees (see :attr:`CrossCheckReport.ok`),
     and the disagreeing trials are kept for inspection.
     """
-    symbolic = classify(alg, name=name)
+    symbolic = classify(alg)
     rng = Random(seed)
     outcomes = []
     for _ in range(trials):
         if alg.param_names():
             values, bound = _draw_values(alg, rng)
-            reference = _classify_checked(bound, None, time.perf_counter())
+            reference = _classify_checked(bound, bound.name, time.perf_counter())
         else:
             values = {}
             bound = alg

@@ -17,8 +17,9 @@ syntax.
 
 Both forms refuse a dimension above :data:`MAX_DIM`, and an expression
 refuses a power or product whose coefficients could grow past Python's
-limit on the digits of an int literal (4300 by default): an input of a few
-bytes cannot make the parser build a huge registry or a huge integer.
+limit on the digits of an int literal (4300 by default), or a power past
+:data:`MAX_POWER_SIZE`: an input of a few bytes cannot make the parser
+build a huge registry, integer or polynomial.
 """
 
 from __future__ import annotations
@@ -45,11 +46,16 @@ __all__ = [
     "emit_text",
     "load_algebra",
     "MAX_DIM",
+    "MAX_POWER_SIZE",
 ]
 
 # Largest dimension either form accepts.  The registry names one coordinate
 # per basis element up front, so an unchecked 'dim' line could hang there.
 MAX_DIM = 1000
+
+# Largest power an expression may build, counted as its terms times the
+# digits of a coefficient: (1+a)^575 is the largest power of 1 + a it admits.
+MAX_POWER_SIZE = 10**5
 
 
 @dataclass(frozen=True)
@@ -189,6 +195,22 @@ def _digits_bound(p: Polynomial) -> float:
     return math.log10(max(den, sum(abs(c.numerator) * (den // c.denominator) for c in coeffs)))
 
 
+def _power_size(p: Polynomial, exponent: int) -> float:
+    """log10 of a bound on the terms of p^e times the digits of a coefficient.
+
+    p^e has at most C(T-1+e, e) terms for the T terms of p (a choice of e of
+    them with repeats), and at most C(e*D + v, v), the number of monomials
+    of degree at most e*D in the v variables of p.  A coefficient has at
+    most e * :func:`_digits_bound` digits.
+    """
+    v = len({pos for mono, _ in p.terms() for pos, _ in p.registry.exponents(mono)})
+    terms = min(
+        math.comb(p.term_count() - 1 + exponent, exponent),
+        math.comb(exponent * p.total_degree() + v, v),
+    )
+    return math.log10(terms) + math.log10(max(1.0, exponent * _digits_bound(p)))
+
+
 _ALL_KINDS = frozenset(VarKind)
 _PARAMS_ONLY = frozenset({VarKind.PARAMETER})
 
@@ -267,8 +289,11 @@ class _ExprParser:
             self.c.fail("basis elements cannot be raised to powers", exp_tok)
         if exponent > MAX_EXPONENT:
             self.c.fail(f"exponent {exponent} exceeds the limit {MAX_EXPONENT}", exp_tok)
-        self._check_digits(exponent * _digits_bound(value[0]), "power", op_tok)
-        return {0: value[0] ** exponent}
+        base = value[0]
+        self._check_digits(exponent * _digits_bound(base), "power", op_tok)
+        if base and _power_size(base, exponent) > math.log10(MAX_POWER_SIZE):
+            self.c.fail(f"this power could hold more than {MAX_POWER_SIZE} digits in all", op_tok)
+        return {0: base ** exponent}
 
     def _combine_mul(self, left, right, tok):
         if set(left) != {0} and set(right) != {0}:

@@ -49,7 +49,9 @@ def generic_rank(matrix: SkewPolyMatrix) -> int:
     rank M = |I| + rank S for the Schur complement S of M_II, which is skew.
     Reordering rows and columns only flips signs, and Pf of a block matrix
     factors through its Schur complement, so S_jk = +-Pf_{I+{j,k}} / Pf_I.
-    When every such Pfaffian vanishes, S = 0 and rank M = |I|.
+    When every such Pfaffian vanishes, S = 0 and rank M = |I|.  An index
+    whose row of M is zero lies in no nonzero principal Pfaffian, so only
+    the indices with a stored entry are paired.
     """
     return _grow(PfaffianCache(matrix), matrix.size, bool)
 
@@ -63,7 +65,7 @@ def _grow(cache: PfaffianCache, cap: int, counts) -> int:
     """
     chosen: tuple[int, ...] = ()
     while len(chosen) < cap:
-        rest = [i for i in range(1, cache.matrix.size + 1) if i not in chosen]
+        rest = [i for i in cache.live if i not in chosen]
         for j, k in itertools.combinations(rest, 2):
             grown = tuple(sorted(chosen + (j, k)))
             if counts(cache.pfaffian(grown)):
@@ -89,7 +91,9 @@ class PfaffianCache:
     Sharing the cache across all r-subsets of an n x n matrix makes the
     recursive expansion reuse the overlapping smaller minors, which is where
     nearly all of the work lives.  An index set is held as an int bit mask,
-    bit i for index i, which keys the memo.
+    bit i for index i, which keys the memo.  ``live`` lists, in increasing
+    order, the indices whose row holds a stored entry; a principal Pfaffian
+    over any other index is zero.
     """
 
     def __init__(self, matrix: SkewPolyMatrix):
@@ -102,6 +106,7 @@ class PfaffianCache:
         for (i, j), p in matrix.stored():
             self._right[i][1 << j] = p
             self._reach[i] |= 1 << j
+        self.live = sorted({i for ij, _ in matrix.stored() for i in ij})
         self._zero = matrix.registry.zero()
         self._memo: dict[int, Polynomial] = {0: matrix.registry.one()}
 
@@ -172,9 +177,10 @@ class PencilProfile:
     Pfaffians, normalized to coprime integer coefficients with a positive
     leading term; ``route`` says how it was found (see
     :func:`pencil_profile`).  ``index`` is dim minus the generic rank.
-    ``p_lambda`` and ``pfaffians`` are computed on first read: p_lambda is
-    p0 with every x_k shifted to x_k + lambda*a_k, and ``pfaffians`` lists
-    each rank-sized principal index set with its Pfaffian.
+    ``coordinate_degree``, ``p_lambda`` and ``pfaffians`` are computed on
+    first read: p_lambda is p0 with every x_k shifted to x_k + lambda*a_k,
+    and ``pfaffians`` lists each rank-sized principal index set with its
+    Pfaffian.
     """
 
     matrix: SkewPolyMatrix
@@ -190,7 +196,7 @@ class PencilProfile:
     def index(self) -> int:
         return self.dim - self.generic_rank
 
-    @property
+    @cached_property
     def coordinate_degree(self) -> int:
         """Degree of p0 in the coordinates alone (0 for constant p0)."""
         d = self.p0.degree_in([VarKind.COORDINATE])
@@ -316,12 +322,13 @@ def pencil_profile(source: LieAlgebra | SkewPolyMatrix) -> PencilProfile:
     Accepts either a bracket table (the matrix A_x is built from it) or a
     ready-made skew polynomial matrix.
 
-    The rank-sized principal Pfaffians are taken in lexicographic order
-    into a running gcd g, with poly_gcd skipped when g already divides the
-    next one.  The walk stops once g is constant, since p0 is then 1.
-    After the third nonzero Pfaffian, with subsets still left, h = g is
-    split into factors and the rank of the matrix on each factor decides
-    p0 (see :func:`_certified_p0`); that is route "certified".  When the
+    The rank-sized principal Pfaffians over the indices whose row is not
+    zero (``PfaffianCache.live``; every other Pfaffian vanishes) are taken
+    in lexicographic order into a running gcd g, with poly_gcd skipped when
+    g already divides the next one.  The walk stops once g is constant,
+    since p0 is then 1.  After the third nonzero Pfaffian, with subsets
+    still left, h = g is split into factors and the rank of the matrix on
+    each factor decides p0 (see :func:`_certified_p0`); that is route "certified".  When the
     certificate does not apply the walk goes on to the end, and p0 is the
     gcd of all of them: route "enumerated".
 
@@ -333,12 +340,13 @@ def pencil_profile(source: LieAlgebra | SkewPolyMatrix) -> PencilProfile:
     n = matrix.size
     cache = PfaffianCache(_integer_matrix(matrix))
     r = _grow(cache, n, bool)
-    total = math.comb(n, r)
+    live = cache.live
+    total = math.comb(len(live), r)
     gcd_far = None
     nonzero = 0
     p0 = None
-    for done, subset in enumerate(principal_subsets(n, r), start=1):
-        pf = cache.pfaffian(subset)
+    for done, picks in enumerate(principal_subsets(len(live), r), start=1):
+        pf = cache.pfaffian([live[k - 1] for k in picks])
         if not pf:
             continue
         nonzero += 1

@@ -26,10 +26,6 @@ def trim(p) -> Poly:
     return q
 
 
-def is_zero(p) -> bool:
-    return not p
-
-
 def deg(p) -> int:
     """Degree, with deg(0) = -1 by local convention."""
     return len(p) - 1
@@ -130,39 +126,6 @@ def gcd_poly(p, q) -> Poly:
     return primitive(a)
 
 
-def _sqrt_rational(c):
-    if c < 0:
-        return None
-    n = math.isqrt(c.numerator)
-    d = math.isqrt(c.denominator)
-    if n * n != c.numerator or d * d != c.denominator:
-        return None
-    return n if d == 1 else Fraction(n, d)
-
-
-def sqrt_perfect(p):
-    """Exact square root of a perfect-square polynomial, else None."""
-    p = trim(p)
-    if not p:
-        return []
-    if deg(p) % 2 != 0:
-        return None
-    m = deg(p) // 2
-    lead = _sqrt_rational(p[-1])
-    if lead is None:
-        return None
-    q = [0] * (m + 1)
-    q[m] = lead
-    for i in range(m - 1, -1, -1):
-        k = m + i
-        acc = p[k]
-        for j in range(i + 1, m):
-            if k - j <= m:
-                acc -= q[j] * q[k - j]
-        q[i] = _quotient(acc, 2 * lead)
-    return q if mul(q, q) == p else None
-
-
 def format_poly(p, var: str = "lambda") -> str:
     """Human form with descending powers, e.g. ``lambda^2 - 2*lambda + 1``."""
     if not p:
@@ -188,12 +151,14 @@ def format_poly(p, var: str = "lambda") -> str:
     return "".join(pieces)
 
 
-def _divisors(n: int, bound: int):
+# Largest coefficient magnitude the rational root search factors.
+_FACTOR_BOUND = 10**12
+
+
+def _divisors(n: int):
     """Sorted positive divisors, or None when factoring would be too costly."""
     n = abs(n)
-    if n == 0:
-        return None
-    if n > bound:
+    if n == 0 or n > _FACTOR_BOUND:
         return None
     divs = set()
     i = 1
@@ -205,12 +170,13 @@ def _divisors(n: int, bound: int):
     return sorted(divs)
 
 
-def rational_roots(p, bound: int = 10**12):
+def rational_roots(p):
     """All rational roots with multiplicities, plus the rootless cofactor.
 
     Returns ``(roots, residual, complete)`` where roots is a list of
     ``(root, multiplicity)`` pairs.  When the trailing or leading coefficient
-    is too large to factor, the search is abandoned and ``complete`` is False.
+    is too large to factor (past ``_FACTOR_BOUND``), the search is abandoned
+    and ``complete`` is False.
     """
     p = primitive(p)
     if not p:
@@ -224,8 +190,8 @@ def rational_roots(p, bound: int = 10**12):
         roots.append((Fraction(0), mult0))
     if deg(p) == 0:
         return roots, p, True
-    nums = _divisors(p[0], bound)
-    dens = _divisors(p[-1], bound)
+    nums = _divisors(p[0])
+    dens = _divisors(p[-1])
     if nums is None or dens is None:
         return roots, p, False
     candidates = sorted(

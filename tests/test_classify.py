@@ -1,5 +1,6 @@
 """Verdict logic and family sampling."""
 
+import dataclasses
 import importlib
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 from liepencil import corpus
 from liepencil.classify import (
     VERDICT_SENTENCES,
+    ClassificationReport,
     Verdict,
     classify,
     classify_family,
@@ -81,13 +83,24 @@ def test_invalid_algebra_raises_with_report():
 
 
 def test_report_to_dict():
-    rep = classify(corpus.entry("heisenberg3").load(), name="h3")
+    rep = classify(corpus.entry("heisenberg3").load().with_name("h3"))
     d = rep.to_dict()
     assert d["name"] == "h3"
     assert d["verdict"] == "mixed"
     assert d["p0"] == "x3"
     assert d["p_lambda"] == "a3*lambda + x3"
     assert d["sentence"] == "G is of mixed type."
+
+
+def test_report_keeps_only_what_it_computes():
+    """Every reading but the name and the time comes from the profile."""
+    assert [f.name for f in dataclasses.fields(ClassificationReport)] == [
+        "name", "elapsed", "profile",
+    ]
+    rep = classify(corpus.entry("heisenberg3").load())
+    assert (rep.dim, rep.generic_rank, rep.index, rep.p0_coordinate_degree) == (3, 2, 1, 1)
+    assert rep.p0 is rep.profile.p0
+    assert "coordinate_degree" in rep.profile.__dict__
 
 
 def test_family_samples_agree_generically():

@@ -14,7 +14,7 @@ from liepencil import corpus
 from liepencil.classify import classify
 from liepencil.cli import main
 from liepencil.errors import InvalidAlgebra
-from liepencil.parser import MAX_DIM, load_algebra, parse_text
+from liepencil.parser import MAX_DIM, MAX_POWER_SIZE, load_algebra, parse_text
 from liepencil.poly import MAX_EXPONENT
 
 
@@ -189,6 +189,17 @@ def test_largest_dimension_is_accepted(tmp_path, capsys):
         assert f"dim {MAX_DIM}" in capsys.readouterr().out
 
 
+def test_zero_rows_keep_the_largest_dimension_fast(tmp_path, capsys):
+    """All but two rows of A_x are zero, and no Pfaffian over them is tried."""
+    path = tmp_path / "wide.lie"
+    path.write_text(f"dim {MAX_DIM}\n[e1,e2] = e3\n")
+    with _deadline(10.0):
+        code = main(["classify", str(path), "--output", "structured"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert (payload["verdict"], payload["p0"], payload["index"]) == ("mixed", "x3", MAX_DIM - 2)
+
+
 LIMIT = sys.get_int_max_str_digits()
 
 
@@ -220,6 +231,24 @@ def test_coefficients_up_to_the_limit_are_accepted():
     # 2^14000 has 4215 digits and 3^9000 has 4295
     alg = parse_text("dim 2\n[e1,e2] = 2^14000*e1 + e2/3^9000\n")
     assert alg.structure_constant(1, 2, 1).constant_value() == 2**14000
+
+
+def test_dense_power_is_refused_at_its_operator(tmp_path, capsys):
+    # (1+a)^4000 has 4001 terms of up to 1205 digits
+    path = tmp_path / "dense.lie"
+    path.write_text("dim 2\nparam a\n[e1,e2] = (1+a)^4000*e1\n")
+    with _deadline(1.0):
+        code = main(["validate", str(path)])
+    assert code == 2
+    assert (
+        f"dense.lie:3:16: this power could hold more than {MAX_POWER_SIZE} digits in all"
+        in capsys.readouterr().err
+    )
+
+
+def test_moderate_power_is_accepted():
+    alg = parse_text("dim 2\nparam a\n[e1,e2] = (1+a)^100*e1\n")
+    assert alg.structure_constant(1, 2, 1).term_count() == 101
 
 
 @contextlib.contextmanager
@@ -315,6 +344,22 @@ def test_check_structured(corpus_file, capsys):
     assert payload["ok"] is True
     assert payload["agreeing"] == 2
     assert len(payload["trials"]) == 2
+
+
+GOLDEN = json.loads(Path(__file__).with_name("golden_reports.json").read_text())
+
+
+@pytest.mark.parametrize("name", ["heisenberg3", "sl2"])
+@pytest.mark.parametrize("command", ["classify", "check"])
+def test_structured_payload_is_pinned(command, name, corpus_file, capsys):
+    """Every key and value of the structured report, in order; only the
+    elapsed time is masked."""
+    assert main([command, corpus_file(f"{name}.lie"), "--output", "structured"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    report = payload.get("symbolic", payload)
+    assert isinstance(report["elapsed"], float)
+    report["elapsed"] = None
+    assert json.dumps(payload) == json.dumps(GOLDEN[f"{command} {name}"])
 
 
 def test_table_external_corpus_mismatch(tmp_path, capsys):

@@ -1,8 +1,11 @@
 """Numeric block-pencil analysis used to replay symbolic verdicts."""
 
+import dataclasses
 import gc
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +17,7 @@ from liepencil.oracle import (
     JordanBlock,
     KroneckerBlock,
     NumericPencil,
+    PencilTypeReport,
     assemble,
     congruence,
     cross_check,
@@ -164,6 +168,23 @@ def test_large_pencil_uses_deflation():
     assert rep.method == "deflation"
     assert rep.verdict is Verdict.MIXED
     assert dict(rep.char_numbers) == {Fraction(-1): 2}
+
+
+def test_report_keeps_only_what_it_computes():
+    """corank, has_infinite and the verdict are read off the stored fields,
+    and to_dict() keeps every key and value."""
+    assert [f.name for f in dataclasses.fields(PencilTypeReport)] == [
+        "size", "rank", "p0", "char_numbers", "char_complete", "residual", "infinite_count",
+    ]
+    blocks = [
+        JordanBlock(Fraction(-2), 2),
+        JordanBlock(Fraction(1, 3), 1),
+        KroneckerBlock(1),
+        InfiniteJordanBlock(1),
+    ]
+    rep = pencil_type(_scrambled(blocks, seed=3))
+    golden = json.loads(Path(__file__).with_name("golden_reports.json").read_text())
+    assert json.dumps(rep.to_dict()) == json.dumps(golden["pencil_type mixed"])
 
 
 def test_rank_is_read_past_singular_sample_points():

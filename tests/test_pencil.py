@@ -450,6 +450,22 @@ def test_profile_keeps_only_what_it_computes():
     assert prof.index == 1
 
 
+def test_zero_rows_are_never_paired(monkeypatch):
+    """An index whose row of A_x is zero lies in no nonzero Pfaffian, so the
+    growth and the walk skip it: [e1,e2] = e3 at dim 400 asks for two."""
+    calls = []
+    original = pencil.PfaffianCache.pfaffian
+
+    def counting(self, indices):
+        calls.append(tuple(indices))
+        return original(self, indices)
+
+    monkeypatch.setattr(pencil.PfaffianCache, "pfaffian", counting)
+    prof = pencil_profile(algebra_from_table(400, {(1, 2): {3: 1}}))
+    assert (prof.generic_rank, str(prof.p0), prof.route) == (2, "x3", "enumerated")
+    assert calls == [(1, 2), (1, 2)]
+
+
 def test_profile_reads_stored_entries_only(monkeypatch):
     """The Pfaffian cache and the integer scaling never ask for one entry."""
     calls = []

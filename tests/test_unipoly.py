@@ -19,7 +19,6 @@ from liepencil.unipoly import (
     pencil_pfaffian,
     primitive,
     rational_roots,
-    sqrt_perfect,
 )
 
 from helpers import laplace_det, pfaffian_matchings
@@ -40,7 +39,7 @@ def test_divmod_reconstructs():
     q = from_roots([2])
     quo, rem = divmod_poly(p, q)
     assert unipoly.add(mul(quo, q), rem) == unipoly.trim(p)
-    assert unipoly.is_zero(rem)
+    assert not rem
     assert div_exact(p, q) == from_roots([1, 3])
 
 
@@ -48,7 +47,7 @@ def test_divmod_reconstructs():
 @settings(max_examples=80, deadline=None)
 def test_divmod_identity(p, q):
     p, q = unipoly.trim(p), unipoly.trim(q)
-    if unipoly.is_zero(q):
+    if not q:
         return
     quo, rem = divmod_poly(p, q)
     assert unipoly.add(mul(quo, q), rem) == p
@@ -67,28 +66,6 @@ def test_gcd_of_products():
 def test_primitive_scales_out_content():
     p = [Fraction(4, 3), Fraction(-2, 3)]
     assert primitive(p) == [Fraction(-2), Fraction(1)] or primitive(p) == [Fraction(2), Fraction(-1)]
-
-
-def test_sqrt_perfect_squares():
-    p = from_roots([1, 1, -2, -2], lead=9)
-    root = sqrt_perfect(p)
-    assert root is not None
-    assert mul(root, root) == unipoly.trim(p)
-    assert sqrt_perfect(from_roots([1])) is None  # odd degree
-    assert sqrt_perfect(from_roots([1, 2])) is None  # not a square
-    assert sqrt_perfect([Fraction(4)]) == [Fraction(2)]
-
-
-@given(polys)
-@settings(max_examples=60, deadline=None)
-def test_sqrt_perfect_roundtrip(p):
-    square = mul(p, p)
-    root = sqrt_perfect(square)
-    if unipoly.is_zero(square):
-        assert root == [] or root is None
-        return
-    assert root is not None
-    assert mul(root, root) == unipoly.trim(square)
 
 
 def test_rational_roots_with_multiplicity():
@@ -242,7 +219,6 @@ def test_integer_input_stays_in_integers():
         mul(p, q),
         div_exact(mul(p, q), q),
         primitive([Fraction(4, 3), Fraction(-2, 3)]),
-        sqrt_perfect([1, 4, 4]),
         rational_roots([-6, 4, 2, 0, 1, 1])[1],
     ):
         assert got and _all_ints(got), got
