@@ -17,9 +17,9 @@ syntax.
 
 Both forms refuse a dimension above :data:`MAX_DIM`, and an expression
 refuses a power or product whose coefficients could grow past Python's
-limit on the digits of an int literal (4300 by default), or a power past
-:data:`MAX_POWER_SIZE`: an input of a few bytes cannot make the parser
-build a huge registry, integer or polynomial.
+limit on the digits of an int literal (4300 by default), or a power or
+product past :data:`MAX_POWER_SIZE`: an input of a few bytes cannot make
+the parser build a huge registry, integer or polynomial.
 """
 
 from __future__ import annotations
@@ -53,8 +53,9 @@ __all__ = [
 # per basis element up front, so an unchecked 'dim' line could hang there.
 MAX_DIM = 1000
 
-# Largest power an expression may build, counted as its terms times the
-# digits of a coefficient: (1+a)^575 is the largest power of 1 + a it admits.
+# Largest power or product an expression may build, counted as its terms
+# times the digits of a coefficient: (1+a)^575 is the largest power of 1 + a
+# it admits, and (1+a)^575*(1+a)^575 is refused at its '*'.
 MAX_POWER_SIZE = 10**5
 
 
@@ -195,6 +196,10 @@ def _digits_bound(p: Polynomial) -> float:
     return math.log10(max(den, sum(abs(c.numerator) * (den // c.denominator) for c in coeffs)))
 
 
+def _variable_count(*polys: Polynomial) -> int:
+    return len({pos for p in polys for mono, _ in p.terms() for pos, _ in p.registry.exponents(mono)})
+
+
 def _power_size(p: Polynomial, exponent: int) -> float:
     """log10 of a bound on the terms of p^e times the digits of a coefficient.
 
@@ -203,12 +208,27 @@ def _power_size(p: Polynomial, exponent: int) -> float:
     of degree at most e*D in the v variables of p.  A coefficient has at
     most e * :func:`_digits_bound` digits.
     """
-    v = len({pos for mono, _ in p.terms() for pos, _ in p.registry.exponents(mono)})
+    v = _variable_count(p)
     terms = min(
         math.comb(p.term_count() - 1 + exponent, exponent),
         math.comb(exponent * p.total_degree() + v, v),
     )
     return math.log10(terms) + math.log10(max(1.0, exponent * _digits_bound(p)))
+
+
+def _product_size(p: Polynomial, q: Polynomial) -> float:
+    """log10 of a bound on the terms of p*q times the digits of a coefficient.
+
+    p*q has at most T1*T2 terms, and at most C(D1 + D2 + v, v), the number
+    of monomials of degree at most D1 + D2 in the v variables of p and q.
+    A coefficient has at most the digits of p plus those of q.
+    """
+    v = _variable_count(p, q)
+    terms = min(
+        p.term_count() * q.term_count(),
+        math.comb(p.total_degree() + q.total_degree() + v, v),
+    )
+    return math.log10(terms) + math.log10(max(1.0, _digits_bound(p) + _digits_bound(q)))
 
 
 _ALL_KINDS = frozenset(VarKind)
@@ -309,6 +329,8 @@ class _ExprParser:
         scalar_digits = _digits_bound(scalar)
         for v in vector.values():
             self._check_digits(scalar_digits + _digits_bound(v), "product", tok)
+            if scalar and v and _product_size(scalar, v) > math.log10(MAX_POWER_SIZE):
+                self.c.fail(f"this product could hold more than {MAX_POWER_SIZE} digits in all", tok)
         return {k: scalar * v for k, v in vector.items()}
 
     def _check_digits(self, digits: float, what: str, tok):

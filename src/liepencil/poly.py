@@ -39,6 +39,7 @@ import enum
 import functools
 import math
 import operator
+import random
 import re
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -577,9 +578,14 @@ def divides(d: Polynomial, p: Polynomial) -> bool:
 
 # -- greatest common divisor ---------------------------------------------------
 #
-# Recursive primitive PRS: pick the most significant variable occurring in
-# either operand, split off the content with respect to it, run a pseudo
-# remainder sequence on the primitive parts, and recurse on the contents.
+# poly_gcd splits off the monomial parts first, then takes both operands to
+# one seeded integer line x = z0 + t*a.  Most gcds the classifier asks for
+# are 1, and a gcd of the images in Q[t] that is constant proves that (see
+# _line_bound); when the images' gcd is as large as the smaller operand,
+# one trial division answers.  Everything else goes to the recursive
+# primitive PRS: pick the most significant variable occurring in either
+# operand, split off the content with respect to it, run a pseudo remainder
+# sequence on the primitive parts, and recurse on the contents.
 
 
 def coefficients(p: Polynomial, pos: int) -> dict[int, Polynomial]:
@@ -678,11 +684,160 @@ def _gcd_rec(p: Polynomial, q: Polynomial) -> Polynomial:
     return cont * g
 
 
+# Every coordinate of the line of poly_gcd is an 11-bit signed integer,
+# drawn by a generator seeded afresh on each call.  An image on the line
+# holds about 12 * deg^2 bits, so past _LINE_IMAGE_BITS (degree 300 or so)
+# the PRS gets the pair without one.
+_LINE_SEED = 1971
+_LINE_COORD_BITS = 11
+_LINE_IMAGE_BITS = 1 << 20
+
+
+def _monomial_content(p: Polynomial) -> int:
+    """The greatest monomial dividing every term of p, packed."""
+    reg = p.registry
+    mono = 0
+    for pos in _variables(p):
+        shift = reg._shift[pos]
+        least = MAX_EXPONENT
+        for m in p._terms:
+            e = (m >> shift) & _FIELD
+            if e < least:
+                least = e
+                if not e:
+                    break
+        mono += least * reg._unit[pos]
+    return mono
+
+
+def _shift_by(p: Polynomial, mono: int) -> Polynomial:
+    """p times the packed monomial ``mono``, or divided by it when negative."""
+    return _wrap(p.registry, {m + mono: c for m, c in p._terms.items()})
+
+
+def _on_line(p: Polynomial, line: Mapping[int, tuple[int, int]]):
+    """Coefficients of p(z0 + t*a) in t, highest first; [] when it vanishes.
+
+    p has int coefficients and ``line`` maps each of its variable positions
+    to (z0, a).  The image is evaluated at one integer t = 2^k whose half
+    exceeds every coefficient (at most sum |c| times reach^deg) and read
+    back in signed base-2^k digits: Kronecker substitution.  None when
+    that integer would pass ``_LINE_IMAGE_BITS``.
+    """
+    reach = max(abs(z) + abs(a) for z, a in line.values())
+    degree = p.total_degree()
+    size = sum(abs(c) for c in p._terms.values()) * reach ** degree
+    k = size.bit_length() + 1
+    if (degree + 1) * k > _LINE_IMAGE_BITS:
+        return None
+    t = 1 << k
+    values = {pos: z + a * t for pos, (z, a) in line.items()}
+    exponents = p.registry.exponents
+    total = 0
+    for mono, c in p._terms.items():
+        for pos, e in exponents(mono):
+            c *= values[pos] ** e
+        total += c
+    digits = []
+    while total:
+        d = total & (t - 1)
+        if d >= t >> 1:
+            d -= t
+        digits.append(d)
+        total = (total - d) >> k
+    return digits[::-1]
+
+
+def _uni_prem(f: list[int], g: list[int]) -> list[int]:
+    """Primitive part of the pseudo remainder of f by g, int lists highest first."""
+    n, lc, tail = len(g), g[0], g[1:]
+    while len(f) >= n:
+        c = f[0]
+        f = [lc * x - c * y for x, y in zip(f[1:], tail)] + [lc * x for x in f[n:]]
+        while f and not f[0]:
+            del f[0]
+    unit = math.gcd(*f)
+    return [x // unit for x in f]
+
+
+def _uni_gcd_degree(f: list[int], g: list[int]) -> int:
+    """Degree in t of gcd(f, g) over Q[t], for lists as :func:`_on_line` gives."""
+    if len(f) < len(g):
+        f, g = g, f
+    while g:
+        f, g = g, _uni_prem(f, g)
+    return len(f) - 1
+
+
+def _line_bound(p: Polynomial, q: Polynomial, line: Mapping[int, tuple[int, int]]):
+    """An upper bound on deg gcd(p, q) from the line z0 + t*a, or None.
+
+    p and q are nonzero with int coefficients, and ``line`` covers their
+    variables.  Lemma: if p_top(a) != 0 for the top homogeneous part p_top
+    of p, then every factor h of p has h_top(a) != 0, since p_top is
+    h_top*(p/h)_top.  So h(z0 + t*a) keeps its degree in t, and a common
+    factor h divides both images with that degree: deg h is at most the
+    degree of the images' gcd.  p_top(a) != 0 exactly when the image of p
+    keeps the degree of p; the same holds for q.  When neither does, or an
+    image is too large to take, the line proves nothing and the result is
+    None.
+    """
+    images = [_on_line(p, line), _on_line(q, line)]
+    if None in images or all(
+        len(image) - 1 != f.total_degree() for image, f in zip(images, (p, q))
+    ):
+        return None
+    return _uni_gcd_degree(*images)
+
+
+def _line(p: Polynomial, q: Polynomial) -> dict[int, tuple[int, int]]:
+    """The line of :func:`poly_gcd` for p and q: (z0, a) at each of their
+    variable positions, drawn afresh from the fixed seed."""
+    rng = random.Random(_LINE_SEED)
+    half = 1 << (_LINE_COORD_BITS - 1)
+    return {
+        pos: (rng.getrandbits(_LINE_COORD_BITS) - half, rng.getrandbits(_LINE_COORD_BITS) - half)
+        for pos in sorted(_variables(p) | _variables(q))
+    }
+
+
+def _integral(p: Polynomial) -> Polynomial:
+    """p times the lcm of its coefficient denominators, in ints."""
+    if all(type(c) is int for c in p._terms.values()):
+        return p
+    return integer_multiple(p, math.lcm(*(c.denominator for c in p._terms.values())))
+
+
 def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Normalized greatest common divisor; gcd(p, 0) = normalize(p)."""
+    """Normalized greatest common divisor; gcd(p, 0) = normalize(p).
+
+    Every step is exact.  The monomial parts are split off first: a
+    polynomial that no variable divides is coprime to every monomial.  The
+    rest goes onto one seeded integer line (see :func:`_line_bound`).  When
+    the line proves the gcd is 1, or bounds its degree by that of the
+    smaller operand and that operand divides the other, the PRS does not
+    run; it takes every other pair.
+    """
     p._check(q)
     if p.is_zero():
         return normalize(q)
     if q.is_zero():
         return normalize(p)
-    return normalize(_gcd_rec(p, q))
+    mono_p, mono_q = _monomial_content(p), _monomial_content(q)
+    reg = p.registry
+    # the field-wise minimum of the two packed monomials
+    mono = sum(
+        min(e, (mono_q >> reg._shift[pos]) & _FIELD) * reg._unit[pos]
+        for pos, e in reg.exponents(mono_p)
+    )
+    p, q = _integral(_shift_by(p, -mono_p)), _integral(_shift_by(q, -mono_q))
+    if p.total_degree() < q.total_degree():
+        p, q = q, p
+    if q.is_constant():
+        return _shift_by(reg.one(), mono)
+    bound = _line_bound(p, q, _line(p, q))
+    if bound == 0:
+        return _shift_by(reg.one(), mono)
+    if bound == q.total_degree() and divides(q, p):
+        return _shift_by(normalize(q), mono)
+    return _shift_by(normalize(_gcd_rec(p, q)), mono)

@@ -251,6 +251,25 @@ def test_moderate_power_is_accepted():
     assert alg.structure_constant(1, 2, 1).term_count() == 101
 
 
+def test_dense_product_is_refused_at_its_operator(tmp_path, capsys):
+    # each (1+a)^575 passes, but a product of two has up to 1151 terms of up
+    # to 347 digits: the first '*' refuses it, before anything is multiplied
+    path = tmp_path / "dense.lie"
+    path.write_text("dim 2\nparam a\n[e1,e2] = (1+a)^575*(1+a)^575*(1+a)^575*(1+a)^575*e1\n")
+    with _deadline(0.5):
+        code = main(["validate", str(path)])
+    assert code == 2
+    assert (
+        f"dense.lie:3:20: this product could hold more than {MAX_POWER_SIZE} digits in all"
+        in capsys.readouterr().err
+    )
+
+
+def test_moderate_product_is_accepted():
+    alg = parse_text("dim 2\nparam a\n[e1,e2] = (1+a)^100*(1-a)^100*(2+a)^100*e1\n")
+    assert alg.structure_constant(1, 2, 1).term_count() == 301
+
+
 @contextlib.contextmanager
 def _deadline(seconds):
     """Fail the test, instead of hanging, when the body runs past ``seconds``."""

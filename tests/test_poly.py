@@ -21,6 +21,7 @@ from liepencil.poly import (
     poly_gcd,
     try_divide,
 )
+from liepencil.poly import _gcd_rec, _line, _line_bound, _on_line, _uni_gcd_degree
 
 from helpers import holds_ints, polys_equal_at_random, random_point
 
@@ -189,6 +190,89 @@ def test_gcd_absorbs_common_factor(p, q):
     g0 = poly_gcd(p, q)
     m = V("x1") + 2
     assert poly_gcd(p * m, q * m) == normalize(g0 * m) or (p.is_zero() and q.is_zero())
+
+
+def _line_through(direction, start=(3, -5)):
+    """The line start + t*direction in (x1, x2)."""
+    return {REG.position(name): (z, a) for name, z, a in zip(("x1", "x2"), start, direction)}
+
+
+def test_line_without_the_top_degree_proves_nothing():
+    x1, x2 = V("x1"), V("x2")
+    common = x1 + x2
+    p = (x1 - x2 + 1) * common
+    q = common * (x1 + 2)
+    # along a = (1, -1) the common factor is the constant 3 - 5, so the
+    # images look coprime; but p_top(a) = q_top(a) = 0, and the line must
+    # not claim gcd(p, q) = 1
+    line = _line_through((1, -1))
+    assert _uni_gcd_degree(_on_line(p, line), _on_line(q, line)) == 0
+    assert _line_bound(p, q, line) is None
+    assert poly_gcd(p, q) == common
+    # a line that keeps the degree of p bounds deg gcd from above
+    assert _line_bound(p, q, _line_through((2, 7))) == 1
+    assert _line_bound(x1 + 1, x2 + 1, _line_through((2, 7))) == 0
+
+
+def test_line_image_is_the_substituted_polynomial():
+    x1, x2 = V("x1"), V("x2")
+    p = 7 * x1 ** 3 * x2 - 1000 * x2 ** 2 + x1 - 12
+    line = _line_through((-999, 1000), start=(1000, -1000))
+    t = REG.var("lambda")
+    image = p.substitute({"x1": 1000 - 999 * t, "x2": -1000 + 1000 * t})
+    want = coefficients(image, REG.position("lambda"))
+    assert _on_line(p, line) == [want[e].constant_value() for e in range(4, -1, -1)]
+    assert _on_line(x1 - x2, _line_through((1, 1), start=(2, 2))) == []
+
+
+def test_line_degree_alone_does_not_make_a_gcd():
+    x1, x2 = V("x1"), V("x2")
+    line = _line(x1, x2)
+    (z1, a1), (z2, a2) = (line[REG.position(name)] for name in ("x1", "x2"))
+    # q = x1 + 1 and p = x2 - c meet the line at the same t, so the line
+    # bound is 1, the degree of q; but q does not divide p
+    root = Fraction(-(z1 + 1), a1)
+    p, q = x2 - (z2 + root * a2), x1 + 1
+    assert _line_bound(normalize(p), q, line) == 1
+    assert poly_gcd(p, q) == poly_gcd(q, p) == REG.one()
+
+
+def test_high_degree_pairs_skip_the_line():
+    x1, x2 = V("x1"), V("x2")
+    p, q = x1 ** 1000 + x2, x2 + 1
+    line = _line(p, q)
+    # the image of p would hold about 11 million bits
+    assert _on_line(p, line) is None and _line_bound(p, q, line) is None
+    assert _on_line(x1 ** 200 + x2, line) is not None
+    assert poly_gcd(p, q) == REG.one()
+    assert poly_gcd(p * q, q * (x1 - 1)) == q
+
+
+_shared_monomials = st.dictionaries(_names, st.integers(1, 3), max_size=3).map(monomial)
+
+
+@given(polys().filter(bool), polys().filter(bool), polys().filter(bool), _shared_monomials,
+       polys(max_terms=2).filter(bool))
+@settings(max_examples=80, deadline=None)
+@example(REG.one(), V("x2") + 1, V("x3") - 1, monomial({"x1": 2}), V("x1") * V("x3"))
+@example(V("x1") - V("x2") + 1, V("x1") + 2, V("x1") + V("x2"), REG.one(), REG.one())
+def test_gcd_equals_the_prs(common, p, q, mono, extra):
+    """poly_gcd takes the monomial split and the line before the PRS, and
+    must give the normalized PRS gcd: on pairs that share a monomial factor
+    and a non-monomial one, with rational coefficients."""
+    p, q = mono * common * p, mono * extra * common * q
+    assert poly_gcd(p, q) == normalize(_gcd_rec(p, q))
+    assert poly_gcd(q, p) == normalize(_gcd_rec(q, p))
+
+
+def test_gcd_splits_off_monomials_and_takes_the_smaller_operand():
+    x1, x2, x3, t = V("x1"), V("x2"), V("x3"), V("t")
+    f = x2 - Fraction(1, 2) * x3 + t
+    assert poly_gcd(x1 ** 2 * x2 * f * (x3 + 5), x1 * x3 ** 4 * f) == x1 * normalize(f)
+    assert poly_gcd(x1 ** 3 * x2, x1 * x2 ** 2 * x3) == x1 * x2
+    assert poly_gcd(x1 * f, x2 + 1) == REG.one()
+    # the line draws its point from a fixed seed on every call
+    assert _line(f, x1) == _line(x1 * f, x1 + 1) != _line(f, x2)
 
 
 @given(polys(), polys(), polys())

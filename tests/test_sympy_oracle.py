@@ -15,7 +15,7 @@ from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 from liepencil.model import SkewPolyMatrix  # noqa: E402
 from liepencil.pencil import generic_rank, pfaffian  # noqa: E402
-from liepencil.poly import VarRegistry, poly_gcd  # noqa: E402
+from liepencil.poly import VarRegistry, _line, _line_bound, poly_gcd  # noqa: E402
 
 REG = VarRegistry(3, params=("t",))
 NAMES = ("x1", "x2", "t")
@@ -92,6 +92,35 @@ def test_gcd_matches_sympy(rational):
         theirs = sympy.gcd(to_sympy(p), to_sympy(q))
         ratio = sympy.cancel(ours / theirs)
         assert ratio.is_number and ratio != 0, (p, q, ours, theirs)
+
+
+def _monomial_times_factor():
+    x1, x2, t = (REG.var(name) for name in NAMES)
+    f = 3 * x1 - t + Fraction(1, 2)
+    return x1 ** 2 * x2 * f * (x2 - 3), x1 * x2 ** 3 * f
+
+
+def _degenerate_line():
+    """A pair whose common factor L is constant on poly_gcd's own line: L
+    and both operands' top parts vanish at its direction a."""
+    x1, x2, _ = (REG.var(name) for name in NAMES)
+    line = _line(x1, x2)
+    (_, a1), (_, a2) = (line[REG.position(name)] for name in ("x1", "x2"))
+    common = a2 * x1 - a1 * x2
+    p, q = common * (x1 + 1), common * (x2 - 3)
+    assert _line(p, q) == line and _line_bound(p, q, line) is None
+    return p, q
+
+
+@pytest.mark.parametrize("case", [_monomial_times_factor, _degenerate_line],
+                         ids=["monomial-times-factor", "degenerate-line"])
+def test_gcd_special_cases_match_sympy(case):
+    p, q = case()
+    ours = to_sympy(poly_gcd(p, q))
+    theirs = sympy.gcd(to_sympy(p), to_sympy(q))
+    ratio = sympy.cancel(ours / theirs)
+    assert ratio.is_number and ratio != 0, (p, q, ours, theirs)
+    assert sympy.total_degree(theirs) > 0
 
 
 @pytest.mark.parametrize("rational", [False, True], ids=["integer", "rational"])
