@@ -65,6 +65,14 @@ def read_text(filename: str) -> str:
     return (resources.files(__name__) / filename).read_text(encoding="utf-8")
 
 
+# Optional manifest fields, the type each must have and its name in errors
+_OPTIONAL_FIELDS = (
+    ("note", str, "a string"),
+    ("variant", (str, type(None)), "a string or null"),
+    ("jacobi_ok", bool, "true or false"),
+)
+
+
 def _entries_from(data, origin: str, root: str | None) -> tuple[CorpusEntry, ...]:
     if not isinstance(data, dict) or not isinstance(data.get("entries"), list):
         raise SchemaError("manifest must be an object with an 'entries' list", origin=origin)
@@ -85,6 +93,9 @@ def _entries_from(data, origin: str, root: str | None) -> tuple[CorpusEntry, ...
                 raise SchemaError(
                     f"missing string {key!r}", path=f"entries[{idx}]", origin=origin
                 )
+        for key, kind, words in _OPTIONAL_FIELDS:
+            if key in raw and not isinstance(raw[key], kind):
+                raise SchemaError(f"{key!r} must be {words}", path=f"entries[{idx}]", origin=origin)
         entries.append(CorpusEntry(root=root, **raw))
     return tuple(entries)
 

@@ -23,6 +23,7 @@ from .poly import (
     div_exact,
     divides,
     integer_multiple,
+    monomial_content,
     normalize,
     poly_gcd,
 )
@@ -238,15 +239,9 @@ def _certified_factors(h: Polynomial):
     linear in no coordinate.
     """
     reg = h.registry
-    shared = None
-    for mono, _ in h.terms():
-        exps = dict(reg.exponents(mono))
-        shared = exps if shared is None else {
-            pos: min(k, exps[pos]) for pos, k in shared.items() if pos in exps
-        }
     factors = []
     piece = h
-    for pos, k in sorted(shared.items()):
+    for pos, k in reg.exponents(monomial_content(h)):
         if reg.kind_at(pos) is not VarKind.COORDINATE:
             return None
         var = reg.var(reg.name_at(pos))
@@ -324,11 +319,12 @@ def pencil_profile(source: LieAlgebra | SkewPolyMatrix) -> PencilProfile:
 
     The rank-sized principal Pfaffians over the indices whose row is not
     zero (``PfaffianCache.live``; every other Pfaffian vanishes) are taken
-    in lexicographic order into a running gcd g, with poly_gcd skipped when
-    g already divides the next one.  The walk stops once g is constant,
-    since p0 is then 1.  After the third nonzero Pfaffian, with subsets
-    still left, h = g is split into factors and the rank of the matrix on
-    each factor decides p0 (see :func:`_certified_p0`); that is route "certified".  When the
+    in lexicographic order into a normalized running gcd g by poly_gcd
+    alone, which returns g at once when g divides the next one.  The walk
+    stops once g is constant, since p0 is then 1.  After the third nonzero
+    Pfaffian, with subsets still left, h = g is split into factors and the
+    rank of the matrix on each factor decides p0 (see
+    :func:`_certified_p0`); that is route "certified".  When the
     certificate does not apply the walk goes on to the end, and p0 is the
     gcd of all of them: route "enumerated".
 
@@ -342,7 +338,7 @@ def pencil_profile(source: LieAlgebra | SkewPolyMatrix) -> PencilProfile:
     r = _grow(cache, n, bool)
     live = cache.live
     total = math.comb(len(live), r)
-    gcd_far = None
+    g = None
     nonzero = 0
     p0 = None
     for done, picks in enumerate(principal_subsets(len(live), r), start=1):
@@ -350,19 +346,16 @@ def pencil_profile(source: LieAlgebra | SkewPolyMatrix) -> PencilProfile:
         if not pf:
             continue
         nonzero += 1
-        if gcd_far is None:
-            gcd_far = pf
-        elif not divides(gcd_far, pf):
-            gcd_far = poly_gcd(gcd_far, pf)
-        if gcd_far.is_constant():
+        g = normalize(pf) if g is None else poly_gcd(g, pf)
+        if g.is_constant():
             break
         if nonzero == _CERTIFY_AFTER and done < total:
-            p0 = _certified_p0(cache, r, normalize(gcd_far))
+            p0 = _certified_p0(cache, r, g)
             if p0 is not None:
                 break
     # the growth stops at an index set whose r x r Pfaffian is nonzero
-    # (at r = 0 that is Pf of the empty set, 1), so gcd_far is never None
+    # (at r = 0 that is Pf of the empty set, 1), so g is never None
     route = "enumerated" if p0 is None else "certified"
     if p0 is None:
-        p0 = normalize(gcd_far)
+        p0 = g
     return PencilProfile(matrix=matrix, generic_rank=r, p0=p0, route=route)

@@ -60,6 +60,7 @@ __all__ = [
     "div_exact",
     "divides",
     "coefficients",
+    "monomial_content",
     "poly_gcd",
 ]
 
@@ -578,14 +579,14 @@ def divides(d: Polynomial, p: Polynomial) -> bool:
 
 # -- greatest common divisor ---------------------------------------------------
 #
-# poly_gcd splits off the monomial parts first, then takes both operands to
-# one seeded integer line x = z0 + t*a.  Most gcds the classifier asks for
-# are 1, and a gcd of the images in Q[t] that is constant proves that (see
-# _line_bound); when the images' gcd is as large as the smaller operand,
-# one trial division answers.  Everything else goes to the recursive
-# primitive PRS: pick the most significant variable occurring in either
-# operand, split off the content with respect to it, run a pseudo remainder
-# sequence on the primitive parts, and recurse on the contents.
+# poly_gcd is the one way into a gcd.  It splits off the monomial parts,
+# returns the smaller operand when it divides the other, and takes both to
+# one seeded integer line x = z0 + t*a: most gcds the classifier asks for
+# are 1, and images coprime in Q[t] prove that (see _line_bound).  The
+# rest goes to the primitive PRS: pick the most significant variable in
+# either operand, split off the content with respect to it, run a pseudo
+# remainder sequence on the primitive parts, and take the gcd of the
+# contents, free of that variable, through poly_gcd again.
 
 
 def coefficients(p: Polynomial, pos: int) -> dict[int, Polynomial]:
@@ -614,7 +615,7 @@ def _content_in(p: Polynomial, pos: int) -> Polynomial:
     for c in cs[1:]:
         if g.is_constant():
             break
-        g = _gcd_rec(g, c)
+        g = poly_gcd(g, c)
     if g.is_constant():
         return p.registry.one()
     return g
@@ -653,22 +654,11 @@ def _variables(p: Polynomial) -> set[int]:
 
 
 def _gcd_rec(p: Polynomial, q: Polynomial) -> Polynomial:
-    """gcd of two nonzero polynomials, up to a rational unit."""
+    """gcd of two nonzero polynomials, up to a rational unit; an operand
+    free of the chosen variable is its own content, with primitive part 1."""
     if p.is_constant() or q.is_constant():
         return p.registry.one()
-    variables = _variables(p)
-    # a variable in one operand only is absent from the gcd, which therefore
-    # divides that operand's content in it: the smaller problem
-    one_sided = variables ^ _variables(q)
-    if one_sided:
-        pos = min(one_sided)
-        if _deg_in_pos(p, pos):
-            p = _content_in(p, pos)
-        else:
-            q = _content_in(q, pos)
-        return _gcd_rec(p, q)
-    # past that branch both operands hold the same variables
-    pos = min(variables)
+    pos = min(_variables(p) | _variables(q))
     cont_p = _content_in(p, pos)
     cont_q = _content_in(q, pos)
     a = div_exact(p, cont_p)
@@ -680,8 +670,7 @@ def _gcd_rec(p: Polynomial, q: Polynomial) -> Polynomial:
         a = b
         b = p.registry.zero() if r.is_zero() else _primitive_in(r, pos)
     g = _primitive_in(a, pos) if _deg_in_pos(a, pos) > 0 else p.registry.one()
-    cont = _gcd_rec(cont_p, cont_q)
-    return cont * g
+    return poly_gcd(cont_p, cont_q) * g
 
 
 # Every coordinate of the line of poly_gcd is an 11-bit signed integer,
@@ -693,8 +682,9 @@ _LINE_COORD_BITS = 11
 _LINE_IMAGE_BITS = 1 << 20
 
 
-def _monomial_content(p: Polynomial) -> int:
-    """The greatest monomial dividing every term of p, packed."""
+def monomial_content(p: Polynomial) -> int:
+    """The greatest monomial dividing every term of p, packed: read it with
+    :meth:`VarRegistry.exponents`.  0, the monomial 1, for zero p."""
     reg = p.registry
     mono = 0
     for pos in _variables(p):
@@ -812,18 +802,18 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     """Normalized greatest common divisor; gcd(p, 0) = normalize(p).
 
     Every step is exact.  The monomial parts are split off first: a
-    polynomial that no variable divides is coprime to every monomial.  The
-    rest goes onto one seeded integer line (see :func:`_line_bound`).  When
-    the line proves the gcd is 1, or bounds its degree by that of the
-    smaller operand and that operand divides the other, the PRS does not
-    run; it takes every other pair.
+    polynomial that no variable divides is coprime to every monomial.  Then
+    the smaller operand (by total degree) is the gcd when it divides the
+    other.  Otherwise the pair goes onto one seeded integer line (see
+    :func:`_line_bound`), and when the line proves the gcd is 1 the PRS
+    does not run; it takes every other pair.
     """
     p._check(q)
     if p.is_zero():
         return normalize(q)
     if q.is_zero():
         return normalize(p)
-    mono_p, mono_q = _monomial_content(p), _monomial_content(q)
+    mono_p, mono_q = monomial_content(p), monomial_content(q)
     reg = p.registry
     # the field-wise minimum of the two packed monomials
     mono = sum(
@@ -835,9 +825,8 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
         p, q = q, p
     if q.is_constant():
         return _shift_by(reg.one(), mono)
-    bound = _line_bound(p, q, _line(p, q))
-    if bound == 0:
-        return _shift_by(reg.one(), mono)
-    if bound == q.total_degree() and divides(q, p):
+    if divides(q, p):
         return _shift_by(normalize(q), mono)
+    if _line_bound(p, q, _line(p, q)) == 0:
+        return _shift_by(reg.one(), mono)
     return _shift_by(normalize(_gcd_rec(p, q)), mono)

@@ -15,7 +15,7 @@ import random
 from fractions import Fraction
 
 from liepencil.model import LieAlgebra, SkewPolyMatrix
-from liepencil.poly import Polynomial, VarRegistry
+from liepencil.poly import Polynomial, VarRegistry, coefficients, div_exact, normalize
 
 
 def holds_ints(p: Polynomial) -> bool:
@@ -50,8 +50,6 @@ def bareiss_det(rows):
     A different algorithm from both the Laplace oracle and the recursive
     Pfaffian expansion under test, so the three routes are independent.
     """
-    from liepencil.poly import div_exact
-
     work = [list(r) for r in rows]
     n = len(work)
     sign = 1
@@ -131,6 +129,116 @@ def polys_equal_at_random(p: Polynomial, q: Polynomial, rng: random.Random,
         if p.evaluate(point) != q.evaluate(point):
             return False
     return True
+
+
+def prs_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
+    """Normalized gcd by the recursive primitive PRS alone.
+
+    The package's gcd before it took exits: no monomial split, no trial
+    division, no line, and the contents' gcds taken by the PRS itself, so
+    it checks ``poly_gcd`` rather than leaning on it.
+    """
+    if p.is_zero():
+        return normalize(q)
+    if q.is_zero():
+        return normalize(p)
+    return normalize(_prs(p, q))
+
+
+def _variables(p: Polynomial) -> set[int]:
+    return {pos for mono, _ in p.terms() for pos, _ in p.registry.exponents(mono)}
+
+
+def _deg_in(p: Polynomial, pos: int) -> int:
+    return max(coefficients(p, pos), default=0)
+
+
+def _content_in(p: Polynomial, pos: int) -> Polynomial:
+    cs = list(coefficients(p, pos).values())
+    g = cs[0]
+    for c in cs[1:]:
+        if g.is_constant():
+            break
+        g = _prs(g, c)
+    if g.is_constant():
+        return p.registry.one()
+    return g
+
+
+def _primitive_in(p: Polynomial, pos: int) -> Polynomial:
+    return div_exact(p, _content_in(p, pos))
+
+
+def _prem(f: Polynomial, g: Polynomial, pos: int) -> Polynomial:
+    """Pseudo remainder of f by g in one variable, without the power of lc(g)."""
+    reg = f.registry
+    view = coefficients(g, pos)
+    n = max(view)
+    lc_g = view[n]
+    v = reg.var(reg.name_at(pos))
+    r = f
+    while not r.is_zero():
+        view = coefficients(r, pos)
+        d = max(view)
+        if d < n:
+            break
+        r = lc_g * r - view[d] * v ** (d - n) * g
+    return r
+
+
+def _prs(p: Polynomial, q: Polynomial) -> Polynomial:
+    """gcd of two nonzero polynomials, up to a rational unit."""
+    if p.is_constant() or q.is_constant():
+        return p.registry.one()
+    variables = _variables(p)
+    # a variable in one operand only is absent from the gcd, which therefore
+    # divides that operand's content in it: the smaller problem
+    one_sided = variables ^ _variables(q)
+    if one_sided:
+        pos = min(one_sided)
+        if _deg_in(p, pos):
+            p = _content_in(p, pos)
+        else:
+            q = _content_in(q, pos)
+        return _prs(p, q)
+    # past that branch both operands hold the same variables
+    pos = min(variables)
+    cont_p = _content_in(p, pos)
+    cont_q = _content_in(q, pos)
+    a = div_exact(p, cont_p)
+    b = div_exact(q, cont_q)
+    if _deg_in(a, pos) < _deg_in(b, pos):
+        a, b = b, a
+    while not b.is_zero():
+        r = _prem(a, b, pos)
+        a = b
+        b = p.registry.zero() if r.is_zero() else _primitive_in(r, pos)
+    g = _primitive_in(a, pos) if _deg_in(a, pos) > 0 else p.registry.one()
+    cont = _prs(cont_p, cont_q)
+    return cont * g
+
+
+def moved_gcd_cases() -> dict[str, tuple[Polynomial, Polynomial, Polynomial]]:
+    """Pairs (p, q) with their normalized gcd, one for each path a gcd can
+    take past the exits of ``poly_gcd``, on a registry of dimension 9."""
+    reg = VarRegistry(9)
+    x = {k: reg.coordinate(k) for k in range(1, 10)}
+    s = x[1] + x[2]
+    # the ladder pair of a benchmark pass: monomial split, then a gcd held
+    # wholly in the contents with respect to x3
+    h = x[4] * x[9] + x[5] * x[8]
+    ladder = (
+        x[4] * x[5] * h * (x[3] * x[8] + x[4] * x[7]),
+        x[4] * x[5] * h * (x[3] * x[9] - x[5] * x[7]),
+        x[4] * x[5] * h,
+    )
+    return {
+        # x3 occurs in p alone
+        "one-sided-variable": (s * (x[3] + 2), s * (x[1] - 1), s),
+        "ladder": ladder,
+        # the line bounds the gcd degree by 1, below the degree 2 of q
+        "bound-below-degree": (s * (x[1] - 1) * (x[2] + 3), s * (x[2] - 2), s),
+    }
 
 
 def random_unimodular(n: int, rng: random.Random, steps: int = 10, cap: int = 60):

@@ -409,6 +409,22 @@ def test_table_external_corpus_match(tmp_path, capsys):
     assert "1 of 1" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("variant", [5, ["x.lie"]])
+def test_table_refuses_a_variant_that_is_no_file_name(tmp_path, capsys, variant):
+    """The variant is read only when the primary table fails Jacobi, as
+    L5a does; a bad one is a schema error, not a crash."""
+    (tmp_path / "L5a.lie").write_text(corpus.read_text("L5a.lie"))
+    (tmp_path / "manifest.json").write_text(json.dumps({
+        "entries": [{
+            "name": "L5a", "file": "L5a.lie", "expected": "mixed",
+            "provenance": "analytic", "variant": variant, "jacobi_ok": False,
+        }],
+    }))
+    assert main(["table", "--corpus", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "entries[0]: 'variant' must be a string or null" in err
+
+
 def test_table_checks_jacobi_once_per_table(monkeypatch, capsys):
     """Each loaded table is validated once, by the classification itself;
     a failing primary keeps its report for the output."""

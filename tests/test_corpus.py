@@ -5,7 +5,7 @@ import json
 import pytest
 
 from liepencil import corpus
-from liepencil.errors import ParseError
+from liepencil.errors import ParseError, SchemaError
 from liepencil.model import validate
 
 
@@ -79,6 +79,34 @@ def test_manifest_from_dir_rejects_bad_schema(tmp_path):
     }))
     with pytest.raises(ParseError):
         corpus.manifest_from_dir(str(tmp_path))
+
+
+_OPTIONAL_TYPES = {"variant": "a string or null", "note": "a string", "jacobi_ok": "true or false"}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("variant", 5), ("variant", ["x.lie"]), ("note", None), ("jacobi_ok", "no"), ("jacobi_ok", 0),
+])
+def test_manifest_from_dir_checks_optional_fields(tmp_path, field, value):
+    good = {"name": "t", "file": "t.lie", "expected": "mixed", "provenance": "analytic"}
+    (tmp_path / "manifest.json").write_text(json.dumps({
+        "entries": [good, dict(good, name="u", **{field: value})],
+    }))
+    with pytest.raises(SchemaError) as info:
+        corpus.manifest_from_dir(str(tmp_path))
+    assert info.value.path == "entries[1]"
+    assert f"{field!r} must be {_OPTIONAL_TYPES[field]}" in str(info.value)
+
+
+def test_manifest_from_dir_accepts_optional_fields(tmp_path):
+    (tmp_path / "manifest.json").write_text(json.dumps({
+        "entries": [{
+            "name": "t", "file": "t.lie", "expected": "mixed", "provenance": "analytic",
+            "note": "", "variant": None, "jacobi_ok": False,
+        }],
+    }))
+    (entry,) = corpus.manifest_from_dir(str(tmp_path))
+    assert entry.variant is None and entry.jacobi_ok is False
 
 
 def test_sampled_parameter_values_avoid_exclusions():

@@ -2,8 +2,9 @@
 
 One ``corpus`` pass and one ``ladder`` pass of the benchmark's workloads
 (seed 1) run with ``poly_gcd`` recorded where ``pencil`` calls it; every
-recorded pair must give the normalized gcd of the recursive primitive PRS.
-The workloads come from ``bench/workloads.py``, read but not changed.
+recorded pair must give the gcd of the plain recursive primitive PRS,
+``helpers.prs_gcd``.  The workloads come from ``bench/workloads.py``, read
+but not changed.
 """
 
 import sys
@@ -12,7 +13,9 @@ from pathlib import Path
 import pytest
 
 import liepencil.pencil
-from liepencil.poly import _gcd_rec, normalize, poly_gcd
+from liepencil.poly import poly_gcd
+
+from helpers import prs_gcd
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import workloads  # noqa: E402
@@ -31,7 +34,7 @@ def test_benchmark_gcds_equal_the_prs(workload, monkeypatch):
         assert item.check(item.run()), item.name
     monkeypatch.undo()
     results = [poly_gcd(p, q) for p, q in pairs]
-    assert results == [normalize(_gcd_rec(p, q)) for p, q in pairs]
+    assert results == [prs_gcd(p, q) for p, q in pairs]
     # the pass asks for coprime and for non-coprime pairs alike
     assert any(g.is_constant() for g in results)
     assert not all(g.is_constant() for g in results)

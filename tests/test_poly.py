@@ -21,9 +21,9 @@ from liepencil.poly import (
     poly_gcd,
     try_divide,
 )
-from liepencil.poly import _gcd_rec, _line, _line_bound, _on_line, _uni_gcd_degree
+from liepencil.poly import _line, _line_bound, _on_line, _uni_gcd_degree
 
-from helpers import holds_ints, polys_equal_at_random, random_point
+from helpers import holds_ints, moved_gcd_cases, polys_equal_at_random, prs_gcd, random_point
 
 REG = VarRegistry(3, params=("t",))
 
@@ -257,12 +257,28 @@ _shared_monomials = st.dictionaries(_names, st.integers(1, 3), max_size=3).map(m
 @example(REG.one(), V("x2") + 1, V("x3") - 1, monomial({"x1": 2}), V("x1") * V("x3"))
 @example(V("x1") - V("x2") + 1, V("x1") + 2, V("x1") + V("x2"), REG.one(), REG.one())
 def test_gcd_equals_the_prs(common, p, q, mono, extra):
-    """poly_gcd takes the monomial split and the line before the PRS, and
-    must give the normalized PRS gcd: on pairs that share a monomial factor
-    and a non-monomial one, with rational coefficients."""
+    """poly_gcd takes the monomial split, the trial division and the line
+    before the PRS, and must give the gcd of the plain PRS: on pairs that
+    share a monomial factor and a non-monomial one, with rational
+    coefficients."""
     p, q = mono * common * p, mono * extra * common * q
-    assert poly_gcd(p, q) == normalize(_gcd_rec(p, q))
-    assert poly_gcd(q, p) == normalize(_gcd_rec(q, p))
+    assert poly_gcd(p, q) == prs_gcd(p, q)
+    assert poly_gcd(q, p) == prs_gcd(q, p)
+
+
+@pytest.mark.parametrize("case", sorted(moved_gcd_cases()))
+def test_gcd_past_the_exits_equals_the_prs(case):
+    """Pairs that no exit answers: the PRS meets a variable in one operand
+    only, a gcd held in the contents, and a line bound below the smaller
+    operand's degree."""
+    p, q, g = moved_gcd_cases()[case]
+    assert poly_gcd(p, q) == poly_gcd(q, p) == prs_gcd(p, q) == normalize(g)
+    assert not divides(q, p) and not divides(p, q)
+
+
+def test_line_bound_below_the_smaller_degree():
+    p, q, _ = moved_gcd_cases()["bound-below-degree"]
+    assert _line_bound(p, q, _line(p, q)) == 1 < q.total_degree()
 
 
 def test_gcd_splits_off_monomials_and_takes_the_smaller_operand():

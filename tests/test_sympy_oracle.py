@@ -17,18 +17,20 @@ from liepencil.model import SkewPolyMatrix  # noqa: E402
 from liepencil.pencil import generic_rank, pfaffian  # noqa: E402
 from liepencil.poly import VarRegistry, _line, _line_bound, poly_gcd  # noqa: E402
 
+from helpers import moved_gcd_cases, prs_gcd  # noqa: E402
+
 REG = VarRegistry(3, params=("t",))
 NAMES = ("x1", "x2", "t")
-SYMBOLS = {name: sympy.Symbol(name) for name in NAMES}
 
 
 def to_sympy(p):
     """The same polynomial as a sympy expression, coefficient by coefficient."""
+    reg = p.registry
     total = sympy.Integer(0)
     for mono, c in p.terms():
         term = sympy.Rational(c.numerator, c.denominator)
-        for pos, e in REG.exponents(mono):
-            term *= SYMBOLS[REG.name_at(pos)] ** e
+        for pos, e in reg.exponents(mono):
+            term *= sympy.Symbol(reg.name_at(pos)) ** e
         total += term
     return total
 
@@ -112,10 +114,14 @@ def _degenerate_line():
     return p, q
 
 
-@pytest.mark.parametrize("case", [_monomial_times_factor, _degenerate_line],
-                         ids=["monomial-times-factor", "degenerate-line"])
+SPECIAL_CASES = {"monomial-times-factor": _monomial_times_factor, "degenerate-line": _degenerate_line}
+SPECIAL_CASES.update({name: lambda name=name: moved_gcd_cases()[name][:2] for name in moved_gcd_cases()})
+
+
+@pytest.mark.parametrize("case", list(SPECIAL_CASES))
 def test_gcd_special_cases_match_sympy(case):
-    p, q = case()
+    p, q = SPECIAL_CASES[case]()
+    assert poly_gcd(p, q) == prs_gcd(p, q)
     ours = to_sympy(poly_gcd(p, q))
     theirs = sympy.gcd(to_sympy(p), to_sympy(q))
     ratio = sympy.cancel(ours / theirs)
