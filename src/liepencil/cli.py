@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import textwrap
 from fractions import Fraction
@@ -151,14 +152,29 @@ def _parse_param_flags(pairs) -> dict[str, Fraction]:
         name, sep, raw = item.partition("=")
         if not sep or not name:
             raise ParameterBindingError(f"expected NAME=VALUE, got {item!r}")
-        try:
-            value = Fraction(raw)
-        except (ValueError, ZeroDivisionError):
-            raise ParameterBindingError(f"{raw!r} is not a rational number") from None
+        value = _rational(raw)
         if name in values:
             raise ParameterBindingError(f"parameter {name!r} bound twice")
         values[name] = value
     return values
+
+
+# The decimal exponent of a value such as 1.5e-3.
+_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)\s*$")
+
+
+def _rational(raw: str) -> Fraction:
+    """``Fraction(raw)``, refused before it is built when its numerator or
+    denominator could pass Python's limit on the digits of an int: each has
+    at most len(raw) + |exponent| digits."""
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    try:
+        m = _EXPONENT.search(raw)
+        if len(raw) + (abs(int(m.group(1))) if m else 0) > limit:
+            raise ParameterBindingError(f"{raw!r} could have more than {limit} digits")
+        return Fraction(raw)
+    except (ValueError, ZeroDivisionError):
+        raise ParameterBindingError(f"{raw!r} is not a rational number") from None
 
 
 def _load_bound(args) -> LieAlgebra:

@@ -15,11 +15,14 @@ form is a JSON document with fields ``dim``, ``params`` and ``brackets``
 carrying the same data; coefficients travel as strings in the usual display
 syntax.
 
-Both forms refuse a dimension above :data:`MAX_DIM`, and an expression
-refuses a power or product whose coefficients could grow past Python's
-limit on the digits of an int literal (4300 by default), or a power or
-product past :data:`MAX_POWER_SIZE`: an input of a few bytes cannot make
-the parser build a huge registry, integer or polynomial.
+Both forms refuse a dimension above :data:`MAX_DIM`.  Every operator of
+an expression that builds a value goes through one size check, at its
+token: a coefficient may not pass Python's limit on the digits of an int
+literal (4300 by default), and a power, product or quotient may not pass
+:data:`MAX_POWER_SIZE` or total degree ``MAX_EXPONENT``.  A power, product
+or quotient is bounded before it is built, a sum or difference measured
+after, so an input of a few bytes cannot make the parser build a huge
+registry, integer or polynomial.
 """
 
 from __future__ import annotations
@@ -183,52 +186,23 @@ class _Cursor:
 _BASIS_RE = re.compile(r"^e([0-9]+)$")
 
 
-def _digits_bound(p: Polynomial) -> float:
-    """log10 of a bound H on max(|numerator|, denominator) of every coefficient.
+def _size(p: Polynomial) -> tuple[int, int, set[int], float]:
+    """Term count, total degree, variable positions and log10 H of p.
 
-    H = D * max(1, sum |c|) with D the common denominator of p.  The H of a
-    product is at most the product of the H of its factors, and that of a
-    power at most H to the exponent, so sizes are checked before they are
-    built.  For a constant the bound is its own height.
+    H = D * max(1, sum |c|), with D the common denominator of p, bounds
+    max(|numerator|, denominator) of every coefficient.  The H of a product
+    is at most the product of the H of its factors, and that of a power at
+    most H to the exponent, so sizes are checked before they are built.
+    For a constant the bound is its own height.
     """
-    coeffs = [c for _, c in p.terms()]
+    coeffs = []
+    variables = set()
+    for mono, c in p.terms():
+        coeffs.append(c)
+        variables.update(pos for pos, _ in p.registry.exponents(mono))
     den = math.lcm(*(c.denominator for c in coeffs))
-    return math.log10(max(den, sum(abs(c.numerator) * (den // c.denominator) for c in coeffs)))
-
-
-def _variable_count(*polys: Polynomial) -> int:
-    return len({pos for p in polys for mono, _ in p.terms() for pos, _ in p.registry.exponents(mono)})
-
-
-def _power_size(p: Polynomial, exponent: int) -> float:
-    """log10 of a bound on the terms of p^e times the digits of a coefficient.
-
-    p^e has at most C(T-1+e, e) terms for the T terms of p (a choice of e of
-    them with repeats), and at most C(e*D + v, v), the number of monomials
-    of degree at most e*D in the v variables of p.  A coefficient has at
-    most e * :func:`_digits_bound` digits.
-    """
-    v = _variable_count(p)
-    terms = min(
-        math.comb(p.term_count() - 1 + exponent, exponent),
-        math.comb(exponent * p.total_degree() + v, v),
-    )
-    return math.log10(terms) + math.log10(max(1.0, exponent * _digits_bound(p)))
-
-
-def _product_size(p: Polynomial, q: Polynomial) -> float:
-    """log10 of a bound on the terms of p*q times the digits of a coefficient.
-
-    p*q has at most T1*T2 terms, and at most C(D1 + D2 + v, v), the number
-    of monomials of degree at most D1 + D2 in the v variables of p and q.
-    A coefficient has at most the digits of p plus those of q.
-    """
-    v = _variable_count(p, q)
-    terms = min(
-        p.term_count() * q.term_count(),
-        math.comb(p.total_degree() + q.total_degree() + v, v),
-    )
-    return math.log10(terms) + math.log10(max(1.0, _digits_bound(p) + _digits_bound(q)))
+    height = max(den, sum(abs(c.numerator) * (den // c.denominator) for c in coeffs))
+    return len(coeffs), max(p.total_degree(), 0), variables, math.log10(height)
 
 
 _ALL_KINDS = frozenset(VarKind)
@@ -305,14 +279,21 @@ class _ExprParser:
         return value
 
     def _power(self, value, exponent, op_tok, exp_tok):
+        """value^exponent, refused at ``op_tok`` before it is built.
+
+        p^e has at most C(T-1+e, e) terms for the T terms of p (a choice of
+        e of them with repeats), and at most C(e*D + v, v), the number of
+        monomials of degree at most e*D in the v variables of p.
+        """
         if set(value) != {0}:
             self.c.fail("basis elements cannot be raised to powers", exp_tok)
         if exponent > MAX_EXPONENT:
             self.c.fail(f"exponent {exponent} exceeds the limit {MAX_EXPONENT}", exp_tok)
         base = value[0]
-        self._check_digits(exponent * _digits_bound(base), "power", op_tok)
-        if base and _power_size(base, exponent) > math.log10(MAX_POWER_SIZE):
-            self.c.fail(f"this power could hold more than {MAX_POWER_SIZE} digits in all", op_tok)
+        terms, degree, variables, digits = _size(base)
+        v = len(variables)
+        terms = min(math.comb(max(terms - 1, 0) + exponent, exponent), math.comb(exponent * degree + v, v))
+        self._check("power", op_tok, exponent * digits, terms, exponent * degree)
         return {0: base ** exponent}
 
     def _combine_mul(self, left, right, tok):
@@ -325,18 +306,31 @@ class _ExprParser:
         return self._scale(vector, scalar, tok)
 
     def _scale(self, vector, scalar, tok):
-        """scalar * vector, refused at ``tok`` before it grows too long."""
-        scalar_digits = _digits_bound(scalar)
-        for v in vector.values():
-            self._check_digits(scalar_digits + _digits_bound(v), "product", tok)
-            if scalar and v and _product_size(scalar, v) > math.log10(MAX_POWER_SIZE):
-                self.c.fail(f"this product could hold more than {MAX_POWER_SIZE} digits in all", tok)
+        """scalar * vector, refused at ``tok`` before it is built.
+
+        p*q has at most T1*T2 terms, and at most C(D1 + D2 + v, v), the
+        number of monomials of degree at most D1 + D2 in the v variables of
+        p and q.
+        """
+        s_terms, s_degree, s_vars, s_digits = _size(scalar)
+        for value in vector.values():
+            terms, degree, variables, digits = _size(value)
+            v = len(s_vars | variables)
+            terms = min(s_terms * terms, math.comb(s_degree + degree + v, v))
+            self._check("product", tok, s_digits + digits, terms, s_degree + degree)
         return {k: scalar * v for k, v in vector.items()}
 
-    def _check_digits(self, digits: float, what: str, tok):
+    def _check(self, what: str, tok, digits: float, terms: int = 0, degree: int = 0):
+        """Refuse at ``tok`` a value whose coefficients may have ``digits``
+        digits (log10 of a bound), with ``terms`` terms and total degree
+        ``degree``, when one of them passes its limit."""
         limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
         if digits >= limit:
             self.c.fail(f"a coefficient of this {what} would exceed the limit of {limit} digits", tok)
+        if terms > MAX_POWER_SIZE / max(1.0, digits):
+            self.c.fail(f"this {what} could hold more than {MAX_POWER_SIZE} digits in all", tok)
+        if degree > MAX_EXPONENT:
+            self.c.fail(f"this {what} would have total degree {degree}, past the limit {MAX_EXPONENT}", tok)
 
     def _term(self):
         value = self._factor()
@@ -371,6 +365,7 @@ class _ExprParser:
                     rhs = {k: -v for k, v in rhs.items()}
                 for k, v in rhs.items():
                     value[k] = value.get(k, self.reg.zero()) + v
+                    self._check("sum", tok, _size(value[k])[3])
             else:
                 break
         return value
@@ -668,15 +663,12 @@ def parse_structured(doc: SourceDoc | str) -> LieAlgebra:
 
 
 def _render_coefficient(coeff: Polynomial, k: int) -> str:
-    if coeff.is_constant():
-        c = coeff.constant_value()
-        if c == 1:
-            return f"e{k}"
-        if c == -1:
-            return f"-e{k}"
-        return f"{c}*e{k}"
+    if coeff == 1:
+        return f"e{k}"
+    if coeff == -1:
+        return f"-e{k}"
     if coeff.term_count() == 1:
-        # a single monomial is all multiplication, no parentheses needed
+        # a single term is all multiplication, no parentheses needed
         return f"{coeff}*e{k}"
     return f"({coeff})*e{k}"
 

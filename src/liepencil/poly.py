@@ -469,11 +469,11 @@ class Polynomial:
             mag = -coeff if negative else coeff
             varpart = self._format_mono(mono)
             if not varpart:
-                body = str(mag)
+                body = _decimal(mag)
             elif mag == 1:
                 body = varpart
             else:
-                body = f"{mag}*{varpart}"
+                body = f"{_decimal(mag)}*{varpart}"
             if i == 0:
                 pieces.append(f"-{body}" if negative else body)
             else:
@@ -482,6 +482,23 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self})"
+
+
+def _decimal(c: Scalar) -> str:
+    """``str(c)`` for a scalar c >= 0 of any size.
+
+    An int past Python's limit on the digits of an int string is written as
+    two halves, each split again as needed.
+    """
+    if c.denominator != 1:
+        return f"{_decimal(c.numerator)}/{_decimal(c.denominator)}"
+    n = c.numerator
+    try:
+        return str(n)
+    except ValueError:
+        half = n.bit_length() * 3 // 20  # about half of its decimal digits
+        high, low = divmod(n, 10**half)
+        return _decimal(high) + _decimal(low).zfill(half)
 
 
 def _wrap(registry: VarRegistry, terms: dict) -> Polynomial:

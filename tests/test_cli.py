@@ -75,6 +75,24 @@ def test_bad_param_syntax_is_usage_error(corpus_file, capsys):
     assert main(["classify", corpus_file("L3a.lie"), "--param", "a=1", "--param", "a=2"]) == 2
 
 
+@pytest.mark.parametrize("value", ["1e5000", "1e10000000", "1.5e-99999"])
+def test_param_value_past_the_digit_limit_is_refused(value, tmp_path, capsys):
+    """A value whose numerator or denominator could pass Python's limit on
+    the digits of an int is refused before it is built."""
+    path = tmp_path / "fam.lie"
+    path.write_text("dim 3\nparam a\n[e1,e2] = e3 + a*e1\n")
+    with _deadline(1.0):
+        code = main(["classify", str(path), "--param", f"a={value}"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"error: {value!r} could have more than {LIMIT} digits" in err
+
+
+@pytest.mark.parametrize("value", ["3", "-3/4", "0.5", "1e3", "2.5E-2"])
+def test_param_value_syntax_is_kept(value, corpus_file, capsys):
+    assert main(["index", corpus_file("L3a.lie"), "--param", f"a={value}"]) == 0
+
+
 def test_missing_file_is_usage_error(capsys):
     assert main(["classify", "/no/such/file.lie"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -214,8 +232,10 @@ LIMIT = sys.get_int_max_str_digits()
         ("[e1,e2] = 2^14000*2^14000*e1", "huge.lie:3:18:", "product"),
         ("[e1,e2] = e1/3^5000/3^5000", "huge.lie:3:20:", "product"),
         ("[e1,e2] = (1/3 + a)^10000*e1", "huge.lie:3:20:", "power"),
+        # 1/3^4000 and 1/7^4000 pass; their sum has the 5289-digit denominator 21^4000
+        ("[e1,e2] = e2/3^4000 + e2/7^4000", "huge.lie:3:21:", "sum"),
     ],
-    ids=["nested-power", "outer-power", "triple-power", "product", "quotient", "parameter"],
+    ids=["nested-power", "outer-power", "triple-power", "product", "quotient", "parameter", "sum"],
 )
 def test_overlong_coefficient_is_refused_at_its_operator(text, where, what, tmp_path, capsys):
     path = tmp_path / "huge.lie"
@@ -231,6 +251,9 @@ def test_coefficients_up_to_the_limit_are_accepted():
     # 2^14000 has 4215 digits and 3^9000 has 4295
     alg = parse_text("dim 2\n[e1,e2] = 2^14000*e1 + e2/3^9000\n")
     assert alg.structure_constant(1, 2, 1).constant_value() == 2**14000
+    # 2^14001, a sum, has 4215 digits too
+    alg = parse_text("dim 2\n[e1,e2] = 2^14000*e1 + 2^14000*e1\n")
+    assert alg.structure_constant(1, 2, 1).constant_value() == 2**14001
 
 
 def test_dense_power_is_refused_at_its_operator(tmp_path, capsys):
@@ -268,6 +291,56 @@ def test_dense_product_is_refused_at_its_operator(tmp_path, capsys):
 def test_moderate_product_is_accepted():
     alg = parse_text("dim 2\nparam a\n[e1,e2] = (1+a)^100*(1-a)^100*(2+a)^100*e1\n")
     assert alg.structure_constant(1, 2, 1).term_count() == 301
+
+
+@pytest.mark.parametrize(
+    "filename, text, where, what",
+    [
+        ("deg.lie", "dim 2\nparam a\n[e1,e2] = a^20000*a^20000*e1\n", "deg.lie:3:18:", "product"),
+        ("deg.lie", "dim 2\nparam a\nparam b\n[e1,e2] = (a*b)^20000*e1\n", "deg.lie:4:16:", "power"),
+        ("deg.lie", "dim 2\nparam a != a^20000*a^20000\n[e1,e2] = e1\n", "deg.lie:2:19:", "product"),
+        ("deg.lie", "dim 2\nparam a\n[e1,e2] = a^16384*a^16384*e1\n", "deg.lie:3:18:", "product"),
+        (
+            "deg.json",
+            '{"dim": 2, "params": [{"name": "a"}],'
+            ' "brackets": [{"i": 1, "j": 2, "terms": {"1": "a^20000*a^20000"}}]}',
+            "deg.json: brackets[0].terms.1: bad polynomial:",
+            "product",
+        ),
+    ],
+    ids=["product", "power", "exclusion", "one-past", "json"],
+)
+def test_degree_past_the_limit_is_refused_at_its_operator(filename, text, where, what, tmp_path, capsys):
+    path = tmp_path / filename
+    path.write_text(text)
+    with _deadline(1.0):
+        code = main(["classify", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    degree = 32768 if "16384" in text else 40000
+    assert f"{where} this {what} would have total degree {degree}, past the limit {MAX_EXPONENT}" in err
+
+
+def test_degree_up_to_the_limit_is_accepted():
+    alg = parse_text("dim 2\nparam a\n[e1,e2] = a^16383*a^16384*e1\n")
+    assert alg.structure_constant(1, 2, 1).total_degree() == MAX_EXPONENT
+
+
+@pytest.mark.parametrize("output", ["text", "structured"])
+def test_violations_past_the_digit_limit_are_printed(output, tmp_path, capsys):
+    # both coefficients pass the parser; the Jacobi sum -2^16000 has 4817 digits
+    path = tmp_path / "big.lie"
+    path.write_text("dim 3\n[e1,e2] = 2^8000*e3\n[e1,e3] = 2^8000*e1\n")
+    code = main(["validate", str(path), "--output", output])
+    out = capsys.readouterr().out
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        value = str(-2**16000)
+    finally:
+        sys.set_int_max_str_digits(previous)
+    assert code == 1
+    assert f"Jacobi identity fails on (e1, e2, e3) in the e3 component: {value}" in out
 
 
 @contextlib.contextmanager

@@ -1,13 +1,17 @@
 """Text and JSON bracket-table formats."""
 
 import json
+import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liepencil.errors import ParseError, SchemaError
 from liepencil.model import validate
 from liepencil.parser import (
+    _ExprParser,
     SourceDoc,
     emit_text,
     load_algebra,
@@ -216,3 +220,51 @@ dim 3
 [e1,e2] = e3   # trailing comment
 """)
     assert alg.bracket(1, 2) == {3: alg.registry.one()}
+
+
+def built_against_bounds(text: str, registry: VarRegistry):
+    """Parse ``text`` and pair every product and power built on the way with
+    the (digits, terms, degree) bounds its size check was given."""
+    checks, pairs = [], []
+    check, power, scale = _ExprParser._check, _ExprParser._power, _ExprParser._scale
+
+    def record(self, what, tok, digits, terms=0, degree=0):
+        checks.append((digits, terms, degree))
+        return check(self, what, tok, digits, terms, degree)
+
+    def paired(build):
+        def run(self, *args):
+            start = len(checks)
+            built = build(self, *args)
+            pairs.extend(zip(checks[start:], built.values(), strict=True))
+            return built
+        return run
+
+    with mock.patch.multiple(_ExprParser, _check=record, _power=paired(power), _scale=paired(scale)):
+        parse_poly(text, registry)
+    return pairs
+
+
+TERMS = st.lists(
+    st.tuples(st.integers(-60, 60), st.integers(1, 12), st.integers(0, 6), st.integers(0, 6)),
+    min_size=1,
+    max_size=4,
+)
+
+
+def _poly_text(terms) -> str:
+    return " + ".join(f"({n}/{d})*a^{i}*b^{j}" for n, d, i, j in terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(TERMS, TERMS, st.integers(0, 6))
+def test_size_check_bounds_every_built_value(p, q, exponent):
+    reg = VarRegistry(1, ["a", "b"])
+    text = f"({_poly_text(p)})*({_poly_text(q)}) + ({_poly_text(p)})^{exponent}"
+    pairs = built_against_bounds(text, reg)
+    assert pairs
+    for (digits, terms, degree), value in pairs:
+        assert value.term_count() <= terms
+        assert value.total_degree() <= degree
+        for _, c in value.terms():
+            assert math.log10(max(abs(c.numerator), c.denominator)) <= digits + 1e-9

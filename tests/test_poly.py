@@ -1,6 +1,7 @@
 """Exact multivariate polynomial arithmetic and gcd."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -114,6 +115,18 @@ def test_display_order_pins():
     assert str(V("a3") * lam + V("x3")) == "a3*lambda + x3"
     # significance across monomials: lambda before points before coordinates
     assert str(lam + V("a1") + V("x1")) == "lambda + a1 + x1"
+
+
+def test_display_of_coefficients_past_the_digit_limit():
+    x1 = V("x1")
+    num, den = 7**6000 + 1, 3**9100
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = f"-{num}/{den}*x1 + {num}"
+    finally:
+        sys.set_int_max_str_digits(previous)
+    assert str(-Fraction(num, den) * x1 + num) == expected
 
 
 def test_degree_in_kinds():
