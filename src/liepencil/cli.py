@@ -36,7 +36,7 @@ from .classify import (
 from .errors import InvalidAlgebra, LiePencilError, ParameterBindingError, ParseError
 from .model import LieAlgebra, build_ax, substitute_params, validate
 from .oracle import cross_check
-from .parser import load_algebra
+from .parser import int_digit_limit, load_algebra
 from .pencil import generic_rank
 
 __all__ = ["main", "entry"]
@@ -167,7 +167,7 @@ def _rational(raw: str) -> Fraction:
     """``Fraction(raw)``, refused before it is built when its numerator or
     denominator could pass Python's limit on the digits of an int: each has
     at most len(raw) + |exponent| digits."""
-    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    limit = int_digit_limit()
     try:
         m = _EXPONENT.search(raw)
         if len(raw) + (abs(int(m.group(1))) if m else 0) > limit:

@@ -15,14 +15,11 @@ form is a JSON document with fields ``dim``, ``params`` and ``brackets``
 carrying the same data; coefficients travel as strings in the usual display
 syntax.
 
-Both forms refuse a dimension above :data:`MAX_DIM`.  Every operator of
-an expression that builds a value goes through one size check, at its
-token: a coefficient may not pass Python's limit on the digits of an int
-literal (4300 by default), and a power, product or quotient may not pass
-:data:`MAX_POWER_SIZE` or total degree ``MAX_EXPONENT``.  A power, product
-or quotient is bounded before it is built, a sum or difference measured
-after, so an input of a few bytes cannot make the parser build a huge
-registry, integer or polynomial.
+Both forms refuse a dimension above :data:`MAX_DIM`.  Each operator that
+builds a value passes one size check at its token: no coefficient past
+:func:`int_digit_limit`, no power, product or quotient past
+:data:`MAX_POWER_SIZE` or total degree ``MAX_EXPONENT``.  So an input of a
+few bytes cannot make the parser build a huge registry, integer or polynomial.
 """
 
 from __future__ import annotations
@@ -50,6 +47,7 @@ __all__ = [
     "load_algebra",
     "MAX_DIM",
     "MAX_POWER_SIZE",
+    "int_digit_limit",
 ]
 
 # Largest dimension either form accepts.  The registry names one coordinate
@@ -60,6 +58,11 @@ MAX_DIM = 1000
 # times the digits of a coefficient: (1+a)^575 is the largest power of 1 + a
 # it admits, and (1+a)^575*(1+a)^575 is refused at its '*'.
 MAX_POWER_SIZE = 10**5
+
+
+def int_digit_limit() -> int:
+    """Python's limit on the digits of an int literal, 4300 by default."""
+    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
 
 
 @dataclass(frozen=True)
@@ -165,11 +168,7 @@ class _Cursor:
         try:
             return int(digits)
         except ValueError:
-            self.fail(
-                f"integer of {len(digits)} digits exceeds the limit of "
-                f"{sys.get_int_max_str_digits()} digits",
-                tok,
-            )
+            self.fail(f"integer of {len(digits)} digits exceeds the limit of {int_digit_limit()} digits", tok)
 
 
 # -- expression parser --------------------------------------------------------
@@ -203,6 +202,13 @@ def _size(p: Polynomial) -> tuple[int, int, set[int], float]:
     den = math.lcm(*(c.denominator for c in coeffs))
     height = max(den, sum(abs(c.numerator) * (den // c.denominator) for c in coeffs))
     return len(coeffs), max(p.total_degree(), 0), variables, math.log10(height)
+
+
+def _log10_height(coeffs) -> int:
+    """floor(log10) of the largest |numerator| or denominator, exactly."""
+    n = max((max(abs(c.numerator), c.denominator) for c in coeffs), default=1)
+    d = int(n.bit_length() * math.log10(2))  # floor(log10 n) is d or d - 1
+    return d if n >= 10**d else d - 1
 
 
 _ALL_KINDS = frozenset(VarKind)
@@ -279,12 +285,9 @@ class _ExprParser:
         return value
 
     def _power(self, value, exponent, op_tok, exp_tok):
-        """value^exponent, refused at ``op_tok`` before it is built.
-
-        p^e has at most C(T-1+e, e) terms for the T terms of p (a choice of
-        e of them with repeats), and at most C(e*D + v, v), the number of
-        monomials of degree at most e*D in the v variables of p.
-        """
+        """value^exponent, refused at ``op_tok`` before it is built: p^e has at
+        most C(T-1+e, e) terms (e of the T terms of p, with repeats) and at most
+        C(e*D + v, v) (the monomials of degree <= e*D in the v variables of p)."""
         if set(value) != {0}:
             self.c.fail("basis elements cannot be raised to powers", exp_tok)
         if exponent > MAX_EXPONENT:
@@ -306,12 +309,9 @@ class _ExprParser:
         return self._scale(vector, scalar, tok)
 
     def _scale(self, vector, scalar, tok):
-        """scalar * vector, refused at ``tok`` before it is built.
-
-        p*q has at most T1*T2 terms, and at most C(D1 + D2 + v, v), the
-        number of monomials of degree at most D1 + D2 in the v variables of
-        p and q.
-        """
+        """scalar * vector, refused at ``tok`` before it is built: p*q has at
+        most T1*T2 terms and at most C(D1 + D2 + v, v), the monomials of degree
+        <= D1 + D2 in the v variables of p and q."""
         s_terms, s_degree, s_vars, s_digits = _size(scalar)
         for value in vector.values():
             terms, degree, variables, digits = _size(value)
@@ -324,7 +324,7 @@ class _ExprParser:
         """Refuse at ``tok`` a value whose coefficients may have ``digits``
         digits (log10 of a bound), with ``terms`` terms and total degree
         ``degree``, when one of them passes its limit."""
-        limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+        limit = int_digit_limit()
         if digits >= limit:
             self.c.fail(f"a coefficient of this {what} would exceed the limit of {limit} digits", tok)
         if terms > MAX_POWER_SIZE / max(1.0, digits):
@@ -364,8 +364,9 @@ class _ExprParser:
                 if tok.value == "-":
                     rhs = {k: -v for k, v in rhs.items()}
                 for k, v in rhs.items():
-                    value[k] = value.get(k, self.reg.zero()) + v
-                    self._check("sum", tok, _size(value[k])[3])
+                    total = value[k] = value.get(k, self.reg.zero()) + v
+                    # a sum is measured after it is built, where v changed it
+                    self._check("sum", tok, _log10_height(total.coefficient(m) for m, _ in v.terms()))
             else:
                 break
         return value

@@ -257,6 +257,9 @@ class Polynomial:
     def term_count(self) -> int:
         return len(self._terms)
 
+    def coefficient(self, mono: int) -> Scalar:
+        return self._terms.get(mono, 0)
+
     # -- monomial order ----------------------------------------------------
 
     def leading(self) -> tuple[int, Scalar]:
