@@ -11,6 +11,7 @@ at once.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -21,7 +22,7 @@ from .errors import (
     ParameterBindingError,
     RegistryMismatch,
 )
-from .poly import Polynomial, VarKind, VarRegistry
+from .poly import MAX_POWER_SIZE, Polynomial, VarKind, VarRegistry, size_estimate
 
 __all__ = [
     "ParamDecl",
@@ -336,7 +337,12 @@ def change_of_basis(alg: LieAlgebra, p_matrix) -> LieAlgebra:
 
 
 def substitute_params(alg: LieAlgebra, values: Mapping[str, Fraction | int]) -> LieAlgebra:
-    """Bind every parameter to a rational, enforcing the declared exclusions."""
+    """Bind every parameter to a rational, enforcing the declared exclusions.
+
+    Each exclusion and coefficient is bounded before it is evaluated (see
+    :func:`size_estimate`); a value that could make one pass
+    ``MAX_POWER_SIZE`` digits is refused.
+    """
     declared = set(alg.param_names())
     given = set(values)
     missing = declared - given
@@ -350,21 +356,40 @@ def substitute_params(alg: LieAlgebra, values: Mapping[str, Fraction | int]) -> 
             "unknown parameter(s): " + ", ".join(sorted(extra))
         )
     binding = {name: Fraction(v) for name, v in values.items()}
+    reg = alg.registry
+    # log10 of the height max(|numerator|, denominator) of each value
+    heights = {
+        reg.position(name): math.log10(max(abs(v.numerator), v.denominator))
+        for name, v in binding.items()
+    }
+
+    def evaluate(p: Polynomial) -> Fraction | int:
+        if p.is_constant():
+            return p.constant_value()
+        _, _, degrees, digits = size_estimate(p)
+        if digits + sum(e * heights[pos] for pos, e in degrees.items()) > MAX_POWER_SIZE:
+            name = reg.name_at(max(degrees, key=lambda pos: degrees[pos] * heights[pos]))
+            raise ParameterBindingError(
+                f"the value of {name!r} is too large to substitute:"
+                f" a result could have more than {MAX_POWER_SIZE} digits"
+            )
+        return p.evaluate(binding)
+
     for decl in alg.params:
         for excl in decl.exclusions:
-            if excl.evaluate(binding) == 0:
+            if evaluate(excl) == 0:
                 raise ExclusionViolation(
                     f"binding violates the constraint {excl} != 0"
                     f" attached to parameter {decl.name!r}"
                 )
-    reg = VarRegistry(alg.dim)
+    bound_reg = VarRegistry(alg.dim)
     new_brackets: dict[tuple[int, int], dict[int, Polynomial]] = {}
     for pair in alg.stored_pairs():
         terms = {}
         for k, coeff in alg.bracket(*pair).items():
-            value = coeff.evaluate(binding)
+            value = evaluate(coeff)
             if value:
-                terms[k] = reg.constant(value)
+                terms[k] = bound_reg.constant(value)
         if terms:
             new_brackets[pair] = terms
-    return LieAlgebra(alg.dim, reg, params=(), brackets=new_brackets, name=alg.name)
+    return LieAlgebra(alg.dim, bound_reg, params=(), brackets=new_brackets, name=alg.name)

@@ -35,7 +35,9 @@ from typing import Iterator
 
 from .errors import ParseError, SchemaError
 from .model import LieAlgebra, ParamDecl
-from .poly import MAX_EXPONENT, Polynomial, VarKind, VarRegistry
+from .poly import (
+    MAX_EXPONENT, MAX_POWER_SIZE, Polynomial, VarKind, VarRegistry, check_parameter_name, size_estimate,
+)
 
 __all__ = [
     "SourceDoc",
@@ -53,11 +55,6 @@ __all__ = [
 # Largest dimension either form accepts.  The registry names one coordinate
 # per basis element up front, so an unchecked 'dim' line could hang there.
 MAX_DIM = 1000
-
-# Largest power or product an expression may build, counted as its terms
-# times the digits of a coefficient: (1+a)^575 is the largest power of 1 + a
-# it admits, and (1+a)^575*(1+a)^575 is refused at its '*'.
-MAX_POWER_SIZE = 10**5
 
 
 def int_digit_limit() -> int:
@@ -185,25 +182,6 @@ class _Cursor:
 _BASIS_RE = re.compile(r"^e([0-9]+)$")
 
 
-def _size(p: Polynomial) -> tuple[int, int, set[int], float]:
-    """Term count, total degree, variable positions and log10 H of p.
-
-    H = D * max(1, sum |c|), with D the common denominator of p, bounds
-    max(|numerator|, denominator) of every coefficient.  The H of a product
-    is at most the product of the H of its factors, and that of a power at
-    most H to the exponent, so sizes are checked before they are built.
-    For a constant the bound is its own height.
-    """
-    coeffs = []
-    variables = set()
-    for mono, c in p.terms():
-        coeffs.append(c)
-        variables.update(pos for pos, _ in p.registry.exponents(mono))
-    den = math.lcm(*(c.denominator for c in coeffs))
-    height = max(den, sum(abs(c.numerator) * (den // c.denominator) for c in coeffs))
-    return len(coeffs), max(p.total_degree(), 0), variables, math.log10(height)
-
-
 def _log10_height(coeffs) -> int:
     """floor(log10) of the largest |numerator| or denominator, exactly."""
     n = max((max(abs(c.numerator), c.denominator) for c in coeffs), default=1)
@@ -239,11 +217,10 @@ class _ExprParser:
             return {0: self.reg.constant(self.c.integer(tok))}
         if tok.kind == "ident":
             self.c.next()
-            m = _BASIS_RE.match(tok.value)
-            if m:
+            if _BASIS_RE.match(tok.value):
                 if not self.allow_basis:
                     self.c.fail("basis elements are not allowed here", tok)
-                return {self.c.integer(tok, m.group(1)): self.one}
+                return {_basis_index(self.c, tok, self.reg.dim): self.one}
             try:
                 kind = self.reg.kind_of(tok.value)
             except ValueError:
@@ -293,8 +270,8 @@ class _ExprParser:
         if exponent > MAX_EXPONENT:
             self.c.fail(f"exponent {exponent} exceeds the limit {MAX_EXPONENT}", exp_tok)
         base = value[0]
-        terms, degree, variables, digits = _size(base)
-        v = len(variables)
+        terms, degree, degrees, digits = size_estimate(base)
+        v = len(degrees)
         terms = min(math.comb(max(terms - 1, 0) + exponent, exponent), math.comb(exponent * degree + v, v))
         self._check("power", op_tok, exponent * digits, terms, exponent * degree)
         return {0: base ** exponent}
@@ -312,10 +289,10 @@ class _ExprParser:
         """scalar * vector, refused at ``tok`` before it is built: p*q has at
         most T1*T2 terms and at most C(D1 + D2 + v, v), the monomials of degree
         <= D1 + D2 in the v variables of p and q."""
-        s_terms, s_degree, s_vars, s_digits = _size(scalar)
+        s_terms, s_degree, s_degrees, s_digits = size_estimate(scalar)
         for value in vector.values():
-            terms, degree, variables, digits = _size(value)
-            v = len(s_vars | variables)
+            terms, degree, degrees, digits = size_estimate(value)
+            v = len(s_degrees.keys() | degrees.keys())
             terms = min(s_terms * terms, math.comb(s_degree + degree + v, v))
             self._check("product", tok, s_digits + digits, terms, s_degree + degree)
         return {k: scalar * v for k, v in vector.items()}
@@ -436,6 +413,10 @@ def parse_text(doc: SourceDoc | str) -> LieAlgebra:
             name_tok = cur.next()
             if name_tok.kind != "ident":
                 cur.fail("expected a parameter name", name_tok)
+            try:
+                _check_param_name(name_tok.value)
+            except ValueError as exc:
+                cur.fail(str(exc), name_tok)
             if name_tok.value in param_names:
                 cur.fail(f"duplicate parameter {name_tok.value!r}", name_tok)
             param_names.append(name_tok.value)
@@ -444,10 +425,7 @@ def parse_text(doc: SourceDoc | str) -> LieAlgebra:
             seen_bracket = True
             bracket_lines.append(cur)
 
-    try:
-        registry = VarRegistry(dim, param_names)
-    except ValueError as exc:
-        raise ParseError(str(exc), origin=origin) from None
+    registry = VarRegistry(dim, param_names)
 
     decls = []
     for cur, name, name_tok in param_lines:
@@ -504,9 +482,9 @@ def _store_bracket(brackets, i: int, j: int, terms: dict[int, Polynomial]) -> st
 def _parse_bracket_line(cur: _Cursor, registry: VarRegistry, dim: int, brackets) -> None:
     open_tok = cur.peek()
     cur.expect_op("[")
-    i = _basis_index(cur, dim)
+    i = _basis_index(cur, cur.next(), dim)
     cur.expect_op(",")
-    j = _basis_index(cur, dim)
+    j = _basis_index(cur, cur.next(), dim)
     cur.expect_op("]")
     if i == j:
         cur.fail(f"bracket indices must differ, got [e{i},e{j}]", open_tok)
@@ -516,16 +494,14 @@ def _parse_bracket_line(cur: _Cursor, registry: VarRegistry, dim: int, brackets)
         if parts[0]:
             cur.fail("constant terms are not allowed in a bracket", open_tok)
         del parts[0]
-    for k in parts:
-        if not (1 <= k <= dim):
-            cur.fail(f"basis index e{k} out of range for dimension {dim}", open_tok)
     conflict = _store_bracket(brackets, i, j, parts)
     if conflict:
         cur.fail(conflict, open_tok)
 
 
-def _basis_index(cur: _Cursor, dim: int) -> int:
-    tok = cur.next()
+def _basis_index(cur: _Cursor, tok: Token, dim: int) -> int:
+    """k of the basis element e<k> at ``tok``, failing there when the token
+    is none or k is outside 1..dim."""
     m = _BASIS_RE.match(tok.value) if tok.kind == "ident" else None
     if not m:
         cur.fail("expected a basis element like e3", tok)
@@ -533,6 +509,15 @@ def _basis_index(cur: _Cursor, dim: int) -> int:
     if not (1 <= k <= dim):
         cur.fail(f"basis index e{k} out of range for dimension {dim}", tok)
     return k
+
+
+def _check_param_name(name: str) -> None:
+    """Raise ValueError when ``name`` cannot name a parameter: the registry
+    refuses it, or it is a basis element e<k>, which the bracket syntax
+    would read in its place."""
+    if _BASIS_RE.match(name):
+        raise ValueError(f"parameter name {name!r} is reserved for basis elements")
+    check_parameter_name(name)
 
 
 # -- structured format ---------------------------------------------------------
@@ -582,16 +567,19 @@ def parse_structured(doc: SourceDoc | str) -> LieAlgebra:
         for key in entry:
             if key not in ("name", "nonzero"):
                 raise SchemaError("unknown field", path=f"{path}.{key}", origin=origin)
+        try:
+            _check_param_name(name)
+        except ValueError as exc:
+            raise SchemaError(str(exc), path=path, origin=origin) from None
+        if name in names:
+            raise SchemaError(f"duplicate parameter name {name!r}", path=path, origin=origin)
         nz = entry.get("nonzero")
         if nz is not None and not isinstance(nz, str):
             raise SchemaError("must be a string", path=f"{path}.nonzero", origin=origin)
         names.append(name)
         raw_exclusions.append(nz)
 
-    try:
-        registry = VarRegistry(dim, names)
-    except ValueError as exc:
-        raise SchemaError(str(exc), path="params", origin=origin) from None
+    registry = VarRegistry(dim, names)
 
     decls = []
     for idx, (name, nz) in enumerate(zip(names, raw_exclusions)):
@@ -631,6 +619,7 @@ def parse_structured(doc: SourceDoc | str) -> LieAlgebra:
         if not isinstance(raw_terms, dict):
             raise SchemaError("missing object 'terms'", path=path, origin=origin)
         terms = {}
+        seen = set()
         for key, text in raw_terms.items():
             tpath = f"{path}.terms.{key}"
             try:
@@ -639,6 +628,9 @@ def parse_structured(doc: SourceDoc | str) -> LieAlgebra:
                 raise SchemaError("key must be a basis index", path=tpath, origin=origin) from None
             if not (1 <= k <= dim):
                 raise SchemaError(f"basis index out of range for dimension {dim}", path=tpath, origin=origin)
+            if k in seen:
+                raise SchemaError(f"basis index {k} is given twice", path=tpath, origin=origin)
+            seen.add(k)
             if not isinstance(text, str):
                 raise SchemaError("coefficient must be a string", path=tpath, origin=origin)
             try:

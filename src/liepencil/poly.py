@@ -48,10 +48,12 @@ from .errors import DegreeOverflow, RegistryMismatch
 
 __all__ = [
     "MAX_EXPONENT",
+    "MAX_POWER_SIZE",
     "NEG_INF",
     "PENCIL_NAME",
     "VarKind",
     "VarRegistry",
+    "check_parameter_name",
     "Polynomial",
     "content",
     "integer_multiple",
@@ -62,6 +64,7 @@ __all__ = [
     "coefficients",
     "monomial_content",
     "poly_gcd",
+    "size_estimate",
 ]
 
 NEG_INF = float("-inf")
@@ -71,12 +74,27 @@ EXPONENT_BITS = 16
 MAX_EXPONENT = (1 << (EXPONENT_BITS - 1)) - 1
 _FIELD = (1 << EXPONENT_BITS) - 1
 
+# Largest value one operation may be asked to build, counted as its terms
+# times the digits of a coefficient as :func:`size_estimate` bounds them.
+# The parser holds each power and product to it ((1+a)^575 is the largest
+# power of 1 + a it admits) and substitute_params each evaluation.
+MAX_POWER_SIZE = 10**5
+
 PENCIL_NAME = "lambda"
 
 Scalar = Union[int, Fraction]
 
 _IDENT = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _RESERVED = re.compile(r"^(?:x[0-9]+|a[0-9]+|lambda)$")
+
+
+def check_parameter_name(name: str) -> None:
+    """Raise ValueError when ``name`` is no identifier or is one of the
+    names the registry gives its own variables."""
+    if not _IDENT.match(name):
+        raise ValueError(f"invalid parameter name {name!r}")
+    if _RESERVED.match(name):
+        raise ValueError(f"parameter name {name!r} is reserved")
 
 
 class VarKind(enum.Enum):
@@ -123,10 +141,7 @@ class VarRegistry:
             kinds.append(VarKind.COORDINATE)
         seen = set()
         for p in params:
-            if not _IDENT.match(p):
-                raise ValueError(f"invalid parameter name {p!r}")
-            if _RESERVED.match(p):
-                raise ValueError(f"parameter name {p!r} is reserved")
+            check_parameter_name(p)
             if p in seen:
                 raise ValueError(f"duplicate parameter name {p!r}")
             seen.add(p)
@@ -397,61 +412,30 @@ class Polynomial:
     # -- substitution and evaluation ----------------------------------------
 
     def substitute(self, bindings: Mapping[str, "Polynomial | Scalar"]) -> "Polynomial":
-        """Replace variables by polynomials over the same registry.
+        """Replace variables by polynomials over the same registry or by
+        rationals; unmentioned variables stay untouched."""
+        reg = self.registry
+        values = {reg.name_at(pos): reg.var(reg.name_at(pos)) for pos in _variables(self)}
+        values.update(bindings)
+        value = self.evaluate(values)
+        return value if isinstance(value, Polynomial) else reg.constant(value)
 
-        Unmentioned variables stay untouched.
+    def evaluate(self, values: Mapping[str, "Polynomial | Scalar"]) -> "Polynomial | Scalar":
+        """Evaluate with every occurring variable bound to a rational or to a
+        polynomial over the same registry.
+
+        The value is a polynomial when some term meets a polynomial value,
+        else a scalar: an integer polynomial at integer values gives an int.
         """
         reg = self.registry
-        resolved: dict[int, Polynomial] = {}
-        for name, value in bindings.items():
-            pos = reg.position(name)
-            if isinstance(value, (int, Fraction)):
-                value = reg.constant(value)
-            else:
-                self._check(value)
-            resolved[pos] = value
-        if not resolved:
-            return self
-        powers: dict[tuple[int, int], Polynomial] = {}
-
-        def power(pos: int, e: int) -> Polynomial:
-            key = (pos, e)
-            got = powers.get(key)
-            if got is None:
-                got = resolved[pos] ** e
-                powers[key] = got
-            return got
-
-        result = reg.zero()
-        for mono, coeff in self._terms.items():
-            replaced = [(p, e) for p, e in reg.exponents(mono) if p in resolved]
-            kept = mono - sum(e * reg._unit[p] for p, e in replaced)
-            term = _wrap(reg, {kept: coeff})
-            for p, e in replaced:
-                term = term * power(p, e)
-            result = result + term
-        return result
-
-    def evaluate(self, values: Mapping[str, Scalar]) -> Scalar:
-        """Evaluate with every occurring variable bound to a rational.
-
-        An integer polynomial at integer values gives an int.
-        """
-        reg = self.registry
-        bound: dict[int, Scalar] = {}
+        bound: dict[int, Polynomial | Scalar] = {}
         for name, v in values.items():
-            bound[reg.position(name)] = v if isinstance(v, (int, Fraction)) else Fraction(v)
-        total = 0
-        for mono, coeff in self._terms.items():
-            acc = coeff
-            for p, e in reg.exponents(mono):
-                if p not in bound:
-                    raise ValueError(
-                        f"variable {reg.name_at(p)!r} is unbound in evaluate()"
-                    )
-                acc *= bound[p] ** e
-            total += acc
-        return total
+            if isinstance(v, Polynomial):
+                self._check(v)
+            elif not isinstance(v, (int, Fraction)):
+                v = Fraction(v)
+            bound[reg.position(name)] = v
+        return _evaluate(self, bound)
 
     # -- display -------------------------------------------------------------
 
@@ -504,6 +488,22 @@ def _decimal(c: Scalar) -> str:
         return _decimal(high) + _decimal(low).zfill(half)
 
 
+def _evaluate(p: Polynomial, bound: Mapping[int, "Polynomial | Scalar"]):
+    """The term loop of :meth:`Polynomial.evaluate`, with values keyed by
+    registry position."""
+    exponents = p.registry.exponents
+    total = 0
+    for mono, c in p._terms.items():
+        for pos, e in exponents(mono):
+            if pos not in bound:
+                raise ValueError(
+                    f"variable {p.registry.name_at(pos)!r} is unbound in evaluate()"
+                )
+            c = c * bound[pos] ** e
+        total = total + c
+    return total
+
+
 def _wrap(registry: VarRegistry, terms: dict) -> Polynomial:
     """Polynomial holding ``terms`` itself, neither copied nor filtered.
 
@@ -514,6 +514,29 @@ def _wrap(registry: VarRegistry, terms: dict) -> Polynomial:
     p.registry = registry
     p._terms = terms
     return p
+
+
+def size_estimate(p: Polynomial) -> tuple[int, int, dict[int, int], float]:
+    """Term count, total degree, degree in each occurring variable (by
+    registry position) and log10 H of p.
+
+    H = D * max(1, sum |c|), with D the common denominator of p, bounds
+    max(|numerator|, denominator) of every coefficient.  The H of a product
+    is at most the product of the H of its factors, and that of a power at
+    most H to the exponent, so sizes are checked before they are built; so
+    is p at rational values v: H(p(v)) <= H(p) * prod H(v_i)^(deg_i p).
+    For a constant the bound is its own height.
+    """
+    exponents = p.registry.exponents
+    degrees: dict[int, int] = {}
+    for mono in p._terms:
+        for pos, e in exponents(mono):
+            if e > degrees.get(pos, 0):
+                degrees[pos] = e
+    coeffs = p._terms.values()
+    den = math.lcm(*(c.denominator for c in coeffs))
+    height = max(den, sum(abs(c.numerator) * (den // c.denominator) for c in coeffs))
+    return len(coeffs), max(p.total_degree(), 0), degrees, math.log10(height)
 
 
 # -- content, normalization, division ----------------------------------------
@@ -741,13 +764,7 @@ def _on_line(p: Polynomial, line: Mapping[int, tuple[int, int]]):
     if (degree + 1) * k > _LINE_IMAGE_BITS:
         return None
     t = 1 << k
-    values = {pos: z + a * t for pos, (z, a) in line.items()}
-    exponents = p.registry.exponents
-    total = 0
-    for mono, c in p._terms.items():
-        for pos, e in exponents(mono):
-            c *= values[pos] ** e
-        total += c
+    total = _evaluate(p, {pos: z + a * t for pos, (z, a) in line.items()})
     digits = []
     while total:
         d = total & (t - 1)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from liepencil import corpus
-from liepencil.classify import classify
+from liepencil.classify import classify, classify_family
 from liepencil.cli import main
 from liepencil.errors import InvalidAlgebra
 from liepencil.parser import MAX_DIM, MAX_POWER_SIZE, load_algebra, parse_text
@@ -86,6 +86,34 @@ def test_param_value_past_the_digit_limit_is_refused(value, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert f"error: {value!r} could have more than {LIMIT} digits" in err
+
+
+@pytest.mark.parametrize(
+    "table",
+    ["param a\n[e1,e2] = a^2000*e3\n", "param a != a^3000\n[e1,e2] = e3\n"],
+    ids=["coefficient", "exclusion"],
+)
+def test_substitution_past_the_size_limit_is_refused(table, tmp_path, capsys):
+    """H(c(v)) <= H(c) * H(v)^deg c bounds each value substitution builds:
+    7e-4000 in a^2000 could give 8 million digits, and is refused before
+    the power is taken."""
+    path = tmp_path / "fam.lie"
+    path.write_text("dim 3\n" + table)
+    with _deadline(2.0):
+        code = main(["classify", str(path), "--param", "a=7e-4000"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: the value of 'a' is too large to substitute:"
+        f" a result could have more than {MAX_POWER_SIZE} digits\n"
+    )
+
+
+def test_substitution_within_the_size_limit_is_accepted(tmp_path, capsys):
+    """a^2000 at 7e-40 has 80,000 digits, within the limit."""
+    path = tmp_path / "fam.lie"
+    path.write_text("dim 3\nparam a\n[e1,e2] = a^2000*e3\n")
+    assert main(["classify", str(path), "--param", "a=7e-40"]) == 0
+    assert capsys.readouterr().out.endswith("G is of mixed type.\n")
 
 
 @pytest.mark.parametrize("value", ["3", "-3/4", "0.5", "1e3", "2.5E-2"])
@@ -258,6 +286,8 @@ def test_coefficients_up_to_the_limit_are_accepted():
     # have 1909 and 3381 digits, though the lcm of their denominators has 5289
     alg = parse_text("dim 3\nparam a\n[e1,e2] = e3/3^4000 + a*e3/7^4000\n")
     assert alg.structure_constant(1, 2, 3).term_count() == 2
+    # its coefficient bound, 5289 digits, leaves the default samples room
+    assert len(classify_family(alg, samples=3, seed=1).samples) == 3
     # and exactly: 10^4300 - 1 has 4300 digits
     alg = parse_text("dim 2\n[e1,e2] = 9*10^4299*e1 - e1 + 10^4299*e1\n")
     assert alg.structure_constant(1, 2, 1).constant_value() == 10**4300 - 1

@@ -187,6 +187,61 @@ def test_structured_rejects_bad_schema():
         }))
 
 
+@pytest.mark.parametrize(
+    "rhs, column",
+    [("e0*e3", 11), ("e0^2*e3", 11), ("e3/e0", 14), ("(1+e0)*e3", 14), ("e0", 11)],
+)
+def test_basis_index_zero_is_refused_at_its_token(rhs, column):
+    """e0 is no basis element: it once read as the constant part 1, so that
+    e0*e3 was stored as e3 and (1+e0)*e3 as 2*e3."""
+    with pytest.raises(ParseError) as err:
+        parse_text(f"dim 3\n[e1,e2] = {rhs}\n")
+    assert (err.value.line, err.value.column) == (2, column)
+    assert err.value.message == "basis index e0 out of range for dimension 3"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("param e1\n[e1,e2] = e1*e3\n", "parameter name 'e1' is reserved for basis elements"),
+        ("param e5\n", "parameter name 'e5' is reserved for basis elements"),
+        ("param x1\n", "parameter name 'x1' is reserved"),
+        ("param lambda != 0\n", "parameter name 'lambda' is reserved"),
+    ],
+)
+def test_parameter_name_is_refused_at_its_token(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_text("dim 3\n" + text)
+    assert (err.value.line, err.value.column, err.value.message) == (2, 7, message)
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        ([{"name": "e1", "nonzero": "e1"}], "params[0]: parameter name 'e1' is reserved for basis elements"),
+        ([{"name": "a"}, {"name": "x2"}], "params[1]: parameter name 'x2' is reserved"),
+        ([{"name": "a"}, {"name": "a"}], "params[1]: duplicate parameter name 'a'"),
+    ],
+)
+def test_structured_parameter_name_is_refused_at_its_entry(params, message):
+    with pytest.raises(SchemaError) as err:
+        parse_structured(json.dumps({"dim": 3, "params": params}))
+    assert err.value.message == message
+
+
+def test_structured_basis_index_given_twice_is_refused():
+    """Two spellings of one index once kept the last value and dropped the
+    first without a word."""
+    def doc(terms):
+        return json.dumps({"dim": 3, "brackets": [{"i": 1, "j": 2, "terms": terms}]})
+
+    with pytest.raises(SchemaError) as err:
+        parse_structured(doc({"03": "1", "3": "2"}))
+    assert err.value.path == "brackets[0].terms.3"
+    assert err.value.message == "brackets[0].terms.3: basis index 3 is given twice"
+    assert parse_structured(doc({"03": "2"})) == parse_text("dim 3\n[e1,e2] = 2*e3\n")
+
+
 def test_load_algebra_dispatches_on_suffix(tmp_path):
     text_path = tmp_path / "h3.lie"
     text_path.write_text(GOOD)

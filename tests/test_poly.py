@@ -144,6 +144,17 @@ def test_substitute_shift():
     p = x1 * x1
     shifted = p.substitute({"x1": x1 + lam * a1})
     assert shifted == x1 * x1 + 2 * lam * x1 * a1 + lam * lam * a1 * a1
+    assert p.evaluate({"x1": x1 + lam * a1}) == shifted
+
+
+def test_evaluate_needs_every_occurring_variable():
+    x1, x2 = V("x1"), V("x2")
+    for value in (3, Fraction(1, 2), x1 + 1):
+        with pytest.raises(ValueError, match="variable 'x2' is unbound in evaluate()"):
+            (x1 * x2 + 1).evaluate({"x1": value})
+    assert (x1 + 1).evaluate({"x1": 2, "x2": x2}) == 3
+    with pytest.raises(RegistryMismatch):
+        x1.evaluate({"x1": VarRegistry(1).var("x1")})
 
 
 def test_normalize_coprime_integer_positive_lead():

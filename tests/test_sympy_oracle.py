@@ -1,21 +1,23 @@
-"""sympy as an independent check of gcd, Pfaffian and generic rank.
+"""sympy as an independent check of gcd, Pfaffian, generic rank and
+evaluation.
 
 A development-only oracle: the module is skipped when sympy is not
-installed.  Each case is small (matrices of size at most 6) and seeded,
-with integer and with rational coefficients.
+installed.  Each case is small (matrices of size at most 6) and seeded or
+drawn by hypothesis, with integer and with rational coefficients.
 """
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 from liepencil.model import SkewPolyMatrix  # noqa: E402
 from liepencil.pencil import generic_rank, pfaffian  # noqa: E402
-from liepencil.poly import VarRegistry, _line, _line_bound, poly_gcd  # noqa: E402
+from liepencil.poly import Polynomial, VarRegistry, _line, _line_bound, poly_gcd  # noqa: E402
 
 from helpers import moved_gcd_cases, prs_gcd  # noqa: E402
 
@@ -151,3 +153,51 @@ def test_generic_rank_matches_sympy(rational):
         assert generic_rank(m) == want, (size, layers)
         ranks.add(want)
     assert ranks == {2, 4, 6}
+
+
+_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@st.composite
+def _polys(draw, max_terms=4, max_degree=3):
+    """A sum of up to ``max_terms`` rational multiples of monomials in
+    x1, x2 and t of degree at most ``max_degree``."""
+    p = REG.zero()
+    for _ in range(draw(st.integers(0, max_terms))):
+        term = REG.constant(draw(_rationals))
+        for _ in range(draw(st.integers(0, max_degree))):
+            term = term * REG.var(draw(st.sampled_from(NAMES)))
+        p = p + term
+    return p
+
+
+# a value for a variable: a rational or a small polynomial
+_values = st.one_of(_rationals, _polys(max_terms=2, max_degree=2))
+
+
+def _sympy_value(v):
+    return to_sympy(v) if isinstance(v, Polynomial) else sympy.Rational(v.numerator, v.denominator)
+
+
+def _sympy_image(p, values):
+    """p with each variable named in ``values`` replaced at once, by sympy."""
+    return to_sympy(p).xreplace({sympy.Symbol(n): _sympy_value(v) for n, v in values.items()})
+
+
+@settings(max_examples=80, deadline=None)
+@given(p=_polys(), values=st.dictionaries(st.sampled_from(NAMES), _values))
+def test_substitute_matches_sympy(p, values):
+    """Bound variables take their values, rational or polynomial, at once;
+    the variables left out stay as they are."""
+    ours = p.substitute(values)
+    assert isinstance(ours, Polynomial)
+    assert sympy.expand(to_sympy(ours) - _sympy_image(p, values)) == 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(p=_polys(), values=st.fixed_dictionaries({n: _values for n in NAMES}))
+def test_evaluate_with_polynomial_values_matches_sympy(p, values):
+    ours = p.evaluate(values)
+    if all(not isinstance(v, Polynomial) for v in values.values()):
+        assert not isinstance(ours, Polynomial)
+    assert sympy.expand(_sympy_value(ours) - _sympy_image(p, values)) == 0
