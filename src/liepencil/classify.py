@@ -11,8 +11,9 @@ import enum
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from random import Random
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .errors import ExclusionViolation, InvalidAlgebra, SamplingError
 from .model import LieAlgebra, substitute_params, validate
@@ -25,8 +26,10 @@ __all__ = [
     "ClassificationReport",
     "require_valid",
     "classify",
+    "format_values",
     "SamplePoint",
     "FamilyReport",
+    "family_samples",
     "classify_family",
 ]
 
@@ -124,18 +127,13 @@ def classify(alg: LieAlgebra) -> ClassificationReport:
     """
     started = time.perf_counter()
     require_valid(alg)
-    return _classify_checked(alg, alg.name, started)
-
-
-def _classify_checked(alg: LieAlgebra, name: str, started: float) -> ClassificationReport:
-    """The report for a table already known to satisfy Jacobi.
-
-    The samples of a family need no check of their own: the symbolic table
-    satisfies Jacobi as a polynomial identity, so every binding of its
-    parameters does too.
-    """
     profile = pencil_profile(alg)
-    return ClassificationReport(name, time.perf_counter() - started, profile)
+    return ClassificationReport(alg.name, time.perf_counter() - started, profile)
+
+
+def format_values(values: Mapping[str, Fraction]) -> str:
+    """Parameter values as written in reports: "a=1/2, b=-3"."""
+    return ", ".join(f"{k}={v}" for k, v in values.items())
 
 
 @dataclass(frozen=True)
@@ -144,7 +142,7 @@ class SamplePoint:
     report: ClassificationReport
 
     def describe_values(self) -> str:
-        return ", ".join(f"{k}={v}" for k, v in self.values.items())
+        return format_values(self.values)
 
 
 @dataclass(frozen=True)
@@ -163,21 +161,31 @@ class FamilyReport:
 _MAX_DRAWS = 100
 
 
-def _draw_values(alg: LieAlgebra, rng: Random) -> tuple[Mapping[str, Fraction], LieAlgebra]:
-    """Random admissible parameter values and the table bound to them."""
-    for _ in range(_MAX_DRAWS):
-        values = {
-            name: Fraction(rng.randint(-20, 20), rng.randint(1, 20))
-            for name in alg.param_names()
-        }
-        try:
-            return values, substitute_params(alg, values)
-        except ExclusionViolation:
-            continue
-    raise SamplingError(
-        "could not find parameter values satisfying the exclusions "
-        f"after {_MAX_DRAWS} draws"
-    )
+def family_samples(alg: LieAlgebra, rng: Random) -> Iterator[SamplePoint]:
+    """Classified samples at random admissible parameter values, one per
+    ``next()``; the caller may draw from ``rng`` in between.  SamplingError
+    after ``_MAX_DRAWS`` failed draws.  Bound tables are not validated again:
+    Jacobi holds in the symbolic table as a polynomial identity."""
+    while True:
+        for _ in range(_MAX_DRAWS):
+            values = {
+                name: Fraction(rng.randint(-20, 20), rng.randint(1, 20))
+                for name in alg.param_names()
+            }
+            try:
+                bound = substitute_params(alg, values)
+                break
+            except ExclusionViolation:
+                continue
+        else:
+            raise SamplingError(
+                "could not find parameter values satisfying the exclusions "
+                f"after {_MAX_DRAWS} draws"
+            )
+        started = time.perf_counter()
+        profile = pencil_profile(bound)
+        name = f"{alg.name or 'G'}[{format_values(values)}]"
+        yield SamplePoint(values, ClassificationReport(name, time.perf_counter() - started, profile))
 
 
 def classify_family(alg: LieAlgebra, samples: int = 3, seed: int = 0) -> FamilyReport:
@@ -190,12 +198,5 @@ def classify_family(alg: LieAlgebra, samples: int = 3, seed: int = 0) -> FamilyR
     where the family degenerates.
     """
     symbolic = classify(alg)
-    rng = Random(seed)
-    points = []
-    label = alg.name or "G"
-    for _ in range(samples if alg.param_names() else 0):
-        values, bound = _draw_values(alg, rng)
-        pt_name = f"{label}[" + ", ".join(f"{k}={v}" for k, v in values.items()) + "]"
-        report = _classify_checked(bound, pt_name, time.perf_counter())
-        points.append(SamplePoint(values=values, report=report))
+    points = islice(family_samples(alg, Random(seed)), samples if alg.param_names() else 0)
     return FamilyReport(symbolic=symbolic, samples=tuple(points))

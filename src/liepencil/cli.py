@@ -31,6 +31,7 @@ from .classify import (
     Verdict,
     classify,
     classify_family,
+    format_values,
     require_valid,
 )
 from .errors import InvalidAlgebra, LiePencilError, ParameterBindingError, ParseError
@@ -427,7 +428,7 @@ def cmd_check(args) -> int:
     sym = report.symbolic
     print(f"symbolic: {sym.verdict} (dim {sym.dim}, index {sym.index}, p0: {sym.p0})")
     for number, t in enumerate(report.trials, start=1):
-        extra = f", params {', '.join(f'{k}={v}' for k, v in t.param_values.items())}" if t.param_values else ""
+        extra = f", params {format_values(t.param_values)}" if t.param_values else ""
         print(
             f"trial {number}: {t.report.verdict} "
             f"(rank {t.report.rank}, corank {t.report.corank}, "

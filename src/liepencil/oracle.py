@@ -25,22 +25,22 @@ Block conventions (sizes in matrix rows):
 from __future__ import annotations
 
 import operator
-import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from random import Random
 from typing import Mapping, Sequence
 
 from . import ratmat, unipoly
 from .classify import (
     ClassificationReport,
+    LieAlgebra,
+    SamplePoint,
     Verdict,
-    _classify_checked,
-    _draw_values,
     classify,
+    family_samples,
 )
 from .errors import SingularMatrix
-from .model import LieAlgebra, build_ax
 
 __all__ = [
     "JordanBlock",
@@ -410,26 +410,23 @@ def cross_check(
 ) -> CrossCheckReport:
     """Replay the classification numerically at random integer points.
 
-    Each trial fixes the parameters (when there are any), draws integer
-    points x0 and a0, and hands the evaluated pair (A at x0, A at a0) to
-    the numeric analysis.  Agreement is judged against the symbolic
-    verdict at the same parameter values.  The points x0 and a0 can still
-    land where the pencil degenerates, so a single trial may disagree: the
-    report is ok when any trial agrees (see :attr:`CrossCheckReport.ok`),
-    and the disagreeing trials are kept for inspection.
+    Each trial takes the next sample of the family from
+    :func:`~liepencil.classify.family_samples` (the table itself when it has
+    no parameters), then draws integer points x0 and a0 from the same
+    random stream, and hands the sample report's own A_x, evaluated at x0
+    and at a0, to the numeric analysis.  Agreement is judged against that
+    report's verdict.  The points x0 and a0 can still land where the pencil
+    degenerates, so a single trial may disagree: the report is ok when any
+    trial agrees (see :attr:`CrossCheckReport.ok`), and the disagreeing
+    trials are kept for inspection.
     """
     symbolic = classify(alg)
     rng = Random(seed)
+    points = family_samples(alg, rng) if alg.param_names() else repeat(SamplePoint({}, symbolic))
     outcomes = []
     for _ in range(trials):
-        if alg.param_names():
-            values, bound = _draw_values(alg, rng)
-            reference = _classify_checked(bound, bound.name, time.perf_counter())
-        else:
-            values = {}
-            bound = alg
-            reference = symbolic
-        matrix = build_ax(bound)
+        point = next(points)
+        matrix = point.report.profile.matrix
         x0 = tuple(rng.randint(-_COORD_RANGE, _COORD_RANGE) for _ in range(alg.dim))
         a0 = tuple(rng.randint(-_COORD_RANGE, _COORD_RANGE) for _ in range(alg.dim))
         a_rows = matrix.evaluate({f"x{k}": x0[k - 1] for k in range(1, alg.dim + 1)})
@@ -439,9 +436,9 @@ def cross_check(
             TrialOutcome(
                 x_point=x0,
                 a_point=a0,
-                param_values=values,
+                param_values=point.values,
                 report=report,
-                agrees=report.verdict == reference.verdict,
+                agrees=report.verdict == point.report.verdict,
             )
         )
     return CrossCheckReport(symbolic=symbolic, trials=tuple(outcomes))

@@ -490,10 +490,8 @@ def _parse_bracket_line(cur: _Cursor, registry: VarRegistry, dim: int, brackets)
         cur.fail(f"bracket indices must differ, got [e{i},e{j}]", open_tok)
     cur.expect_op("=")
     parts = _ExprParser(cur, registry, allow_basis=True).parse()
-    if 0 in parts:
-        if parts[0]:
-            cur.fail("constant terms are not allowed in a bracket", open_tok)
-        del parts[0]
+    if 0 in parts:  # parse() has dropped zero parts
+        cur.fail("constant terms are not allowed in a bracket", open_tok)
     conflict = _store_bracket(brackets, i, j, parts)
     if conflict:
         cur.fail(conflict, open_tok)
@@ -536,8 +534,18 @@ def parse_structured(doc: SourceDoc | str) -> LieAlgebra:
     if isinstance(doc, str):
         doc = SourceDoc(doc)
     origin = doc.origin
+
+    def unique_members(pairs):
+        # json.loads would keep the last of two equal names and drop the first
+        members = {}
+        for key, value in pairs:
+            if key in members:
+                raise SchemaError(f"member name {key!r} is repeated", origin=origin)
+            members[key] = value
+        return members
+
     try:
-        data = json.loads(doc.text, parse_int=_json_int)
+        data = json.loads(doc.text, parse_int=_json_int, object_pairs_hook=unique_members)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc}", origin=origin) from None
     if not isinstance(data, dict):
@@ -622,10 +630,10 @@ def parse_structured(doc: SourceDoc | str) -> LieAlgebra:
         seen = set()
         for key, text in raw_terms.items():
             tpath = f"{path}.terms.{key}"
-            try:
-                k = int(key)
-            except ValueError:
-                raise SchemaError("key must be a basis index", path=tpath, origin=origin) from None
+            # ASCII digits only, as in e<k>: int() would also read "+3", " 3" and "1_0"
+            if not (key.isascii() and key.isdigit()):
+                raise SchemaError("key must be a basis index", path=tpath, origin=origin)
+            k = _json_int(key)
             if not (1 <= k <= dim):
                 raise SchemaError(f"basis index out of range for dimension {dim}", path=tpath, origin=origin)
             if k in seen:

@@ -697,10 +697,8 @@ def _variables(p: Polynomial) -> set[int]:
 
 
 def _gcd_rec(p: Polynomial, q: Polynomial) -> Polynomial:
-    """gcd of two nonzero polynomials, up to a rational unit; an operand
+    """gcd of two nonconstant polynomials, up to a rational unit; an operand
     free of the chosen variable is its own content, with primitive part 1."""
-    if p.is_constant() or q.is_constant():
-        return p.registry.one()
     pos = min(_variables(p) | _variables(q))
     cont_p = _content_in(p, pos)
     cont_q = _content_in(q, pos)

@@ -139,16 +139,33 @@ def format_poly(p, var: str = "lambda") -> str:
         negative = c < 0
         mag = -c if negative else c
         if i == 0:
-            body = str(mag)
+            body = _decimal(mag)
         else:
             vp = var if i == 1 else f"{var}^{i}"
-            body = vp if mag == 1 else f"{mag}*{vp}"
+            body = vp if mag == 1 else f"{_decimal(mag)}*{vp}"
         if first:
             pieces.append(f"-{body}" if negative else body)
             first = False
         else:
             pieces.append(f" - {body}" if negative else f" + {body}")
     return "".join(pieces)
+
+
+def _decimal(c) -> str:
+    """``str(c)`` for a rational c >= 0 of any size.
+
+    An int past Python's limit on the digits of an int string is written as
+    two halves, each split again as needed.
+    """
+    if c.denominator != 1:
+        return f"{_decimal(c.numerator)}/{_decimal(c.denominator)}"
+    n = c.numerator
+    try:
+        return str(n)
+    except ValueError:
+        half = n.bit_length() * 3 // 20  # about half of its decimal digits
+        high, low = divmod(n, 10**half)
+        return _decimal(high) + _decimal(low).zfill(half)
 
 
 # Largest coefficient magnitude the rational root search factors.

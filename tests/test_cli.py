@@ -56,6 +56,45 @@ def test_classify_family_samples(corpus_file, capsys):
     assert out.rstrip().endswith("G is of Kronecker type.")
 
 
+def test_degenerate_sample_is_flagged(corpus_file, capsys):
+    """Seed 0 lands L12a on a = -2, where the family degenerates to mixed;
+    the symbolic verdict still stands, and the exit code is 0."""
+    path = corpus_file("L12a.lie")
+    assert main(["classify", path, "--seed", "0"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "sample a=-2: mixed" in out
+    assert "warning: sampled verdicts disagree with the symbolic verdict" in out
+    assert out[-1] == "G is of Kronecker type."
+    assert main(["classify", path, "--seed", "0", "--output", "structured"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert {"values": {"a": "-2"}, "verdict": "mixed"} in payload["samples"]
+    assert payload["samples_agree"] is False
+
+
+@pytest.mark.parametrize("command", ["classify", "check"])
+def test_no_admissible_sample_is_a_domain_error(command, tmp_path, capsys):
+    path = tmp_path / "empty.lie"
+    path.write_text("dim 3\nparam a != a\n[e1,e2] = a*e3\n")
+    assert main([command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        "error: could not find parameter values satisfying the exclusions "
+        "after 100 draws\n"
+    )
+
+
+def test_many_jacobi_violations_are_cut_short(tmp_path, capsys):
+    path = tmp_path / "seven.lie"
+    path.write_text(
+        "dim 4\n[e1,e2] = e3 + e4\n[e1,e3] = e1 + e4\n[e2,e3] = e2 + e1\n"
+        "[e1,e4] = e2\n[e2,e4] = e3\n"
+    )
+    assert main(["classify", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("Jacobi identity fails") == 3
+    assert err.endswith("(and 4 more)\n")
+
+
 def test_classify_with_bound_param(corpus_file, capsys):
     code = main(["classify", corpus_file("L3a.lie"), "--param", "a=3"])
     out = capsys.readouterr().out
@@ -205,6 +244,13 @@ def test_huge_integer_literal_is_a_positioned_error(filename, text, where, tmp_p
     err = capsys.readouterr().err
     assert code == 2
     assert where in err and "Traceback" not in err
+
+
+def test_repeated_json_member_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "twice.json"
+    path.write_text('{"dim": 3, "dim": 4}')
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: member name 'dim' is repeated\n"
 
 
 @pytest.mark.parametrize(
@@ -482,6 +528,19 @@ def test_check_structured(corpus_file, capsys):
     assert payload["ok"] is True
     assert payload["agreeing"] == 2
     assert len(payload["trials"]) == 2
+
+
+def test_check_structured_writes_a_numeric_p0_past_the_digit_limit(tmp_path, capsys):
+    """4000-digit structure constants give the numeric p0 coefficients of
+    about 8000 digits, which str() refuses."""
+    path = tmp_path / "big.lie"
+    path.write_text(
+        "dim 6\n[e1,e3] = 10^4000*e5 + e6\n[e1,e4] = e5\n[e2,e4] = 10^4000*e5 + e6\n"
+    )
+    assert main(["check", str(path), "--trials", "1", "--output", "structured"]) == 0
+    trial = json.loads(capsys.readouterr().out)["trials"][0]
+    assert trial["verdict"] == "mixed"
+    assert max(len(c) for c in trial["p0"].replace("*", " ").split()) > LIMIT
 
 
 GOLDEN = json.loads(Path(__file__).with_name("golden_reports.json").read_text())

@@ -3,9 +3,9 @@
 The numeric oracle is an independent second route to a verdict, so its
 analysis uses only exact linear algebra (``ratmat``), dense univariate
 polynomials (``unipoly``), the error types and the standard library.  It
-must not reach the symbolic engine (``poly``, ``pencil``) itself; it imports
-``classify`` and ``model`` only for ``cross_check``, which binds a table and
-asks the symbolic classifier for the verdict to compare against.  ``ratmat``
+must not reach the symbolic engine (``poly``, ``pencil``, ``model``) itself;
+it imports ``classify`` only for ``cross_check``, which takes its sample
+reports, and the matrices they hold, from the classifier.  ``ratmat``
 may use the error types and the standard library, ``unipoly`` the standard
 library alone.  The other way round, ``pencil``, the symbolic core, uses
 ``model`` and ``poly`` alone, so its verdicts never lean on the oracle.
@@ -27,7 +27,7 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "liepencil"
 
 ALLOWED = {
     "classify.py": {"errors", "model", "pencil", "poly"},
-    "oracle.py": {"ratmat", "unipoly", "errors", "classify", "model"},
+    "oracle.py": {"ratmat", "unipoly", "errors", "classify"},
     "parser.py": {"errors", "model", "poly"},
     "pencil.py": {"model", "poly"},
     "poly.py": {"errors"},

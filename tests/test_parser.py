@@ -323,3 +323,123 @@ def test_size_check_bounds_every_built_value(p, q, exponent):
         assert value.total_degree() <= degree
         for _, c in value.terms():
             assert math.log10(max(abs(c.numerator), c.denominator)) <= digits + 1e-9
+
+
+@pytest.mark.parametrize(
+    "text, where, message",
+    [
+        ("", (None, None), "empty input: expected a 'dim' line"),
+        ("dim 0\n", (1, 5), "dimension must be a positive integer"),
+        ("dim 3 4\n", (1, 7), "unexpected trailing input after the dimension"),
+        ("dim 3\ndim 3\n", (2, 1), "duplicate 'dim' line"),
+        ("dim 3\nparam 3\n", (2, 7), "expected a parameter name"),
+        ("dim 3\nparam a = 1\n", (2, 9), "expected '!=' or end of line"),
+        ("dim 3\nparam a != 1 )\n", (2, 14), "unexpected trailing input after the exclusion"),
+        ("dim 3\nparam a != e1\n", (2, 12), "basis elements are not allowed here"),
+        ("dim 3\n[e1,e1] = e2\n", (2, 1), "bracket indices must differ, got [e1,e1]"),
+        ("dim 3\n[e1,e2] = *e3\n", (2, 11), "expected a number, parameter, or parenthesized expression"),
+        ("dim 3\nparam a\n[e1,e2] = a^a*e3\n", (3, 13), "exponent must be a non-negative integer"),
+        ("dim 3\n[e1,e2] = e3 + 1\n", (2, 1), "constant terms are not allowed in a bracket"),
+    ],
+    ids=[
+        "empty", "dim-zero", "dim-trailing", "dim-twice", "param-number", "param-equals",
+        "exclusion-trailing", "exclusion-basis", "same-indices", "leading-operator",
+        "symbolic-exponent", "constant-term",
+    ],
+)
+def test_text_refusal_names_its_position(text, where, message):
+    with pytest.raises(ParseError) as err:
+        parse_text(text)
+    assert (err.value.line, err.value.column) == where
+    assert err.value.message == message
+
+
+def test_constant_parts_that_cancel_are_accepted():
+    assert parse_text("dim 3\n[e1,e2] = 1 + e3 - 1\n") == parse_text("dim 3\n[e1,e2] = e3\n")
+
+
+def test_basis_element_may_come_first_in_a_product():
+    text = "dim 3\nparam a\n[e1,e2] = {}\n"
+    assert parse_text(text.format("e3*a")) == parse_text(text.format("a*e3"))
+
+
+def test_emit_text_writes_a_multi_term_bracket():
+    text = "dim 5\nparam a\n[e1,e2] = a*e3 - 2*e4 + (a + 1)*e5\n"
+    alg = parse_text(text)
+    assert emit_text(alg) == text
+    assert parse_text(emit_text(alg)) == alg
+
+
+def _doc(**fields):
+    return json.dumps({"dim": 3, **fields})
+
+
+@pytest.mark.parametrize(
+    "text, path, message",
+    [
+        ("[1]", "", "document must be an object"),
+        (_doc(params={}), "params", "must be a list"),
+        (_doc(brackets=5), "brackets", "must be a list"),
+        (_doc(params=[1]), "params[0]", "must be an object"),
+        (_doc(brackets=[[1, 2]]), "brackets[0]", "must be an object"),
+        (_doc(params=[{"nonzero": "1"}]), "params[0]", "missing string 'name'"),
+        (_doc(params=[{"name": "a", "zero": "a"}]), "params[0].zero", "unknown field"),
+        (_doc(params=[{"name": "a", "nonzero": 1}]), "params[0].nonzero", "must be a string"),
+        (
+            _doc(params=[{"name": "a", "nonzero": "a +"}]),
+            "params[0].nonzero",
+            "bad polynomial: expected a number, parameter, or parenthesized expression",
+        ),
+        (_doc(brackets=[{"i": 2, "j": 2, "terms": {}}]), "brackets[0]", "indices must differ"),
+        (_doc(brackets=[{"i": 1, "j": 2}]), "brackets[0]", "missing object 'terms'"),
+        (
+            _doc(brackets=[{"i": 1, "j": 2, "terms": {"4": "1"}}]),
+            "brackets[0].terms.4",
+            "basis index out of range for dimension 3",
+        ),
+        (
+            _doc(brackets=[{"i": 1, "j": 2, "terms": {"3": 1}}]),
+            "brackets[0].terms.3",
+            "coefficient must be a string",
+        ),
+        (_doc(name=5), "name", "must be a string"),
+    ],
+    ids=[
+        "document", "params-list", "brackets-list", "params-entry", "brackets-entry",
+        "missing-name", "unknown-param-field", "nonzero-type", "nonzero-polynomial",
+        "same-indices", "missing-terms", "key-range", "coefficient-type", "name-type",
+    ],
+)
+def test_structured_refusal_names_its_path(text, path, message):
+    with pytest.raises(SchemaError) as err:
+        parse_structured(text)
+    assert err.value.path == path
+    assert err.value.message == (f"{path}: {message}" if path else message)
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"dim": 3, "dim": 4}', "dim"),
+        ('{"dim": 3, "params": [{"name": "a", "nonzero": "a", "nonzero": "a - 1"}]}', "nonzero"),
+        ('{"dim": 3, "brackets": [{"i": 1, "j": 2, "terms": {"3": "1", "3": "2"}}]}', "3"),
+    ],
+    ids=["dim", "nonzero", "term"],
+)
+def test_structured_repeated_member_name_is_refused(text, key):
+    """JSON itself keeps the last of two equal names, which once dropped
+    the first value without a word."""
+    with pytest.raises(SchemaError) as err:
+        parse_structured(text)
+    assert err.value.message == f"member name {key!r} is repeated"
+
+
+@pytest.mark.parametrize("key", ["+3", " 3", "３", "1_0", "-3", "3.0", ""])
+def test_structured_term_key_takes_ascii_digits_only(key):
+    """As in e<k>: int() alone would read "+3", " 3" and a full-width 3 as 3,
+    and "1_0" as 10."""
+    text = _doc(brackets=[{"i": 1, "j": 2, "terms": {key: "1"}}])
+    with pytest.raises(SchemaError) as err:
+        parse_structured(text)
+    assert err.value.path == f"brackets[0].terms.{key}"
+    assert err.value.message == f"brackets[0].terms.{key}: key must be a basis index"

@@ -431,6 +431,19 @@ def test_certificate_keeps_a_square_that_p0_has():
     assert prof.p0 == _enumerated_p0(prof)
 
 
+@pytest.mark.parametrize("common", ["a", "x1 + a*x2"])
+def test_certificate_refuses_a_factor_with_a_parameter(common):
+    # Pf_12, Pf_13, Pf_14 = f*x1, f*x2, f*x3 and h = f: the certificate
+    # splits coordinate factors only, so the walk enumerates all six
+    reg = VarRegistry(4, ["a"])
+    x = reg.coordinate
+    f = reg.var("a") if common == "a" else x(1) + reg.var("a") * x(2)
+    prof = pencil_profile(SkewPolyMatrix(4, reg, {(1, k + 1): f * x(k) for k in (1, 2, 3)}))
+    assert prof.route == "enumerated"
+    assert prof.p0 == f
+    assert prof.p0 == _enumerated_p0(prof)
+
+
 def test_profile_pfaffians_are_lazy():
     prof = pencil_profile(borel_algebra(4))
     assert "pfaffians" not in prof.__dict__

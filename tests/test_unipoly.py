@@ -1,6 +1,7 @@
 """Dense univariate polynomials over the rationals."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -102,6 +103,18 @@ def test_format_poly():
     assert format_poly([Fraction(1), Fraction(-2), Fraction(1)], var="t") == "t^2 - 2*t + 1"
     assert format_poly([], var="t") == "0"
     assert format_poly([Fraction(1, 2)]) == "1/2"
+
+
+def test_format_poly_writes_coefficients_past_the_digit_limit():
+    """Python refuses str() of an int past its digit limit; the numeric p0
+    of a table with 4000-digit structure constants has such coefficients."""
+    digits = sys.get_int_max_str_digits() + 700
+    big = 10**digits + 7
+    text = "1" + "0" * (digits - 1) + "7"
+    assert format_poly([big, -3 * 10**digits, Fraction(1, big)], var="t") == (
+        f"1/{text}*t^2 - 3{'0' * digits}*t + {text}"
+    )
+    assert format_poly([-big, 1]) == f"lambda - {text}"
 
 
 def test_pencil_det_against_laplace():
