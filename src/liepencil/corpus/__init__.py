@@ -10,7 +10,6 @@ Jacobi identity; such entries bundle a repaired ``variant`` file.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
@@ -18,7 +17,7 @@ from pathlib import Path
 
 from ..errors import SchemaError
 from ..model import LieAlgebra
-from ..parser import SourceDoc, parse_source
+from ..parser import SourceDoc, json_object, load_json, parse_source, read_source
 
 __all__ = [
     "CorpusEntry",
@@ -43,13 +42,11 @@ class CorpusEntry:
     # filesystem directory to read from; None means the bundled data
     root: str | None = field(default=None, compare=False)
 
-    def _read(self, filename: str) -> str:
-        if self.root is not None:
-            return (Path(self.root) / filename).read_text(encoding="utf-8")
-        return read_text(filename)
-
     def _load_file(self, filename: str, name: str) -> LieAlgebra:
-        doc = SourceDoc(self._read(filename), origin=filename)
+        if self.root is None:
+            doc = SourceDoc(read_text(filename), origin=filename)
+        else:
+            doc = read_source(Path(self.root) / filename)
         return parse_source(doc).with_name(name)
 
     def load(self) -> LieAlgebra:
@@ -73,21 +70,15 @@ _OPTIONAL_FIELDS = (
 )
 
 
-def _entries_from(data, origin: str, root: str | None) -> tuple[CorpusEntry, ...]:
+def _entries_from(doc: SourceDoc, root: str | None) -> tuple[CorpusEntry, ...]:
+    data = load_json(doc)
+    origin = doc.origin
     if not isinstance(data, dict) or not isinstance(data.get("entries"), list):
         raise SchemaError("manifest must be an object with an 'entries' list", origin=origin)
     allowed = {"name", "file", "expected", "provenance", "note", "variant", "jacobi_ok"}
     entries = []
     for idx, raw in enumerate(data["entries"]):
-        if not isinstance(raw, dict):
-            raise SchemaError("must be an object", path=f"entries[{idx}]", origin=origin)
-        unknown = set(raw) - allowed
-        if unknown:
-            raise SchemaError(
-                f"unknown field(s): {', '.join(sorted(unknown))}",
-                path=f"entries[{idx}]",
-                origin=origin,
-            )
+        json_object(raw, allowed, f"entries[{idx}]", origin)
         for key in ("name", "file", "expected", "provenance"):
             if not isinstance(raw.get(key), str):
                 raise SchemaError(
@@ -102,19 +93,12 @@ def _entries_from(data, origin: str, root: str | None) -> tuple[CorpusEntry, ...
 
 @lru_cache(maxsize=1)
 def manifest() -> tuple[CorpusEntry, ...]:
-    data = json.loads(read_text("manifest.json"))
-    return _entries_from(data, origin="manifest.json", root=None)
+    return _entries_from(SourceDoc(read_text("manifest.json"), origin="manifest.json"), root=None)
 
 
 def manifest_from_dir(path) -> tuple[CorpusEntry, ...]:
     """Entries of an external corpus directory holding its own manifest."""
-    root = Path(path)
-    text = (root / "manifest.json").read_text(encoding="utf-8")
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON: {exc}", origin=str(root / "manifest.json")) from None
-    return _entries_from(data, origin=str(root / "manifest.json"), root=str(root))
+    return _entries_from(read_source(Path(path) / "manifest.json"), root=str(path))
 
 
 def entry(name: str) -> CorpusEntry:

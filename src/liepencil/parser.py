@@ -13,13 +13,15 @@ into canonical ``i < j`` storage.  Coefficients are rational numbers, bare
 parameters, or parenthesized polynomials in the parameters.  The structured
 form is a JSON document with fields ``dim``, ``params`` and ``brackets``
 carrying the same data; coefficients travel as strings in the usual display
-syntax.
+syntax.  Every file a user names is read by :func:`read_source`, and every
+JSON text, a corpus manifest included, by :func:`load_json`.
 
-Both forms refuse a dimension above :data:`MAX_DIM`.  Each operator that
-builds a value passes one size check at its token: no coefficient past
-:func:`int_digit_limit`, no power, product or quotient past
-:data:`MAX_POWER_SIZE` or total degree ``MAX_EXPONENT``.  So an input of a
-few bytes cannot make the parser build a huge registry, integer or polynomial.
+Both forms refuse a dimension above :data:`MAX_DIM` and nesting deeper
+than :data:`MAX_NESTING`.  Each operator that builds a value passes one
+size check at its token: no coefficient past :func:`int_digit_limit`, no
+power, product or quotient past :data:`MAX_POWER_SIZE` or total degree
+``MAX_EXPONENT``.  So an input of a few bytes cannot make the parser build
+a huge registry, integer or polynomial.
 """
 
 from __future__ import annotations
@@ -47,7 +49,11 @@ __all__ = [
     "parse_poly",
     "emit_text",
     "load_algebra",
+    "read_source",
+    "load_json",
+    "json_object",
     "MAX_DIM",
+    "MAX_NESTING",
     "MAX_POWER_SIZE",
     "int_digit_limit",
 ]
@@ -55,6 +61,11 @@ __all__ = [
 # Largest dimension either form accepts.  The registry names one coordinate
 # per basis element up front, so an unchecked 'dim' line could hang there.
 MAX_DIM = 1000
+
+# Deepest nesting either form accepts: parentheses in an expression, arrays
+# and objects in a JSON document.  Both readers recurse once per level, so
+# without a bound a few kilobytes of brackets end in a RecursionError.
+MAX_NESTING = 100
 
 
 def int_digit_limit() -> int:
@@ -70,10 +81,28 @@ class SourceDoc:
     origin: str = "<string>"
 
 
+def read_source(path) -> SourceDoc:
+    """The UTF-8 text of the file at ``path``, with the path as its origin.
+
+    Every file a user names is read here.  A byte that is not UTF-8 is
+    refused at its line and column, counted as the text parser counts them.
+    """
+    p = Path(path)
+    data = p.read_bytes()
+    try:
+        return SourceDoc(data.decode("utf-8"), origin=str(p))
+    except UnicodeDecodeError as exc:
+        # splitlines drops a last empty line; the sentinel keeps the bad byte's line
+        lines = (data[:exc.start].decode("utf-8") + "x").splitlines()
+        raise ParseError(
+            f"byte {data[exc.start]:#04x} is not valid UTF-8",
+            line=len(lines), column=len(lines[-1]), origin=str(p),
+        ) from None
+
+
 def load_algebra(path) -> LieAlgebra:
     """Read a .lie (text) or .json (structured) file."""
-    p = Path(path)
-    return parse_source(SourceDoc(p.read_text(encoding="utf-8"), origin=str(p)))
+    return parse_source(read_source(path))
 
 
 def parse_source(doc: SourceDoc) -> LieAlgebra:
@@ -206,6 +235,7 @@ class _ExprParser:
         self.allow_basis = allow_basis
         self.kinds = kinds
         self.one = registry.one()
+        self.depth = 0  # parentheses open around the current atom
 
     def _atom(self):
         """The next atom as a linear combination, the form every rule returns:
@@ -230,7 +260,11 @@ class _ExprParser:
             return {0: self.reg.var(tok.value)}
         if tok.kind == "op" and tok.value == "(":
             self.c.next()
+            if self.depth == MAX_NESTING:
+                self.c.fail(f"parentheses nested deeper than {MAX_NESTING} levels", tok)
+            self.depth += 1
             inner = self._expr()
+            self.depth -= 1
             self.c.expect_op(")")
             return inner
         self.c.fail("expected a number, parameter, or parenthesized expression", tok)
@@ -359,12 +393,6 @@ def parse_poly(text: str, registry: VarRegistry, origin: str = "<expr>") -> Poly
     """Parse a polynomial in the display syntax over any registered variable."""
     cursor = _Cursor(_tokenize_line(text, 1, origin), origin)
     parts = _ExprParser(cursor, registry, allow_basis=False, kinds=_ALL_KINDS).parse()
-    return parts.get(0, registry.zero())
-
-
-def _parse_param_poly(text: str, registry: VarRegistry, origin: str) -> Polynomial:
-    cursor = _Cursor(_tokenize_line(text, 1, origin), origin)
-    parts = _ExprParser(cursor, registry, allow_basis=False).parse()
     return parts.get(0, registry.zero())
 
 
@@ -530,51 +558,95 @@ def _json_int(digits: str) -> int | float:
         return float("-inf") if digits.startswith("-") else float("inf")
 
 
-def parse_structured(doc: SourceDoc | str) -> LieAlgebra:
-    if isinstance(doc, str):
-        doc = SourceDoc(doc)
-    origin = doc.origin
+# Strings and brackets of a JSON text; an unterminated string runs to the end
+_JSON_BRACKETS_RE = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"?|[\[\]{}]', re.DOTALL)
+
+
+def _check_nesting(text: str) -> None:
+    """Raise JSONDecodeError at the first array or object that opens past
+    MAX_NESTING levels, before json.loads recurses that deep."""
+    if text.count("[") + text.count("{") <= MAX_NESTING:
+        return  # too few to nest that deep, which spares the scan on most inputs
+    depth = 0
+    for m in _JSON_BRACKETS_RE.finditer(text):
+        if m.group() in ("[", "{"):
+            depth += 1
+            if depth > MAX_NESTING:
+                raise json.JSONDecodeError(f"nesting deeper than {MAX_NESTING} levels", text, m.start())
+        elif m.group() in ("]", "}"):
+            depth -= 1
+
+
+def load_json(doc: SourceDoc):
+    """The JSON value in ``doc``, read by the one rule set for JSON input:
+    malformed JSON, nesting past :data:`MAX_NESTING` and a member name given
+    twice in one object are refused, and integers are read by ``_json_int``."""
 
     def unique_members(pairs):
         # json.loads would keep the last of two equal names and drop the first
         members = {}
         for key, value in pairs:
             if key in members:
-                raise SchemaError(f"member name {key!r} is repeated", origin=origin)
+                raise SchemaError(f"member name {key!r} is repeated", origin=doc.origin)
             members[key] = value
         return members
 
     try:
-        data = json.loads(doc.text, parse_int=_json_int, object_pairs_hook=unique_members)
+        _check_nesting(doc.text)
+        return json.loads(doc.text, parse_int=_json_int, object_pairs_hook=unique_members)
     except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON: {exc}", origin=origin) from None
-    if not isinstance(data, dict):
-        raise SchemaError("document must be an object", origin=origin)
-    known = {"dim", "params", "brackets", "name"}
-    for key in data:
-        if key not in known:
-            raise SchemaError("unknown field", path=key, origin=origin)
+        raise SchemaError(f"invalid JSON: {exc}", origin=doc.origin) from None
+
+
+def json_object(value, allowed, path: str, origin: str) -> dict:
+    """``value``, refused at ``path`` unless it is a JSON object whose member
+    names all lie in ``allowed``; the document itself has the empty path."""
+    if not isinstance(value, dict):
+        message = "must be an object" if path else "document must be an object"
+        raise SchemaError(message, path=path, origin=origin)
+    for key in value:
+        if key not in allowed:
+            raise SchemaError("unknown field", path=f"{path}.{key}" if path else key, origin=origin)
+    return value
+
+
+def _json_list(data: dict, key: str, origin: str) -> list:
+    """The member ``key`` of the document: a list, or missing."""
+    value = data.get(key, [])
+    if not isinstance(value, list):
+        raise SchemaError("must be a list", path=key, origin=origin)
+    return value
+
+
+def _coefficient(text: str, registry: VarRegistry, path: str, origin: str) -> Polynomial:
+    """A coefficient string as a polynomial in the parameters, refused at ``path``."""
+    try:
+        cursor = _Cursor(_tokenize_line(text, 1, origin), origin)
+        parts = _ExprParser(cursor, registry, allow_basis=False).parse()
+    except ParseError as exc:
+        raise SchemaError(f"bad polynomial: {exc.message}", path=path, origin=origin) from None
+    return parts.get(0, registry.zero())
+
+
+def parse_structured(doc: SourceDoc | str) -> LieAlgebra:
+    if isinstance(doc, str):
+        doc = SourceDoc(doc)
+    origin = doc.origin
+    data = json_object(load_json(doc), ("dim", "params", "brackets", "name"), "", origin)
     dim = data.get("dim")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise SchemaError("must be a positive integer", path="dim", origin=origin)
     if dim > MAX_DIM:
         raise SchemaError(f"dimension {dim} exceeds the limit {MAX_DIM}", path="dim", origin=origin)
 
-    raw_params = data.get("params", [])
-    if not isinstance(raw_params, list):
-        raise SchemaError("must be a list", path="params", origin=origin)
     names = []
     raw_exclusions = []
-    for idx, entry in enumerate(raw_params):
+    for idx, entry in enumerate(_json_list(data, "params", origin)):
         path = f"params[{idx}]"
-        if not isinstance(entry, dict):
-            raise SchemaError("must be an object", path=path, origin=origin)
+        json_object(entry, ("name", "nonzero"), path, origin)
         name = entry.get("name")
         if not isinstance(name, str):
             raise SchemaError("missing string 'name'", path=path, origin=origin)
-        for key in entry:
-            if key not in ("name", "nonzero"):
-                raise SchemaError("unknown field", path=f"{path}.{key}", origin=origin)
         try:
             _check_param_name(name)
         except ValueError as exc:
@@ -593,27 +665,13 @@ def parse_structured(doc: SourceDoc | str) -> LieAlgebra:
     for idx, (name, nz) in enumerate(zip(names, raw_exclusions)):
         exclusions = ()
         if nz is not None:
-            try:
-                exclusions = (_parse_param_poly(nz, registry, origin=origin),)
-            except ParseError as exc:
-                raise SchemaError(
-                    f"bad polynomial: {exc.message}",
-                    path=f"params[{idx}].nonzero",
-                    origin=origin,
-                ) from None
+            exclusions = (_coefficient(nz, registry, f"params[{idx}].nonzero", origin),)
         decls.append(ParamDecl(name, exclusions))
 
     brackets: dict[tuple[int, int], dict[int, Polynomial]] = {}
-    raw_brackets = data.get("brackets", [])
-    if not isinstance(raw_brackets, list):
-        raise SchemaError("must be a list", path="brackets", origin=origin)
-    for idx, entry in enumerate(raw_brackets):
+    for idx, entry in enumerate(_json_list(data, "brackets", origin)):
         path = f"brackets[{idx}]"
-        if not isinstance(entry, dict):
-            raise SchemaError("must be an object", path=path, origin=origin)
-        for key in entry:
-            if key not in ("i", "j", "terms"):
-                raise SchemaError("unknown field", path=f"{path}.{key}", origin=origin)
+        json_object(entry, ("i", "j", "terms"), path, origin)
         i = entry.get("i")
         j = entry.get("j")
         for label, v in (("i", i), ("j", j)):
@@ -641,10 +699,7 @@ def parse_structured(doc: SourceDoc | str) -> LieAlgebra:
             seen.add(k)
             if not isinstance(text, str):
                 raise SchemaError("coefficient must be a string", path=tpath, origin=origin)
-            try:
-                coeff = _parse_param_poly(text, registry, origin=origin)
-            except ParseError as exc:
-                raise SchemaError(f"bad polynomial: {exc.message}", path=tpath, origin=origin) from None
+            coeff = _coefficient(text, registry, tpath, origin)
             if coeff:
                 terms[k] = coeff
         conflict = _store_bracket(brackets, i, j, terms)

@@ -253,6 +253,25 @@ def test_repeated_json_member_is_a_usage_error(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {path}: member name 'dim' is repeated\n"
 
 
+def test_deep_json_nesting_is_a_positioned_error(tmp_path, capsys):
+    """json.loads recurses once per level; past the bound the document is
+    refused at the bracket that passes it, not with a RecursionError."""
+    path = tmp_path / "deep.json"
+    path.write_text('{"dim": 3, "name": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: invalid JSON: nesting deeper than 100 levels: line 1 column 119 (char 118)\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["validate", "classify", "index", "charpoly", "check"])
+def test_undecodable_file_is_a_positioned_error(command, tmp_path, capsys):
+    path = tmp_path / "bad.lie"
+    path.write_bytes(b"dim 3\n[e1,e2] = e3 # \xff\n")
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}:2:16: byte 0xff is not valid UTF-8\n"
+
+
 @pytest.mark.parametrize(
     "filename, text, where",
     [
@@ -631,6 +650,61 @@ def test_table_empty_corpus(tmp_path, capsys):
     (tmp_path / "manifest.json").write_text(json.dumps({"entries": []}))
     assert main(["table", "--corpus", str(tmp_path)]) == 0
     assert "no corpus entries" in capsys.readouterr().out
+
+
+H3_ENTRY = '{"name": "h3", "file": "h3.lie", "expected": "mixed", "provenance": "analytic"}'
+
+
+def _external_corpus(tmp_path, manifest: str) -> str:
+    """A corpus directory holding ``manifest`` and the table h3.lie."""
+    (tmp_path / "h3.lie").write_text("dim 3\n[e1,e2] = e3\n")
+    (tmp_path / "manifest.json").write_text(manifest)
+    return str(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "manifest, message",
+    [
+        (f'{{"entries": [{H3_ENTRY}], "entries": []}}', "member name 'entries' is repeated"),
+        (f'{{"entries": [{H3_ENTRY[:-1]}, "name": "x"}}]}}', "member name 'name' is repeated"),
+        (
+            f'{{"entries": [{H3_ENTRY[:-1]}, "jacobi_ok": {HUGE}}}]}}',
+            "entries[0]: 'jacobi_ok' must be true or false",
+        ),
+        (
+            '{"entries": [], "x": ' + "[" * 100_000 + "]" * 100_000 + "}",
+            "invalid JSON: nesting deeper than 100 levels: line 1 column 121 (char 120)",
+        ),
+    ],
+    ids=["repeated-entries", "repeated-name", "huge-typed-member", "nesting"],
+)
+def test_table_corpus_manifest_follows_the_json_rules(manifest, message, tmp_path, capsys):
+    """A manifest is read by the same rules as a JSON table: it was once
+    read silently with a repeated member, and ended in a traceback on a
+    long integer or deep nesting."""
+    assert main(["table", "--corpus", _external_corpus(tmp_path, manifest)]) == 2
+    assert capsys.readouterr().err == f"error: {tmp_path / 'manifest.json'}: {message}\n"
+
+
+def test_table_corpus_manifest_takes_a_long_integer_where_unchecked(tmp_path, capsys):
+    manifest = f'{{"entries": [{H3_ENTRY}], "version": {HUGE}}}'
+    assert main(["table", "--corpus", _external_corpus(tmp_path, manifest)]) == 0
+    assert "1 of 1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "bad, data, where",
+    [
+        ("manifest.json", b'{"entries": [\xff]}', "1:14"),
+        ("h3.lie", b"dim 3\n[e1,e2] = e3 # \xff\n", "2:16"),
+    ],
+    ids=["manifest", "table"],
+)
+def test_table_corpus_refuses_an_undecodable_file(bad, data, where, tmp_path, capsys):
+    _external_corpus(tmp_path, f'{{"entries": [{H3_ENTRY}]}}')
+    (tmp_path / bad).write_bytes(data)
+    assert main(["table", "--corpus", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {tmp_path / bad}:{where}: byte 0xff is not valid UTF-8\n"
 
 
 def test_console_script_installed(corpus_file, capsys, monkeypatch):

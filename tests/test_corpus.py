@@ -98,6 +98,14 @@ def test_manifest_from_dir_checks_optional_fields(tmp_path, field, value):
     assert f"{field!r} must be {_OPTIONAL_TYPES[field]}" in str(info.value)
 
 
+def test_manifest_from_dir_names_an_unknown_field(tmp_path):
+    good = {"name": "t", "file": "t.lie", "expected": "mixed", "provenance": "analytic"}
+    (tmp_path / "manifest.json").write_text(json.dumps({"entries": [dict(good, source="x")]}))
+    with pytest.raises(SchemaError) as info:
+        corpus.manifest_from_dir(str(tmp_path))
+    assert (info.value.path, info.value.message) == ("entries[0].source", "entries[0].source: unknown field")
+
+
 def test_manifest_from_dir_accepts_optional_fields(tmp_path):
     (tmp_path / "manifest.json").write_text(json.dumps({
         "entries": [{

@@ -14,7 +14,9 @@ Below it, ``model`` uses ``poly``, ``ratmat`` and the error types, and
 ``model``, ``poly`` and the error types, and ``parser``, which turns input
 into a table, uses ``model``, ``poly`` and the error types.  The packed monomial format is ``poly``'s
 own: no other module imports a private name from it or reads a private
-attribute of a ``VarRegistry``.
+attribute of a ``VarRegistry``.  Outside input is decoded in ``parser``
+alone: it holds the package's one ``json.loads``, so every JSON input, a
+corpus manifest included, is read by the same rules.
 """
 
 import ast
@@ -121,3 +123,33 @@ def test_poly_internals_reader_sees_imports_and_slots(tmp_path):
         "    return p.registry._unit[0] & reg._guard, reg.exponents(0)\n"
     )
     assert poly_internals(source, slots) == {"_wrap", "_FIELD", "_unit", "_guard"}
+
+
+def json_reads(path: Path) -> list[str]:
+    """Each use of ``json.load`` or ``json.loads`` in a module, as an
+    attribute of ``json`` or imported by name."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Attribute) and node.attr in ("load", "loads") \
+                and isinstance(node.value, ast.Name) and node.value.id == "json":
+            found.append(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            found.extend(alias.name for alias in node.names if alias.name in ("load", "loads"))
+    return found
+
+
+@pytest.mark.parametrize("name", sorted(str(p.relative_to(PACKAGE)) for p in PACKAGE.rglob("*.py")))
+def test_only_the_parser_decodes_json(name):
+    expected = ["loads"] if name == "parser.py" else []
+    assert json_reads(PACKAGE / name) == expected
+
+
+def test_json_reader_sees_calls_and_imports(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text(
+        "import json\n"
+        "from json import loads as decode, dumps\n"
+        "def f(fp, text):\n"
+        "    return json.load(fp), json.loads(text), json.dumps(text)\n"
+    )
+    assert sorted(json_reads(source)) == ["load", "loads", "loads"]

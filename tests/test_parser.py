@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from liepencil.errors import ParseError, SchemaError
 from liepencil.model import validate
 from liepencil.parser import (
+    MAX_NESTING,
     _ExprParser,
     SourceDoc,
     emit_text,
@@ -325,6 +326,9 @@ def test_size_check_bounds_every_built_value(p, q, exponent):
             assert math.log10(max(abs(c.numerator), c.denominator)) <= digits + 1e-9
 
 
+NESTED = f"parentheses nested deeper than {MAX_NESTING} levels"
+
+
 @pytest.mark.parametrize(
     "text, where, message",
     [
@@ -340,11 +344,14 @@ def test_size_check_bounds_every_built_value(p, q, exponent):
         ("dim 3\n[e1,e2] = *e3\n", (2, 11), "expected a number, parameter, or parenthesized expression"),
         ("dim 3\nparam a\n[e1,e2] = a^a*e3\n", (3, 13), "exponent must be a non-negative integer"),
         ("dim 3\n[e1,e2] = e3 + 1\n", (2, 1), "constant terms are not allowed in a bracket"),
+        ("dim 3\n[e1,e2] = " + "(" * 250 + "e3" + ")" * 250, (2, 111), NESTED),
+        ("dim 3\n[e1,e2] = " + "(" * 100_000 + "e3" + ")" * 100_000, (2, 111), NESTED),
+        ("dim 3\nparam a != " + "(" * 250 + "1" + ")" * 250, (2, 112), NESTED),
     ],
     ids=[
         "empty", "dim-zero", "dim-trailing", "dim-twice", "param-number", "param-equals",
         "exclusion-trailing", "exclusion-basis", "same-indices", "leading-operator",
-        "symbolic-exponent", "constant-term",
+        "symbolic-exponent", "constant-term", "nesting-250", "nesting-100000", "exclusion-nesting",
     ],
 )
 def test_text_refusal_names_its_position(text, where, message):
@@ -443,3 +450,71 @@ def test_structured_term_key_takes_ascii_digits_only(key):
         parse_structured(text)
     assert err.value.path == f"brackets[0].terms.{key}"
     assert err.value.message == f"brackets[0].terms.{key}: key must be a basis index"
+
+
+def test_nesting_up_to_the_bound_is_accepted():
+    """MAX_NESTING parentheses around an atom, and MAX_NESTING arrays and
+    objects in a document counting the document itself, are read; brackets
+    inside a JSON string do not count."""
+    deep = "(" * MAX_NESTING + "e3" + ")" * MAX_NESTING
+    assert parse_text(f"dim 3\n[e1,e2] = {deep}\n") == parse_text(GOOD)
+    arrays = "[" * (MAX_NESTING - 1) + "]" * (MAX_NESTING - 1)
+    with pytest.raises(SchemaError) as err:
+        parse_structured(f'{{"dim": 3, "brackets": [], "name": {arrays}}}')
+    assert err.value.message == "name: must be a string"
+    name = '\\"' + "[" * 2 * MAX_NESTING
+    assert parse_structured(_doc(name=name)).name == name
+
+
+@pytest.mark.parametrize("depth", [250, 100_000])
+def test_every_expression_reader_bounds_nesting(depth):
+    deep = "(" * depth + "a" + ")" * depth
+    with pytest.raises(ParseError) as err:
+        parse_poly(deep, VarRegistry(3, ["a"]))
+    assert (err.value.line, err.value.column, err.value.message) == (1, MAX_NESTING + 1, NESTED)
+    text = _doc(params=[{"name": "a"}], brackets=[{"i": 1, "j": 2, "terms": {"3": deep}}])
+    with pytest.raises(SchemaError) as err:
+        parse_structured(text)
+    assert err.value.message == f"brackets[0].terms.3: bad polynomial: {NESTED}"
+
+
+@pytest.mark.parametrize("depth", [250, 100_000])
+@pytest.mark.parametrize(
+    "prefix", ['{"dim": 3, "name": ', '{"dim": 3, "params": "\\\\", "name": '], ids=["plain", "after-escape"]
+)
+def test_json_nesting_is_refused_before_decoding(prefix, depth):
+    """A string that ends in an escaped backslash closes there, so the
+    brackets after it count."""
+    with pytest.raises(SchemaError) as err:
+        parse_structured(prefix + "[" * depth + "]" * depth + "}")
+    char = len(prefix) + MAX_NESTING - 1  # the document is the first level
+    assert err.value.message == (
+        f"invalid JSON: nesting deeper than {MAX_NESTING} levels: line 1 column {char + 1} (char {char})"
+    )
+
+
+def test_structured_null_nonzero_is_no_exclusion():
+    alg = parse_structured(_doc(params=[{"name": "a", "nonzero": None}]))
+    assert alg.params[0].exclusions == ()
+    assert alg == parse_text("dim 3\nparam a\n")
+
+
+@pytest.mark.parametrize(
+    "data, where, byte",
+    [
+        (b"dim 3\n[e1,e2] = e3 # \xff\n", (2, 16), "0xff"),
+        (b"dim 3\n\xff", (2, 1), "0xff"),
+        (b"\xe9", (1, 1), "0xe9"),
+        (b"dim 3\r\n# caf\xc3\xa9 \xc3\n", (2, 8), "0xc3"),
+    ],
+    ids=["comment", "line-start", "first-byte", "cut-sequence"],
+)
+def test_undecodable_byte_is_refused_at_its_position(tmp_path, data, where, byte):
+    """Input files are UTF-8; a byte that is not is a parse error, not a
+    UnicodeDecodeError, at the line and column the text parser would count."""
+    path = tmp_path / "bad.lie"
+    path.write_bytes(data)
+    with pytest.raises(ParseError) as err:
+        load_algebra(path)
+    assert (err.value.origin, err.value.line, err.value.column) == (str(path), *where)
+    assert err.value.message == f"byte {byte} is not valid UTF-8"
