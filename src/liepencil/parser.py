@@ -565,8 +565,6 @@ _JSON_BRACKETS_RE = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"?|[\[\]{}]', re.DOTALL)
 def _check_nesting(text: str) -> None:
     """Raise JSONDecodeError at the first array or object that opens past
     MAX_NESTING levels, before json.loads recurses that deep."""
-    if text.count("[") + text.count("{") <= MAX_NESTING:
-        return  # too few to nest that deep, which spares the scan on most inputs
     depth = 0
     for m in _JSON_BRACKETS_RE.finditer(text):
         if m.group() in ("[", "{"):

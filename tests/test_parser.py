@@ -493,6 +493,24 @@ def test_json_nesting_is_refused_before_decoding(prefix, depth):
     )
 
 
+@pytest.mark.parametrize(
+    "data, position",
+    [
+        (b'{\r\n"dim": 3,\r\n}', "line 3 column 1 (char 14)"),
+        (b'{\r"dim": 3,\r}', "line 1 column 13 (char 12)"),
+    ],
+    ids=["crlf", "lone-cr"],
+)
+def test_json_file_positions_count_every_byte(tmp_path, data, position):
+    """A JSON file is decoded without newline translation, so a position
+    counts each CR as one character and lines by LF, as json does."""
+    path = tmp_path / "t.json"
+    path.write_bytes(data)
+    with pytest.raises(SchemaError) as err:
+        load_algebra(path)
+    assert err.value.message == f"invalid JSON: Expecting property name enclosed in double quotes: {position}"
+
+
 def test_structured_null_nonzero_is_no_exclusion():
     alg = parse_structured(_doc(params=[{"name": "a", "nonzero": None}]))
     assert alg.params[0].exclusions == ()
