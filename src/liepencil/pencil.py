@@ -9,8 +9,10 @@ the polynomial whose degree pattern separates the pencil classes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import random
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -41,30 +43,37 @@ __all__ = [
 def generic_rank(matrix: SkewPolyMatrix) -> int:
     """Rank over the rational function field in all symbolic variables.
 
-    Grows an index set I, starting from the empty set, by a pair j < k
-    outside I whenever the principal Pfaffian Pf_{I+{j,k}} is nonzero, and
-    returns |I| once no such pair is left.
+    Takes a maximal set of rows that are independent at one fixed point
+    mod a prime (see :func:`_independent_rows`) as an index set I, grows I
+    by a pair j < k outside it whenever the principal Pfaffian
+    Pf_{I+{j,k}} is nonzero, and returns |I| once no such pair is left.
 
-    The result is exact, with no points sampled.  Over Q(params, x),
-    Pf_I != 0 makes the block M_II invertible (Pf^2 = det), so
-    rank M = |I| + rank S for the Schur complement S of M_II, which is skew.
-    Reordering rows and columns only flips signs, and Pf of a block matrix
-    factors through its Schur complement, so S_jk = +-Pf_{I+{j,k}} / Pf_I.
-    When every such Pfaffian vanishes, S = 0 and rank M = |I|.  An index
-    whose row of M is zero lies in no nonzero principal Pfaffian, so only
-    the indices with a stored entry are paired.
+    The result is exact: the point only gives a start with Pf_I != 0, and
+    the symbolic search over all pairs still proves that no larger I
+    exists.  Over Q(params, x), Pf_I != 0 makes the block M_II invertible
+    (Pf^2 = det), so rank M = |I| + rank S for the Schur complement S of
+    M_II, which is skew.  Reordering rows and columns only flips signs, and
+    Pf of a block matrix factors through its Schur complement, so
+    S_jk = +-Pf_{I+{j,k}} / Pf_I.  When every such Pfaffian vanishes, S = 0
+    and rank M = |I|.  An index whose row of M is zero lies in no nonzero
+    principal Pfaffian, so only the indices with a stored entry are paired.
+    The growth runs on :func:`_integer_matrix`, which has the same rank.
     """
-    return _grow(PfaffianCache(matrix), matrix.size, bool)
+    cache = PfaffianCache(_integer_matrix(matrix))
+    return _grow(cache, matrix.size, bool, _fixed_point(matrix.registry))
 
 
-def _grow(cache: PfaffianCache, cap: int, counts) -> int:
+def _grow(cache: PfaffianCache, cap: int, counts, point) -> int:
     """|I| for the index set grown as in :func:`generic_rank`.
 
-    A Pfaffian extends I when ``counts`` holds for it.  The growth stops
-    once |I| reaches ``cap``, which spares the search over all pairs that
-    proves no larger I exists.
+    I starts from the rows independent at ``point`` (see
+    :func:`_independent_rows`), or from the empty set when ``point`` is
+    None, and a Pfaffian extends I when ``counts`` holds for it; the
+    caller's point makes ``counts`` hold for Pf of the start.  The growth
+    stops once |I| reaches ``cap``, which spares the search over all pairs
+    that proves no larger I exists.
     """
-    chosen: tuple[int, ...] = ()
+    chosen = () if point is None else _independent_rows(cache.matrix, point)
     while len(chosen) < cap:
         rest = [i for i in cache.live if i not in chosen]
         for j, k in itertools.combinations(rest, 2):
@@ -75,6 +84,111 @@ def _grow(cache: PfaffianCache, cap: int, counts) -> int:
         else:
             break
     return len(chosen)
+
+
+# The growth starts from the rows that are independent at one fixed point
+# modulo this prime, drawn from this seed.  The values must not follow a
+# pattern: at x_k = c*g^k, for one, A_x of gl_n is taken at a matrix of
+# rank 1, where its rank is 2n - 2.
+_PRIME = 2**31 - 1
+_POINT_SEED = 2207
+
+
+@functools.lru_cache(maxsize=16)
+def _point_values(count: int) -> tuple[int, ...]:
+    rng = random.Random(_POINT_SEED)
+    return tuple(rng.randrange(1, _PRIME) for _ in range(count))
+
+
+def _fixed_point(reg) -> tuple[int, ...]:
+    """The fixed point: one value mod _PRIME per registry position."""
+    return _point_values(len(reg.names()))
+
+
+def _evaluator(reg, point):
+    """p -> p(point) mod _PRIME, for integer polynomials over ``reg``."""
+    seen: dict[int, int] = {}
+
+    def value(p: Polynomial) -> int:
+        total = 0
+        for mono, c in p.terms():
+            v = seen.get(mono)
+            if v is None:
+                v = 1
+                for pos, e in reg.exponents(mono):
+                    v = v * (point[pos] if e == 1 else pow(point[pos], e, _PRIME)) % _PRIME
+                seen[mono] = v
+            total += c * v
+        return total % _PRIME
+
+    return value
+
+
+def _independent_rows(matrix: SkewPolyMatrix, point) -> tuple[int, ...]:
+    """A maximal set I of rows of the integer ``matrix`` that are
+    independent mod _PRIME at ``point``, in increasing order.
+
+    Skew elimination in pivot pairs, each row a sparse dict: take the lowest
+    row i left with an entry, its lowest entry a_ij as the pivot, and replace
+    the rows left by the Schur complement of the block on {i, j}, which is
+    skew again: a_kl += (a_jk*a_il - a_ik*a_jl) / a_ij.  I is the union of
+    the pivot pairs.  Pf of a block matrix factors through its Schur
+    complement, so Pf_I at the point is the product of the pivots up to
+    sign: the block on I is nonsingular there, and Pf_I is a nonzero
+    polynomial.  The elimination ends when no entry is left, so |I| is the
+    rank at the point.
+    """
+    value = _evaluator(matrix.registry, point)
+    rows: dict[int, dict[int, int]] = {}
+    for (i, j), p in matrix.stored():
+        v = value(p)
+        if v:
+            rows.setdefault(i, {})[j] = v
+            rows.setdefault(j, {})[i] = _PRIME - v
+    chosen = []
+    while rows:
+        i = min(rows)
+        ri = rows.pop(i)
+        if not ri:
+            continue
+        j = min(ri)
+        rj = rows.pop(j)
+        chosen += (i, j)
+        inverse = pow(ri.pop(j), -1, _PRIME)
+        del rj[i]
+        for k in ri:
+            del rows[k][i]
+        for k in rj:
+            del rows[k][j]
+        rest = sorted(ri.keys() | rj.keys())
+        for n, k in enumerate(rest):
+            rk = rows[k]
+            ik, jk = ri.get(k, 0), rj.get(k, 0)
+            for l in rest[n + 1:]:
+                v = (rk.get(l, 0) + (jk * ri.get(l, 0) - ik * rj.get(l, 0)) * inverse) % _PRIME
+                if v:
+                    rk[l] = v
+                    rows[l][k] = _PRIME - v
+                elif l in rk:
+                    del rk[l], rows[l][k]
+    return tuple(sorted(chosen))
+
+
+def _on_factor(f: Polynomial, pos: int, point):
+    """``point`` moved onto f = 0 mod _PRIME along the coordinate v at
+    registry position ``pos``, or None.
+
+    f = c*v + e with c and e free of v; the value of v becomes -e/c, and
+    None says that c vanishes at the point.
+    """
+    view = coefficients(f, pos)
+    value = _evaluator(f.registry, point)
+    c = value(view[1])
+    if not c:
+        return None
+    moved = list(point)
+    moved[pos] = -value(view.get(0, f.registry.zero())) * pow(c, -1, _PRIME) % _PRIME
+    return moved
 
 
 def principal_subsets(n: int, r: int):
@@ -228,7 +342,8 @@ _CERTIFY_AFTER = 3
 
 
 def _certified_factors(h: Polynomial):
-    """Irreducible factors f of h with their orders ord_f h, or None.
+    """Irreducible factors f of h with their orders ord_f h and the
+    registry position of a coordinate f is linear in, or None.
 
     First the monomial part: a coordinate x_k dividing every term of h is
     a factor of order its least exponent.  Then each piece linear in some
@@ -245,7 +360,7 @@ def _certified_factors(h: Polynomial):
         if reg.kind_at(pos) is not VarKind.COORDINATE:
             return None
         var = reg.var(reg.name_at(pos))
-        factors.append((var, k))
+        factors.append((var, k, pos))
         piece = div_exact(piece, var ** k)
     while not piece.is_constant():
         degrees: dict[int, int] = {}
@@ -263,7 +378,7 @@ def _certified_factors(h: Polynomial):
         f = div_exact(piece, common)
         if f.degree_in([VarKind.PARAMETER]) > 0:
             return None
-        factors.append((f, 1))
+        factors.append((f, 1, linear[0]))
         piece = common
     return factors
 
@@ -282,13 +397,22 @@ def _certified_p0(cache: PfaffianCache, r: int, h: Polynomial):
     otherwise ord_f h >= ord_f p0 >= (r - rank_f)/2.  When every factor of
     h with rank_f < r has ord_f h <= (r - rank_f)/2, p0 is the product of
     those factors to their order in h.
+
+    Each growth starts from the rows that are independent at the fixed
+    point moved onto f = 0 (see :func:`_on_factor`), or from the empty set
+    when the point cannot be moved there.  f is primitive, since h is, so
+    f | Pf_I gives Pf_I = f*q with q integral (Gauss's lemma), and Pf_I
+    vanishes mod _PRIME wherever f does: a Pfaffian nonzero there is not
+    divisible by f.
     """
     factors = _certified_factors(h)
     if factors is None:
         return None
     p0 = h.registry.one()
-    for f, order in factors:
-        rank_f = _grow(cache, r, lambda pf, f=f: not divides(f, pf))
+    point = _fixed_point(h.registry)
+    for f, order, pos in factors:
+        moved = _on_factor(f, pos, point)
+        rank_f = _grow(cache, r, lambda pf, f=f: not divides(f, pf), moved)
         if rank_f == r:
             continue
         if 2 * order > r - rank_f:
@@ -301,8 +425,11 @@ def _integer_matrix(matrix: SkewPolyMatrix) -> SkewPolyMatrix:
     """``matrix`` times the lcm of its coefficient denominators, in ints.
 
     A positive scalar s changes no rank, and it multiplies every r x r
-    principal Pfaffian by s^(r/2), so the normalized gcd is the same.
+    principal Pfaffian by s^(r/2), so the normalized gcd is the same.  A
+    matrix that holds only ints is returned as it is.
     """
+    if all(type(c) is int for _, p in matrix.stored() for _, c in p.terms()):
+        return matrix
     scale = math.lcm(*(content(p).denominator for _, p in matrix.stored()))
     return SkewPolyMatrix(
         matrix.size,
@@ -317,10 +444,12 @@ def pencil_profile(source: LieAlgebra | SkewPolyMatrix) -> PencilProfile:
     Accepts either a bracket table (the matrix A_x is built from it) or a
     ready-made skew polynomial matrix.
 
-    The rank-sized principal Pfaffians over the indices whose row is not
-    zero (``PfaffianCache.live``; every other Pfaffian vanishes) are taken
-    in lexicographic order into a normalized running gcd g by poly_gcd
-    alone, which returns g at once when g divides the next one.  The walk
+    The rank r comes from the growth of :func:`generic_rank`, which shares
+    its Pfaffian cache with the walk.  The rank-sized principal Pfaffians
+    over the indices whose row is not zero (``PfaffianCache.live``; every
+    other Pfaffian vanishes) are taken in lexicographic order into a
+    normalized running gcd g by poly_gcd alone, which returns g at once
+    when g divides the next one.  The walk
     stops once g is constant, since p0 is then 1.  After the third nonzero
     Pfaffian, with subsets still left, h = g is split into factors and the
     rank of the matrix on each factor decides p0 (see
@@ -335,7 +464,7 @@ def pencil_profile(source: LieAlgebra | SkewPolyMatrix) -> PencilProfile:
     matrix = build_ax(source) if isinstance(source, LieAlgebra) else source
     n = matrix.size
     cache = PfaffianCache(_integer_matrix(matrix))
-    r = _grow(cache, n, bool)
+    r = _grow(cache, n, bool, _fixed_point(matrix.registry))
     live = cache.live
     total = math.comb(len(live), r)
     g = None

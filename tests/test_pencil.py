@@ -247,6 +247,14 @@ _B6_P0 = (
 )
 
 
+def _sign_flipped(alg, rng):
+    """alg in the basis e'_i = s_i * e_i, each sign s_i drawn from rng."""
+    signs = [rng.choice((1, -1)) for _ in range(alg.dim)]
+    return change_of_basis(alg, [
+        [signs[i] if i == j else 0 for j in range(alg.dim)] for i in range(alg.dim)
+    ])
+
+
 def test_profile_pins_on_sign_flipped_matrix_units():
     """Route, rank and p0 of matrix-unit algebras with basis signs flipped
     by one seeded generator, in this order; the values are frozen."""
@@ -262,10 +270,7 @@ def test_profile_pins_on_sign_flipped_matrix_units():
         (nilradical_algebra(7), "certified", 18, _N7_P0),
     ]
     for alg, route, rank, p0 in pins:
-        n = alg.dim
-        signs = [rng.choice((1, -1)) for _ in range(n)]
-        flip = [[signs[i] if i == j else 0 for j in range(n)] for i in range(n)]
-        prof = pencil_profile(change_of_basis(alg, flip))
+        prof = pencil_profile(_sign_flipped(alg, rng))
         assert (prof.route, prof.generic_rank, str(prof.p0)) == (route, rank, p0), alg.name
 
 
@@ -465,7 +470,8 @@ def test_profile_keeps_only_what_it_computes():
 
 def test_zero_rows_are_never_paired(monkeypatch):
     """An index whose row of A_x is zero lies in no nonzero Pfaffian, so the
-    growth and the walk skip it: [e1,e2] = e3 at dim 400 asks for two."""
+    growth and the walk skip it: [e1,e2] = e3 at dim 400 asks for one, from
+    the walk, since the rows found at the point leave no pair to try."""
     calls = []
     original = pencil.PfaffianCache.pfaffian
 
@@ -476,7 +482,132 @@ def test_zero_rows_are_never_paired(monkeypatch):
     monkeypatch.setattr(pencil.PfaffianCache, "pfaffian", counting)
     prof = pencil_profile(algebra_from_table(400, {(1, 2): {3: 1}}))
     assert (prof.generic_rank, str(prof.p0), prof.route) == (2, "x3", "enumerated")
-    assert calls == [(1, 2), (1, 2)]
+    assert calls == [(1, 2)]
+
+
+# -- the growth's start at a fixed point mod a prime ----------------------------
+
+
+def _start_inputs():
+    """The corpus, the ladder with seeded basis sign flips, gl4, b6 and n7."""
+    rng = random.Random(59)
+    return (
+        _corpus_tables()
+        + [_sign_flipped(alg, rng) for alg in _ladder_algebras()]
+        + [gl_algebra(4), borel_algebra(6), nilradical_algebra(7)]
+    )
+
+
+def _recording_grow(monkeypatch):
+    """Record (cache, cap, counts, start, |I|) of every growth."""
+    calls = []
+    grow = pencil._grow
+
+    def recording(cache, cap, counts, point):
+        start = () if point is None else pencil._independent_rows(cache.matrix, point)
+        calls.append((cache, cap, counts, start, grow(cache, cap, counts, point)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(pencil, "_grow", recording)
+    return calls
+
+
+def _zero_point(reg):
+    return [0] * len(reg.names())
+
+
+def _last_coordinate_zeroed(reg, fixed_point=pencil._fixed_point):
+    point = list(fixed_point(reg))
+    point[reg.position(f"x{reg.dim}")] = 0
+    return point
+
+
+def test_independent_rows_reach_the_rank_at_the_point():
+    """On seeded skew integer matrices of low rank, sums of v w^T - w v^T,
+    the rows found have as many members as the rank over Q, and the block
+    on them has a nonzero Pfaffian."""
+    from liepencil.ratmat import rank as frac_rank
+
+    rng = random.Random(61)
+    for trial in range(60):
+        size = rng.randint(1, 9)
+        rows = [[0] * size for _ in range(size)]
+        for _ in range(rng.randint(0, size // 2)):
+            v = [rng.randint(-3, 3) for _ in range(size)]
+            w = [rng.randint(-3, 3) for _ in range(size)]
+            for i in range(size):
+                for j in range(size):
+                    rows[i][j] += v[i] * w[j] - w[i] * v[j]
+        reg = VarRegistry(size)
+        m = SkewPolyMatrix(size, reg, {
+            (i + 1, j + 1): reg.constant(rows[i][j])
+            for i in range(size) for j in range(i + 1, size)
+        })
+        chosen = pencil._independent_rows(m, pencil._fixed_point(reg))
+        assert len(chosen) == frac_rank(rows), trial
+        assert PfaffianCache(m).pfaffian(chosen), trial
+
+
+@pytest.mark.parametrize("degenerate", [_zero_point, _last_coordinate_zeroed], ids=["zero", "x_n=0"])
+def test_degenerate_points_change_no_profile(monkeypatch, degenerate):
+    """At a point where rows drop out, the symbolic loop grows the start to
+    the same rank, p0 and route; some growth must really start below the
+    size it reaches, or the symbolic loop is never exercised."""
+    algebras = _start_inputs()
+    want = [pencil_profile(alg) for alg in algebras]
+    calls = _recording_grow(monkeypatch)
+    monkeypatch.setattr(pencil, "_fixed_point", degenerate)
+    for alg, prof in zip(algebras, want):
+        got = pencil_profile(alg)
+        assert (got.generic_rank, got.p0, got.route) == (prof.generic_rank, prof.p0, prof.route), alg.name
+    assert any(len(start) < grown for *_, start, grown in calls)
+
+
+def test_growth_starts_where_its_own_test_holds(monkeypatch):
+    """Every start the point gives passes the growth's symbolic test: the
+    rank growth's Pf_I != 0, and on V(f) that f does not divide Pf_I."""
+    calls = _recording_grow(monkeypatch)
+    for alg in _start_inputs():
+        pencil_profile(alg)
+    factor_starts = 0
+    for cache, cap, counts, start, grown in calls:
+        assert len(start) <= grown <= cap
+        assert counts(cache.pfaffian(start)), start
+        factor_starts += counts is not bool and len(start) > 0
+    assert factor_starts > 0
+
+
+def test_heisenberg_growth_makes_no_symbolic_pfaffian(monkeypatch):
+    """h_3 .. h_31: the rows independent at the point reach the rank, and
+    the z row is zero, so no pair is left for the symbolic loop."""
+    calls = []
+    original = pencil.PfaffianCache.pfaffian
+
+    def counting(self, indices):
+        calls.append(tuple(indices))
+        return original(self, indices)
+
+    monkeypatch.setattr(pencil.PfaffianCache, "pfaffian", counting)
+    for k in range(1, 16):
+        assert generic_rank(build_ax(heisenberg_algebra(k))) == 2 * k
+    assert calls == []
+
+
+def test_modular_start_sees_integer_entries_only(monkeypatch):
+    """generic_rank scales a rational matrix to ints before the point step."""
+    seen = []
+    rows = pencil._independent_rows
+
+    def recording(matrix, point):
+        seen.extend(p for _, p in matrix.stored())
+        return rows(matrix, point)
+
+    monkeypatch.setattr(pencil, "_independent_rows", recording)
+    reg = VarRegistry(4)
+    x = reg.coordinate
+    m = SkewPolyMatrix(4, reg, {(1, 2): x(3) * Fraction(1, 2), (3, 4): x(1) * Fraction(2, 3)})
+    assert generic_rank(m) == 4
+    assert seen and all(holds_ints(p) for p in seen)
 
 
 def test_profile_reads_stored_entries_only(monkeypatch):
