@@ -27,7 +27,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import count, repeat
 from random import Random
 from typing import Mapping, Sequence
 
@@ -281,60 +281,66 @@ class PencilTypeReport:
         }
 
 
-def _samples(pencil: NumericPencil) -> tuple[int, list[list[list[int]]]]:
-    """The rank r of A + t*B and its kernels at the first n//2 + 1 points of rank r.
+def _samples(pencil: NumericPencil) -> tuple[int, ratmat.SpanBuilder]:
+    """The rank r of A + t*B and the span U of its kernels at the points of rank r.
 
     One elimination per integer t = 0, 1, ...: the kernel of A + t*B, whose
     rank is n minus the kernel's length.  A point of full rank ends the walk
-    at once.  Otherwise r is the largest rank over t = 0..n//2, and that is
-    a proof, not an estimate: the rank of a skew matrix is the largest size
-    R of a nonzero principal Pfaffian, a polynomial of degree at most
-    R/2 <= n//2 in t, which cannot vanish at all n//2 + 1 of those points.
-    The same bound leaves at most n//2 points below rank r, so the search
-    for n//2 + 1 points of rank r ends by t = n.
+    at once.  Otherwise the walk keeps the span of the kernels at the points
+    of the shortest kernel so far, starts it again when a shorter kernel
+    comes, skips the longer ones, and stops at the first point whose kernel
+    adds nothing to it.  That point gives r, and the span is U.
+
+    Why the stop is exact.  Over C the pencil is a congruent direct sum of
+    canonical blocks (Gantmacher, Theory of Matrices vol. 2, ch. XII), and
+    ker(A + t*B) is the sum of the blocks' kernels:
+
+    * a Kronecker block of index e gives one vector m(t) of degree e in t at
+      every t, and its values at e + 1 distinct points are independent
+      (Vandermonde), so they span the block's kernel space;
+    * a Jordan block with eigenvalue mu gives kernel vectors only at
+      t = -mu, and those never lie in the span of the kernels at other
+      points; a Jordan block at infinity gives none.
+
+    So a point whose kernel adds nothing hits no eigenvalue and has the
+    generic rank r, the shortest kernel of all; every point whose kernel
+    went into the span has that length too.  After m points of rank r the span has dimension
+    sum(min(m, e_i + 1)), which grows by #{i : e_i >= m} at the next one; a
+    point that adds nothing therefore comes after at least max(e_i) + 1
+    points of rank r, and the span is all of U, the sum of the Kronecker
+    blocks' kernel spaces.
     """
     n = pencil.size
-    need = n // 2 + 1
-    best = -1
-    kernels: list[list[list[int]]] = []
-    t = 0
-    while t < need or len(kernels) < need:
+    shortest = n + 1
+    for t in count():
         kernel = ratmat.kernel(pencil.at(t))
-        rank_t = n - len(kernel)
-        if rank_t == n:
-            return n, []
-        if t < need and rank_t > best:
-            best, kernels = rank_t, []
-        if rank_t == best:
-            kernels.append(kernel)
-        t += 1
-    return best, kernels
+        if len(kernel) < shortest:
+            shortest, span = len(kernel), ratmat.SpanBuilder(n)
+            if not kernel:
+                return n, span
+        # every vector goes in, so no any(): it would stop at the first
+        if len(kernel) == shortest and not sum(map(span.add, kernel)):
+            return n - shortest, span
 
 
-def _p0_by_deflation(pencil: NumericPencil, kernels: list[list[list[int]]]) -> unipoly.Poly:
+def _p0_by_deflation(pencil: NumericPencil, span: ratmat.SpanBuilder) -> unipoly.Poly:
     """Split off the singular part and take the Pfaffian on the regular quotient.
 
-    ``kernels`` are the kernels of A + t*B at n//2 + 1 points of generic
-    rank, as :func:`_samples` returns them.  They span exactly the growing
-    parts of the singular blocks (a Vandermonde argument: each singular
-    block contributes a polynomial curve of kernels whose degree is bounded
-    by half the block size).  Pairing that span U with its image
-    Y = A(U) + B(U) and passing to ann(Y)/U removes every singular block and
-    leaves the regular part, where p0 is the Pfaffian of the Gram pair of
-    A and B on coset representatives, up to a constant.  With U = 0 (no
-    singular block) the quotient is the whole space and the Gram pair is
-    A, B themselves.
+    ``span`` holds U, the sum of the Kronecker blocks' kernel spaces, as
+    :func:`_samples` leaves it.  Pairing U with its image Y = A(U) + B(U)
+    and passing to ann(Y)/U removes every Kronecker block: each one is a
+    pairing of its kernel space with its image.  What is left is the
+    regular part, Jordan blocks only, and there p0 is the Pfaffian of the
+    Gram pair of A and B on coset representatives, up to a constant.  With
+    U = 0 (no singular block) the quotient is the whole space and the Gram
+    pair is A, B themselves.
 
     One span serves both: ann(Y) is the kernel of the images A u, B u of a
-    basis of U, and the span of U accepts coset representatives from it.
+    basis of U, and the span of U, grown further, accepts the coset
+    representatives from it.
     """
     a, b = pencil.a, pencil.b
-    span = ratmat.SpanBuilder(pencil.size)
-    for kernel in kernels:
-        for vec in kernel:
-            span.add(vec)
-    u_basis = span.basis()
-    y_rows = [ratmat.mat_vec(m, vec) for vec in u_basis for m in (a, b)]
+    y_rows = [ratmat.mat_vec(m, vec) for vec in span.basis() for m in (a, b)]
     w_basis = ratmat.kernel(y_rows) if y_rows else ratmat.identity(pencil.size)
     reps = [w for w in w_basis if span.add(w)]
     if not reps:
@@ -354,12 +360,18 @@ def _p0_by_deflation(pencil: NumericPencil, kernels: list[list[list[int]]]) -> u
 def pencil_type(pencil: NumericPencil) -> PencilTypeReport:
     """Recover the block-structure invariants of one numeric pencil.
 
-    The rank comes from :func:`_samples`, one kernel of A + t*B per sample
-    point, and p0 from :func:`_p0_by_deflation` on those same kernels; B
-    alone is eliminated once more for the blocks at t = infinity.
+    The rank r and the span U of the Kronecker blocks' kernels come from
+    :func:`_samples`, one kernel of A + t*B per point t = 0, 1, ... until a
+    point of the highest rank so far adds nothing to the span of the
+    kernels at the points of that rank.  Such a point hits no eigenvalue,
+    and the span it stalls holds the values of every Kronecker block's
+    kernel vector m(t) at more points than its degree, so it is U (see
+    :func:`_samples` for the proof).  p0 comes from
+    :func:`_p0_by_deflation` on that span; B alone is eliminated once more
+    for the blocks at t = infinity.
     """
-    r, kernels = _samples(pencil)
-    p0 = _p0_by_deflation(pencil, kernels)
+    r, span = _samples(pencil)
+    p0 = _p0_by_deflation(pencil, span)
     roots, residual, complete = unipoly.rational_roots(p0)
     return PencilTypeReport(
         size=pencil.size,

@@ -14,7 +14,9 @@ import itertools
 import random
 from fractions import Fraction
 
+from liepencil import ratmat
 from liepencil.model import LieAlgebra, SkewPolyMatrix
+from liepencil.oracle import InfiniteJordanBlock, JordanBlock, KroneckerBlock
 from liepencil.poly import Polynomial, VarRegistry, coefficients, div_exact, normalize
 
 
@@ -262,6 +264,52 @@ def random_unimodular(n: int, rng: random.Random, steps: int = 10, cap: int = 60
         elif kind == 2:
             m[i] = [-v for v in m[i]]
     return m
+
+
+def random_blocks(rng: random.Random) -> list:
+    """One to five canonical blocks: Jordan blocks with eigenvalues in -6..6
+    over 1..4 (so t = 0..6 can be eigenvalues), infinite Jordan blocks and
+    Kronecker blocks of index 0..3."""
+    blocks = []
+    for _ in range(rng.randint(1, 5)):
+        kind = rng.randrange(3)
+        if kind == 0:
+            lam = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+            blocks.append(JordanBlock(lam, rng.randint(1, 3)))
+        elif kind == 1:
+            blocks.append(InfiniteJordanBlock(rng.randint(1, 3)))
+        else:
+            blocks.append(KroneckerBlock(rng.randint(0, 3)))
+    return blocks
+
+
+def fixed_count_samples(pencil) -> tuple[int, list[list[list[int]]]]:
+    """The rank r of A + t*B and its kernels at the first n//2 + 1 points of rank r.
+
+    The numeric oracle's walk before it stopped at a stall, kept as the
+    reference for ``oracle._samples``.  r is the largest rank over
+    t = 0..n//2: a nonzero principal Pfaffian of size R has degree at most
+    R/2 <= n//2 in t and cannot vanish at all n//2 + 1 of those points.
+    The same bound leaves at most n//2 points below rank r, so the search
+    for n//2 + 1 points of rank r ends by t = n.  A point of full rank ends
+    the walk at once.
+    """
+    n = pencil.size
+    need = n // 2 + 1
+    best = -1
+    kernels: list[list[list[int]]] = []
+    t = 0
+    while t < need or len(kernels) < need:
+        kernel = ratmat.kernel(pencil.at(t))
+        rank_t = n - len(kernel)
+        if rank_t == n:
+            return n, []
+        if t < need and rank_t > best:
+            best, kernels = rank_t, []
+        if rank_t == best:
+            kernels.append(kernel)
+        t += 1
+    return best, kernels
 
 
 def random_skew_linear(reg: VarRegistry, size: int, rng: random.Random,

@@ -20,8 +20,6 @@ from liepencil.classify import Verdict, classify
 from liepencil.cli import main
 from liepencil.model import change_of_basis, validate
 from liepencil.oracle import (
-    InfiniteJordanBlock,
-    JordanBlock,
     KroneckerBlock,
     assemble,
     congruence,
@@ -35,6 +33,7 @@ from liepencil.ratmat import det as frac_det
 from helpers import (
     algebra_from_table,
     bareiss_det,
+    random_blocks,
     random_skew_linear,
     random_unimodular,
 )
@@ -195,25 +194,11 @@ def test_criterion_6_basis_invariance(corpus_reports):
     print("criterion 6: PASS")
 
 
-def _random_blocks(rng):
-    blocks = []
-    for _ in range(rng.randint(1, 5)):
-        kind = rng.randrange(3)
-        if kind == 0:
-            lam = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-            blocks.append(JordanBlock(lam, rng.randint(1, 3)))
-        elif kind == 1:
-            blocks.append(InfiniteJordanBlock(rng.randint(1, 3)))
-        else:
-            blocks.append(KroneckerBlock(rng.randint(0, 3)))
-    return blocks
-
-
 def test_criterion_7a_block_recovery():
     """pencil_type recovers type and corank from 100 scrambled block lists."""
     rng = random.Random(1234)
     for trial in range(100):
-        blocks = _random_blocks(rng)
+        blocks = random_blocks(rng)
         pencil = assemble(blocks)
         p = random_unimodular(pencil.size, rng)
         rep = pencil_type(congruence(pencil, p))

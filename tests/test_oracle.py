@@ -18,13 +18,14 @@ from liepencil.oracle import (
     KroneckerBlock,
     NumericPencil,
     PencilTypeReport,
+    _samples,
     assemble,
     congruence,
     cross_check,
     pencil_type,
 )
 
-from helpers import random_unimodular
+from helpers import fixed_count_samples, random_blocks, random_unimodular
 
 
 def _scrambled(blocks, seed):
@@ -160,6 +161,64 @@ def test_p0_matches_the_closed_form(blocks):
     assert rep.infinite_count == sum(isinstance(b, InfiniteJordanBlock) for b in blocks)
 
 
+@pytest.mark.parametrize(
+    "blocks, points",
+    [
+        ([JordanBlock(Fraction(-k), 1) for k in range(4)] + [KroneckerBlock(3)], 9),
+        (
+            [
+                JordanBlock(Fraction(0), 3),
+                JordanBlock(Fraction(-1), 2),
+                KroneckerBlock(0),
+                KroneckerBlock(2),
+            ],
+            6,
+        ),
+        ([JordanBlock(Fraction(-k), 1) for k in range(8)] + [KroneckerBlock(4)], 14),
+    ],
+    ids=["four-eigenvalues-k3", "jordan-chains-k0-k2", "eight-eigenvalues-k4"],
+)
+def test_eigenvalues_on_the_first_sample_points(blocks, points, monkeypatch):
+    """The first sample points t = 0, 1, ... are eigenvalues next to a large
+    Kronecker block.  The rank is read at the first point past them that
+    adds nothing, and U needs max(e) + 2 points of that rank: the
+    eigenvalue points' kernels carry Jordan vectors and stay out of U."""
+    pencil = _scrambled(blocks, seed=23)
+    ranks, kernels = _count_eliminations(monkeypatch)
+    rep = pencil_type(pencil)
+    kron = sum(isinstance(b, KroneckerBlock) for b in blocks)
+    assert rep.rank == pencil.size - kron
+    assert rep.p0 == _closed_form_p0(blocks)
+    want = {}
+    for b in blocks:
+        if isinstance(b, JordanBlock):
+            want[-b.eigenvalue] = want.get(-b.eigenvalue, 0) + b.size
+    assert dict(rep.char_numbers) == want and rep.char_complete
+    assert rep.infinite_count == 0
+    assert kernels[:-1] == [pencil.at(t) for t in range(points)]
+    assert len(kernels) == points + 1 and ranks == [pencil.b]
+
+
+def test_stall_rule_matches_the_fixed_count_walk():
+    """The stall rule and the n//2 + 1 point walk of the test helpers give
+    the same rank and the same span U on random block lists, whose
+    eigenvalues fall on the sample points t = 0..6."""
+    rng = random.Random(2303)
+    for trial in range(200):
+        blocks = random_blocks(rng)
+        pencil = assemble(blocks)
+        pencil = congruence(pencil, random_unimodular(pencil.size, rng))
+        rank, span = _samples(pencil)
+        ref_rank, ref_kernels = fixed_count_samples(pencil)
+        assert rank == ref_rank, (trial, blocks)
+        ref_span = ratmat.SpanBuilder(pencil.size)
+        for kernel in ref_kernels:
+            for vec in kernel:
+                ref_span.add(vec)
+        assert all(ref_span.contains(vec) for vec in span.basis()), (trial, blocks)
+        assert all(span.contains(vec) for vec in ref_span.basis()), (trial, blocks)
+
+
 def test_large_pencil_uses_deflation():
     blocks = [KroneckerBlock(4)] * 3 + [JordanBlock(Fraction(1), 2)]
     pencil = _scrambled(blocks, seed=8)
@@ -187,7 +246,7 @@ def test_report_keeps_only_what_it_computes():
     assert json.dumps(rep.to_dict()) == json.dumps(golden["pencil_type mixed"])
 
 
-def test_rank_is_read_past_singular_sample_points():
+def test_rank_is_read_past_singular_sample_points(monkeypatch):
     """A + t*B drops rank at t = 0, 1 and 2; the sampling walks past them."""
     blocks = [
         JordanBlock(Fraction(0), 1),
@@ -195,9 +254,15 @@ def test_rank_is_read_past_singular_sample_points():
         JordanBlock(Fraction(-2), 1),
         KroneckerBlock(1),
     ]
-    rep = pencil_type(_scrambled(blocks, seed=15))
+    pencil = _scrambled(blocks, seed=15)
+    ranks, kernels = _count_eliminations(monkeypatch)
+    rep = pencil_type(pencil)
     assert rep.rank == 8 and rep.corank == 1
     assert dict(rep.char_numbers) == {Fraction(0): 1, Fraction(1): 1, Fraction(2): 1}
+    # t = 0, 1, 2 are eigenvalues; K(1) then needs three points of rank 8,
+    # t = 3, 4 and 5, the last adding nothing; one more kernel, on Y
+    assert kernels[:-1] == [pencil.at(t) for t in range(6)]
+    assert len(kernels) == 7 and ranks == [pencil.b]
 
 
 def _count_eliminations(monkeypatch):
@@ -209,14 +274,17 @@ def _count_eliminations(monkeypatch):
 
 
 def test_one_elimination_per_sample_point(monkeypatch):
-    """One kernel of A + t*B per point t = 0..n at most, one more on Y, and
-    one rank, of B alone."""
+    """One kernel of A + t*B per point until a point adds nothing, one more
+    on Y, and one rank, of B alone.  K(1) has kernel vectors of degree 1 in
+    t, so the third point t = 2 adds nothing; the eigenvalue t = -1 is never
+    sampled."""
     pencil = _scrambled([KroneckerBlock(1), JordanBlock(Fraction(1), 2)], seed=4)
     ranks, kernels = _count_eliminations(monkeypatch)
     rep = pencil_type(pencil)
     assert rep.corank == 1 and dict(rep.char_numbers) == {Fraction(-1): 2}
     assert ranks == [pencil.b]
-    assert len(kernels) <= pencil.size + 2
+    assert kernels[:-1] == [pencil.at(t) for t in range(3)]
+    assert len(kernels) == 4
 
 
 def test_jordan_pencil_is_eliminated_once(monkeypatch):
