@@ -45,10 +45,18 @@ class ParamDecl:
     exclusions: tuple[Polynomial, ...] = ()
 
 
-class LieAlgebra:
-    """Immutable structure-constant table of dimension ``dim``."""
+# the kinds a bracket coefficient must not involve
+_NOT_PARAMETERS = (VarKind.COORDINATE, VarKind.POINT, VarKind.PENCIL)
 
-    __slots__ = ("dim", "params", "registry", "name", "_brackets")
+
+class LieAlgebra:
+    """Immutable structure-constant table of dimension ``dim``.
+
+    The table's :class:`ValidationReport` is kept once :func:`validate` has
+    computed it, and a renamed copy shares it.
+    """
+
+    __slots__ = ("dim", "params", "registry", "name", "_brackets", "_report")
 
     def __init__(
         self,
@@ -78,9 +86,7 @@ class LieAlgebra:
                     raise ValueError(f"basis index {k} out of range in bracket ({i},{j})")
                 if coeff.registry != registry:
                     raise RegistryMismatch("bracket coefficient from a foreign registry")
-                if coeff.degree_in(
-                    [VarKind.COORDINATE, VarKind.POINT, VarKind.PENCIL]
-                ) > 0:
+                if coeff.degree_in(_NOT_PARAMETERS) > 0:
                     raise ValueError(
                         f"coefficient of e{k} in [e{i},e{j}] must involve parameters only"
                     )
@@ -89,6 +95,7 @@ class LieAlgebra:
             if cleaned:
                 table[(i, j)] = cleaned
         self._brackets = table
+        self._report: ValidationReport | None = None
 
     def bracket(self, i: int, j: int) -> dict[int, Polynomial]:
         """[e_i, e_j] as a map k -> coefficient, for any index order."""
@@ -113,7 +120,9 @@ class LieAlgebra:
         return tuple(p.name for p in self.params)
 
     def with_name(self, name: str) -> "LieAlgebra":
-        return LieAlgebra(self.dim, self.registry, self.params, self._brackets, name=name)
+        renamed = LieAlgebra(self.dim, self.registry, self.params, self._brackets, name=name)
+        renamed._report = self._report
+        return renamed
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LieAlgebra):
@@ -158,6 +167,18 @@ class ValidationReport:
 def validate(alg: LieAlgebra) -> ValidationReport:
     """Check the Jacobi identity for every basis triple, as polynomials.
 
+    The report is computed once per table object and kept on it (see
+    :func:`_jacobi_violations`), so a later call, such as the one inside
+    ``classify``, returns the same report at once.
+    """
+    if alg._report is None:
+        alg._report = ValidationReport(_jacobi_violations(alg))
+    return alg._report
+
+
+def _jacobi_violations(alg: LieAlgebra) -> tuple[Violation, ...]:
+    """The failed Jacobi components of ``alg``.
+
     For each triple i < j < k the sum [[e_i,e_j],e_k] + [[e_j,e_k],e_i]
     + [[e_k,e_i],e_j] is expanded from the stored brackets alone: l runs
     over the stored terms of [e_a,e_b] and m over the stored terms of
@@ -191,7 +212,7 @@ def validate(alg: LieAlgebra) -> ValidationReport:
                     acc = total.get(m, zero)
                     total[m] = acc + term if s_ab == s_lc else acc - term
         bad.extend(Violation(i, j, k, m, total[m]) for m in sorted(total) if total[m])
-    return ValidationReport(tuple(bad))
+    return tuple(bad)
 
 
 class SkewPolyMatrix:
@@ -285,16 +306,16 @@ class SkewPolyMatrix:
 
 
 def build_ax(alg: LieAlgebra) -> SkewPolyMatrix:
-    """Matrix of linear forms A_x with entries sum_k c_ij^k x_k."""
-    reg = alg.registry
-    upper = {}
-    for (i, j), terms in ((pair, alg.bracket(*pair)) for pair in alg.stored_pairs()):
-        entry = reg.zero()
-        for k, coeff in terms.items():
-            entry = entry + coeff * reg.coordinate(k)
-        if entry:
-            upper[(i, j)] = entry
-    return SkewPolyMatrix(alg.dim, reg, upper)
+    """Matrix of linear forms A_x with entries sum_k c_ij^k x_k.
+
+    Each entry is formed from the stored term map of its bracket by
+    :meth:`VarRegistry.coordinate_form`: the coefficients hold parameters
+    only, so the terms for different k never meet.
+    """
+    form = alg.registry.coordinate_form
+    return SkewPolyMatrix(
+        alg.dim, alg.registry, {ij: form(terms) for ij, terms in alg._brackets.items()}
+    )
 
 
 def change_of_basis(alg: LieAlgebra, p_matrix) -> LieAlgebra:
@@ -384,9 +405,9 @@ def substitute_params(alg: LieAlgebra, values: Mapping[str, Fraction | int]) -> 
                 )
     bound_reg = VarRegistry(alg.dim)
     new_brackets: dict[tuple[int, int], dict[int, Polynomial]] = {}
-    for pair in alg.stored_pairs():
+    for pair, stored in alg._brackets.items():
         terms = {}
-        for k, coeff in alg.bracket(*pair).items():
+        for k, coeff in stored.items():
             value = evaluate(coeff)
             if value:
                 terms[k] = bound_reg.constant(value)

@@ -21,7 +21,6 @@ from .poly import (
     Polynomial,
     VarKind,
     coefficients,
-    content,
     div_exact,
     divides,
     integer_multiple,
@@ -422,15 +421,19 @@ def _certified_p0(cache: PfaffianCache, r: int, h: Polynomial):
 
 
 def _integer_matrix(matrix: SkewPolyMatrix) -> SkewPolyMatrix:
-    """``matrix`` times the lcm of its coefficient denominators, in ints.
+    """``matrix`` times the lcm of its coefficient denominators, in ints;
+    the denominators are read in one pass over the terms.
 
     A positive scalar s changes no rank, and it multiplies every r x r
     principal Pfaffian by s^(r/2), so the normalized gcd is the same.  A
     matrix that holds only ints is returned as it is.
     """
-    if all(type(c) is int for _, p in matrix.stored() for _, c in p.terms()):
+    denominators = {
+        c.denominator for _, p in matrix.stored() for _, c in p.terms() if type(c) is not int
+    }
+    if not denominators:
         return matrix
-    scale = math.lcm(*(content(p).denominator for _, p in matrix.stored()))
+    scale = math.lcm(*denominators)
     return SkewPolyMatrix(
         matrix.size,
         matrix.registry,

@@ -125,7 +125,7 @@ class VarRegistry:
 
     __slots__ = (
         "dim", "params", "_names", "_kinds", "_pos", "_display",
-        "_shift", "_unit", "_guard", "_degree_shift",
+        "_shift", "_unit", "_guard", "_degree_shift", "_kind_mask",
     )
 
     def __init__(self, dim: int, params: Sequence[str] = ()):
@@ -163,6 +163,17 @@ class VarRegistry:
         )
         self._unit = tuple((1 << s) | (1 << self._degree_shift) for s in self._shift)
         self._guard = sum(1 << (s + EXPONENT_BITS - 1) for s in self._shift)
+        # (kind, the fields of its positions): each kind holds one run of
+        # positions, so its fields are one run of bits
+        masks = []
+        low = len(names)
+        for kind, count in (
+            (VarKind.PENCIL, 1), (VarKind.POINT, dim),
+            (VarKind.COORDINATE, dim), (VarKind.PARAMETER, len(self.params)),
+        ):
+            low -= count
+            masks.append((kind, ((1 << EXPONENT_BITS * count) - 1) << EXPONENT_BITS * low))
+        self._kind_mask = tuple(masks)
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -198,6 +209,15 @@ class VarRegistry:
     def display_key(self, pos: int) -> tuple[int, int]:
         return self._display[pos]
 
+    def _mask_of(self, kinds: Sequence[VarKind]) -> int:
+        """The fields of every position of the given kinds."""
+        # `in` on a sequence tests identity first, so no enum is hashed
+        mask = 0
+        for kind, bits in self._kind_mask:
+            if kind in kinds:
+                mask |= bits
+        return mask
+
     def exponents(self, mono: int) -> list[tuple[int, int]]:
         """``(position, exponent)`` pairs of a monomial, by position, zeros left out."""
         pairs = []
@@ -226,6 +246,34 @@ class VarRegistry:
 
     def coordinate(self, k: int) -> "Polynomial":
         return self.var(f"x{k}")
+
+    def coordinate_form(self, coeffs: Mapping[int, "Polynomial"]) -> "Polynomial":
+        """The linear form sum_k coeffs[k] * x_k, for coefficients free of
+        the coordinates, keyed by coordinate index k.
+
+        Each term of coeffs[k] just gains the field of x_k, and terms of
+        different k never share a monomial, so the term map is built in one
+        pass with no ring operation.
+        """
+        coordinates = self._mask_of((VarKind.COORDINATE,))
+        terms: dict = {}
+        for k, c in coeffs.items():
+            if c.registry is not self and c.registry != self:
+                raise RegistryMismatch("coefficient from a foreign registry")
+            if not 1 <= k <= self.dim:
+                raise ValueError(f"coordinate index {k} out of range")
+            unit = self._unit[self.dim + k]
+            for m, v in c._terms.items():
+                if m & coordinates:
+                    raise ValueError("a coefficient of a linear form involves a coordinate")
+                terms[m + unit] = v
+        if terms:
+            degree = max(terms) >> self._degree_shift
+            if degree > MAX_EXPONENT:
+                raise DegreeOverflow(
+                    f"a product of total degree {degree} exceeds the limit {MAX_EXPONENT}"
+                )
+        return _wrap(self, terms)
 
     def point(self, k: int) -> "Polynomial":
         return self.var(f"a{k}")
@@ -295,16 +343,18 @@ class Polynomial:
         return max(self._terms) >> self.registry._degree_shift
 
     def degree_in(self, kinds: Iterable[VarKind]):
-        """Largest total exponent of variables of the given kinds; NEG_INF for 0."""
-        wanted = frozenset(kinds)
+        """Largest total exponent of variables of the given kinds; NEG_INF for 0.
+
+        Each term is read through the mask of the fields of those kinds, so
+        a polynomial with no such variable gives 0 after one pass of ``&``.
+        """
         if not self._terms:
             return NEG_INF
-        kind_at = self.registry.kind_at
-        exponents = self.registry.exponents
-        return max(
-            sum(e for p, e in exponents(m) if kind_at(p) in wanted)
-            for m in self._terms
-        )
+        reg = self.registry
+        mask = reg._mask_of(tuple(kinds))
+        if not any(m & mask for m in self._terms):
+            return 0
+        return max(sum(e for _, e in reg.exponents(m & mask)) for m in self._terms)
 
     # -- arithmetic --------------------------------------------------------
 

@@ -312,6 +312,20 @@ def fixed_count_samples(pencil) -> tuple[int, list[list[list[int]]]]:
     return best, kernels
 
 
+def reference_ax(alg: LieAlgebra) -> SkewPolyMatrix:
+    """A_x by its definition in ring arithmetic: entry (i, j) is the sum of
+    c_ij^k * x_k over every k, built with Polynomial ``+`` and ``*``."""
+    reg = alg.registry
+    upper = {}
+    for i, j in itertools.combinations(range(1, alg.dim + 1), 2):
+        entry = reg.zero()
+        for k in range(1, alg.dim + 1):
+            entry = entry + alg.structure_constant(i, j, k) * reg.coordinate(k)
+        if entry:
+            upper[(i, j)] = entry
+    return SkewPolyMatrix(alg.dim, reg, upper)
+
+
 def random_skew_linear(reg: VarRegistry, size: int, rng: random.Random,
                        max_vars: int = 3, coeff: int = 5) -> SkewPolyMatrix:
     """Random skew matrix of linear forms in the coordinates of ``reg``."""

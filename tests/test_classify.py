@@ -15,7 +15,7 @@ from liepencil.classify import (
     classify_family,
 )
 from liepencil.errors import InvalidAlgebra
-from liepencil.model import substitute_params
+from liepencil.model import substitute_params, validate
 from liepencil.oracle import cross_check
 from liepencil.parser import parse_text
 
@@ -156,6 +156,45 @@ def test_family_validates_the_symbolic_table_once(monkeypatch):
     report = cross_check(alg, trials=3, seed=2)
     assert len(report.trials) == 3
     assert calls == [alg]
+
+
+def _count_jacobi_expansions(monkeypatch) -> list:
+    model = importlib.import_module("liepencil.model")
+    expanded = []
+    real = model._jacobi_violations
+
+    def counting(alg):
+        expanded.append(alg)
+        return real(alg)
+
+    monkeypatch.setattr(model, "_jacobi_violations", counting)
+    return expanded
+
+
+def test_validate_computes_a_table_report_once(monkeypatch):
+    expanded = _count_jacobi_expansions(monkeypatch)
+    alg = corpus.entry("L4ab").load()
+    report = validate(alg)
+    assert validate(alg) is report
+    assert expanded == [alg]
+    classify(alg)
+    assert expanded == [alg]
+    renamed = alg.with_name("x")
+    assert renamed.name == "x"
+    assert validate(renamed) is report
+    assert expanded == [alg]
+    # an equal table built afresh has its own report
+    fresh = corpus.entry("L4ab").load()
+    assert validate(fresh) is not report and validate(fresh) == report
+    assert expanded == [alg, fresh]
+
+
+def test_invalid_table_raises_with_its_kept_report():
+    alg = corpus.entry("L5a").load()
+    with pytest.raises(InvalidAlgebra) as err:
+        classify(alg)
+    assert err.value.report is validate(alg)
+    assert not err.value.report.ok
 
 
 def test_family_sampling_respects_exclusions():

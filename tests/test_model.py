@@ -5,6 +5,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liepencil import corpus
 from liepencil.errors import ExclusionViolation, ParameterBindingError
@@ -21,12 +22,15 @@ from liepencil.poly import VarRegistry
 
 from helpers import (
     algebra_from_table,
+    borel_algebra,
     gl_algebra,
     heisenberg_algebra,
     holds_ints,
     laplace_det,
     naive_jacobi_violations,
+    nilradical_algebra,
     random_unimodular,
+    reference_ax,
 )
 
 # [e3,e1] = e1, [e3,e4] = e2 in (i<j) storage: [e1,e3] = -e1, [e3,e4] = e2
@@ -160,9 +164,70 @@ def test_out_of_range_brackets_rejected():
 
 
 def test_coefficients_must_be_parameter_only():
-    reg = VarRegistry(2)
-    with pytest.raises(ValueError):
-        LieAlgebra(2, reg, brackets={(1, 2): {1: reg.coordinate(1)}})
+    reg = VarRegistry(2, params=("a",))
+    a, x1 = reg.parameter("a"), reg.coordinate(1)
+    refused = [x1, reg.point(1), reg.pencil(), a * x1, a + x1]
+    for coeff in refused:
+        with pytest.raises(ValueError, match="parameters only"):
+            LieAlgebra(2, reg, [ParamDecl("a")], brackets={(1, 2): {1: coeff}})
+    alg = LieAlgebra(2, reg, [ParamDecl("a")], brackets={(1, 2): {1: a * a - 3}})
+    assert alg.bracket(1, 2) == {1: a * a - 3}
+
+
+def assert_ax_matches_reference(alg):
+    """build_ax equals the ring-arithmetic definition entry by entry, with
+    the same stored pairs, the same coefficient types and no zero stored."""
+    ax, want = build_ax(alg), reference_ax(alg)
+    got = dict(ax.stored())
+    assert got.keys() == dict(want.stored()).keys(), alg.name
+    for ij, entry in want.stored():
+        assert got[ij] == entry, (alg.name, ij)
+        terms = dict(got[ij].terms())
+        assert all(terms.values()), (alg.name, ij)
+        assert {m: type(c) for m, c in terms.items()} == {
+            m: type(c) for m, c in entry.terms()
+        }, (alg.name, ij)
+
+
+def test_build_ax_matches_reference_on_corpus_and_helpers():
+    tables = _corpus_tables()
+    assert any(alg.param_names() for alg in tables)
+    assert "L5a*" in [alg.name for alg in tables]  # L5a_corrected
+    helpers = [gl_algebra(3), borel_algebra(3), nilradical_algebra(4), heisenberg_algebra(3)]
+    for alg in tables + helpers:
+        assert_ax_matches_reference(alg)
+
+
+# coefficients: sums of up to three terms c * a^i * b^j, zero included
+_monomials = st.tuples(
+    st.fractions(min_value=-4, max_value=4, max_denominator=3),
+    st.integers(0, 3),
+    st.integers(0, 3),
+)
+_coefficient_terms = st.lists(_monomials, max_size=3)
+
+
+@st.composite
+def parametric_tables(draw):
+    dim = draw(st.integers(1, 5))
+    reg = VarRegistry(dim, params=("a", "b"))
+    a, b = reg.parameter("a"), reg.parameter("b")
+    pairs = [(i, j) for i in range(1, dim + 1) for j in range(i + 1, dim + 1)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    brackets = {}
+    for pair in chosen:
+        ks = draw(st.lists(st.integers(1, dim), unique=True, max_size=dim))
+        brackets[pair] = {
+            k: sum((a**i * b**j * c for c, i, j in draw(_coefficient_terms)), reg.zero())
+            for k in ks
+        }
+    return LieAlgebra(dim, reg, [ParamDecl("a"), ParamDecl("b")], brackets)
+
+
+@settings(max_examples=100, deadline=None)
+@given(parametric_tables())
+def test_build_ax_matches_reference_on_random_parametric_tables(alg):
+    assert_ax_matches_reference(alg)
 
 
 def test_build_ax_entries():

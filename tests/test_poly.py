@@ -135,7 +135,35 @@ def test_degree_in_kinds():
     assert p.degree_in([VarKind.COORDINATE]) == 2
     assert p.degree_in([VarKind.POINT]) == 1
     assert p.degree_in([VarKind.PARAMETER]) == 1
+    assert p.degree_in([VarKind.PENCIL]) == 0
+    assert p.degree_in([VarKind.COORDINATE, VarKind.POINT]) == 3
+    # none of the kinds asked for occurs: 0, for constants as well
+    free = t**3 * 2 - 5
+    assert free.degree_in([VarKind.COORDINATE, VarKind.POINT, VarKind.PENCIL]) == 0
+    assert REG.constant(7).degree_in([VarKind.PARAMETER]) == 0
+    assert (V("a3") ** 2 + t).degree_in([VarKind.POINT]) == 2
     assert REG.zero().degree_in([VarKind.COORDINATE]) == NEG_INF
+    assert REG.zero().degree_in([VarKind.PARAMETER]) == NEG_INF
+
+
+def test_coordinate_form():
+    t, x1, x2 = V("t"), V("x1"), V("x2")
+    form = REG.coordinate_form({2: REG.constant(3), 1: t * t - Fraction(1, 2)})
+    assert form == (t * t - Fraction(1, 2)) * x1 + 3 * x2
+    assert form.coefficient(x2.leading()[0]) == 3
+    assert type(form.coefficient(x2.leading()[0])) is int
+    assert REG.coordinate_form({1: REG.zero()}).is_zero()
+    assert REG.coordinate_form({}).is_zero()
+    for bad in (x1, t * x2):
+        with pytest.raises(ValueError, match="involves a coordinate"):
+            REG.coordinate_form({3: bad})
+    with pytest.raises(ValueError, match="out of range"):
+        REG.coordinate_form({4: t})
+    with pytest.raises(RegistryMismatch):
+        REG.coordinate_form({1: VarRegistry(3).one()})
+    # the same limit as the product c * x_k
+    with pytest.raises(DegreeOverflow, match=f"total degree {MAX_EXPONENT + 1} exceeds"):
+        REG.coordinate_form({1: t**MAX_EXPONENT})
 
 
 def test_substitute_shift():
