@@ -30,6 +30,7 @@ __all__ = [
     "SamplePoint",
     "FamilyReport",
     "family_samples",
+    "DEFAULT_SEED",
     "classify_family",
 ]
 
@@ -188,7 +189,13 @@ def family_samples(alg: LieAlgebra, rng: Random) -> Iterator[SamplePoint]:
         yield SamplePoint(values, ClassificationReport(name, time.perf_counter() - started, profile))
 
 
-def classify_family(alg: LieAlgebra, samples: int = 3, seed: int = 0) -> FamilyReport:
+# Seed of the family samples, here and in the CLI: the three default draws
+# then sit inside the generic locus of every bundled family (seed 0 happens
+# to land L12a on its degenerate value a = -2).
+DEFAULT_SEED = 1
+
+
+def classify_family(alg: LieAlgebra, samples: int = 3, seed: int = DEFAULT_SEED) -> FamilyReport:
     """Symbolic verdict plus verdicts at random admissible parameter values.
 
     Generic parameters are treated symbolically first; then ``samples``

@@ -26,6 +26,7 @@ from fractions import Fraction
 
 from . import corpus
 from .classify import (
+    DEFAULT_SEED,
     ClassificationReport,
     FamilyReport,
     Verdict,
@@ -108,14 +109,11 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp, params=False)
     sp.set_defaults(func=cmd_validate)
 
-    # Default seed 1: the three default draws then sit inside the generic
-    # locus of every bundled family (seed 0 happens to land L12a on its
-    # degenerate value a = -2).
     sp = sub.add_parser("classify", help="determine the type of one algebra")
     sp.add_argument("path")
     sp.add_argument("--samples", type=_count(0), default=3, metavar="N",
                     help="random parameter samples to cross-classify (families only)")
-    sp.add_argument("--seed", type=int, default=1)
+    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
     common(sp)
     sp.set_defaults(func=cmd_classify)
 
@@ -133,7 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--corpus", metavar="DIR", default=None,
                     help="external corpus directory (default: bundled)")
     sp.add_argument("--samples", type=_count(0), default=3, metavar="N")
-    sp.add_argument("--seed", type=int, default=1)
+    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
     common(sp, params=False)
     sp.set_defaults(func=cmd_table)
 

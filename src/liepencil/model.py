@@ -10,6 +10,7 @@ at once.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -357,6 +358,13 @@ def change_of_basis(alg: LieAlgebra, p_matrix) -> LieAlgebra:
     )
 
 
+@functools.lru_cache(maxsize=64)
+def _bound_registry(dim: int) -> VarRegistry:
+    """The parameter-free registry of dimension ``dim``.  A registry is
+    immutable, so every bound table of one dimension shares this one."""
+    return VarRegistry(dim)
+
+
 def substitute_params(alg: LieAlgebra, values: Mapping[str, Fraction | int]) -> LieAlgebra:
     """Bind every parameter to a rational, enforcing the declared exclusions.
 
@@ -403,7 +411,7 @@ def substitute_params(alg: LieAlgebra, values: Mapping[str, Fraction | int]) -> 
                     f"binding violates the constraint {excl} != 0"
                     f" attached to parameter {decl.name!r}"
                 )
-    bound_reg = VarRegistry(alg.dim)
+    bound_reg = _bound_registry(alg.dim)
     new_brackets: dict[tuple[int, int], dict[int, Polynomial]] = {}
     for pair, stored in alg._brackets.items():
         terms = {}

@@ -26,6 +26,7 @@ a huge registry, integer or polynomial.
 
 from __future__ import annotations
 
+import codecs
 import json
 import math
 import re
@@ -33,7 +34,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterator
+from typing import NamedTuple
 
 from .errors import ParseError, SchemaError
 from .model import LieAlgebra, ParamDecl
@@ -84,11 +85,12 @@ class SourceDoc:
 def read_source(path) -> SourceDoc:
     """The UTF-8 text of the file at ``path``, with the path as its origin.
 
-    Every file a user names is read here.  A byte that is not UTF-8 is
+    Every file a user names is read here.  One leading byte-order mark is
+    dropped, so positions count from after it.  A byte that is not UTF-8 is
     refused at its line and column, counted as the text parser counts them.
     """
     p = Path(path)
-    data = p.read_bytes()
+    data = p.read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
         return SourceDoc(data.decode("utf-8"), origin=str(p))
     except UnicodeDecodeError as exc:
@@ -116,19 +118,20 @@ def parse_source(doc: SourceDoc) -> LieAlgebra:
 
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<comment>\#.*)
+    \s+ | \#.*                          # whitespace and comments: no group
   | (?P<int>[0-9]+)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<ne>!=)
-  | (?P<op>[\[\](),+\-*/^=])
+  | (?P<op>!=|[\[\](),+\-*/^=])
+  | (?P<bad>\S)                         # any other character, refused
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
+    """One token of a line.  An operator is always an "op" token and a word
+    an "ident", so the grammar tests the value alone where that fixes the kind."""
+
     kind: str  # "int" | "ident" | "op" | "end"
     value: str
     line: int
@@ -137,24 +140,17 @@ class Token:
 
 def _tokenize_line(text: str, line_no: int, origin: str) -> list[Token]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
             raise ParseError(
-                f"unexpected character {text[pos]!r}",
+                f"unexpected character {m.group()!r}",
                 line=line_no,
-                column=pos + 1,
+                column=m.start() + 1,
                 origin=origin,
             )
-        pos = m.end()
-        if m.lastgroup in ("ws", "comment"):
-            continue
-        kind = m.lastgroup
-        value = m.group()
-        if kind in ("ne", "op"):
-            kind = "op"
-        tokens.append(Token(kind, value, line_no, m.start() + 1))
+        if kind:
+            tokens.append(Token(kind, m.group(), line_no, m.start() + 1))
     tokens.append(Token("end", "", line_no, len(text) + 1))
     return tokens
 
@@ -176,7 +172,7 @@ class _Cursor:
 
     def expect_op(self, value: str) -> Token:
         tok = self.peek()
-        if tok.kind != "op" or tok.value != value:
+        if tok.value != value:
             self.fail(f"expected {value!r}", tok)
         return self.next()
 
@@ -258,7 +254,7 @@ class _ExprParser:
             if kind not in self.kinds:
                 self.c.fail(f"{tok.value!r} is not a parameter", tok)
             return {0: self.reg.var(tok.value)}
-        if tok.kind == "op" and tok.value == "(":
+        if tok.value == "(":
             self.c.next()
             if self.depth == MAX_NESTING:
                 self.c.fail(f"parentheses nested deeper than {MAX_NESTING} levels", tok)
@@ -271,26 +267,17 @@ class _ExprParser:
 
     def _factor(self):
         sign = 1
-        while True:
-            tok = self.c.peek()
-            if tok.kind == "op" and tok.value in ("+", "-"):
-                self.c.next()
-                if tok.value == "-":
-                    sign = -sign
-            else:
-                break
+        while self.c.peek().value in ("+", "-"):
+            if self.c.next().value == "-":
+                sign = -sign
         value = self._atom()
-        while True:
-            tok = self.c.peek()
-            if tok.kind == "op" and tok.value == "^":
-                self.c.next()
-                etok = self.c.peek()
-                if etok.kind != "int":
-                    self.c.fail("exponent must be a non-negative integer", etok)
-                self.c.next()
-                value = self._power(value, self.c.integer(etok), tok, etok)
-            else:
-                break
+        while self.c.peek().value == "^":
+            tok = self.c.next()
+            etok = self.c.peek()
+            if etok.kind != "int":
+                self.c.fail("exponent must be a non-negative integer", etok)
+            self.c.next()
+            value = self._power(value, self.c.integer(etok), tok, etok)
         if sign < 0:
             value = {k: -v for k, v in value.items()}
         return value
@@ -347,10 +334,10 @@ class _ExprParser:
         value = self._factor()
         while True:
             tok = self.c.peek()
-            if tok.kind == "op" and tok.value == "*":
+            if tok.value == "*":
                 self.c.next()
                 value = self._combine_mul(value, self._factor(), tok)
-            elif tok.kind == "op" and tok.value == "/":
+            elif tok.value == "/":
                 self.c.next()
                 div = self._factor()
                 if set(div) != {0} or not div[0].is_constant():
@@ -359,7 +346,7 @@ class _ExprParser:
                 if c == 0:
                     self.c.fail("division by zero", tok)
                 value = self._scale(value, self.reg.constant(Fraction(1) / c), tok)
-            elif tok.kind in ("int", "ident") or (tok.kind == "op" and tok.value == "("):
+            elif tok.kind in ("int", "ident") or tok.value == "(":
                 value = self._combine_mul(value, self._factor(), tok)
             else:
                 break
@@ -367,19 +354,15 @@ class _ExprParser:
 
     def _expr(self):
         value = self._term()
-        while True:
-            tok = self.c.peek()
-            if tok.kind == "op" and tok.value in ("+", "-"):
-                self.c.next()
-                rhs = self._term()
-                if tok.value == "-":
-                    rhs = {k: -v for k, v in rhs.items()}
-                for k, v in rhs.items():
-                    total = value[k] = value.get(k, self.reg.zero()) + v
-                    # a sum is measured after it is built, where v changed it
-                    self._check("sum", tok, _log10_height(total.coefficient(m) for m, _ in v.terms()))
-            else:
-                break
+        while self.c.peek().value in ("+", "-"):
+            tok = self.c.next()
+            rhs = self._term()
+            if tok.value == "-":
+                rhs = {k: -v for k, v in rhs.items()}
+            for k, v in rhs.items():
+                total = value[k] = value.get(k, self.reg.zero()) + v
+                # a sum is measured after it is built, where v changed it
+                self._check("sum", tok, _log10_height(total.coefficient(m) for m, _ in v.terms()))
         return value
 
     def parse(self):
@@ -415,7 +398,7 @@ def parse_text(doc: SourceDoc | str) -> LieAlgebra:
     # First statement fixes the dimension; param lines must precede brackets.
     cur = statements[0]
     head = cur.next()
-    if head.kind != "ident" or head.value != "dim":
+    if head.value != "dim":
         cur.fail("the first statement must be 'dim <n>'", head)
     size_tok = cur.next()
     dim = cur.integer(size_tok) if size_tok.kind == "int" else 0
@@ -426,16 +409,14 @@ def parse_text(doc: SourceDoc | str) -> LieAlgebra:
     if not cur.at_end():
         cur.fail("unexpected trailing input after the dimension")
 
-    param_names: list[str] = []
-    param_lines: list[tuple[_Cursor, str, Token]] = []
+    param_lines: dict[str, _Cursor] = {}  # name -> the rest of its line
     bracket_lines: list[_Cursor] = []
-    seen_bracket = False
     for cur in statements[1:]:
         tok = cur.peek()
-        if tok.kind == "ident" and tok.value == "dim":
+        if tok.value == "dim":
             cur.fail("duplicate 'dim' line", tok)
-        if tok.kind == "ident" and tok.value == "param":
-            if seen_bracket:
+        if tok.value == "param":
+            if bracket_lines:
                 cur.fail("param lines must appear before bracket lines", tok)
             cur.next()
             name_tok = cur.next()
@@ -445,21 +426,19 @@ def parse_text(doc: SourceDoc | str) -> LieAlgebra:
                 _check_param_name(name_tok.value)
             except ValueError as exc:
                 cur.fail(str(exc), name_tok)
-            if name_tok.value in param_names:
+            if name_tok.value in param_lines:
                 cur.fail(f"duplicate parameter {name_tok.value!r}", name_tok)
-            param_names.append(name_tok.value)
-            param_lines.append((cur, name_tok.value, name_tok))
+            param_lines[name_tok.value] = cur
         else:
-            seen_bracket = True
             bracket_lines.append(cur)
 
-    registry = VarRegistry(dim, param_names)
+    registry = VarRegistry(dim, list(param_lines))
 
     decls = []
-    for cur, name, name_tok in param_lines:
+    for name, cur in param_lines.items():
         exclusions: tuple[Polynomial, ...] = ()
         tok = cur.peek()
-        if tok.kind == "op" and tok.value == "!=":
+        if tok.value == "!=":
             cur.next()
             parts = _ExprParser(cur, registry, allow_basis=False)._expr()
             if not cur.at_end():

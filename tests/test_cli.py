@@ -1,5 +1,6 @@
 """Command-line behavior: output shapes and exit codes."""
 
+import codecs
 import contextlib
 import json
 import shutil
@@ -69,6 +70,20 @@ def test_degenerate_sample_is_flagged(corpus_file, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert {"values": {"a": "-2"}, "verdict": "mixed"} in payload["samples"]
     assert payload["samples_agree"] is False
+
+
+def test_library_default_seed_draws_the_cli_samples(corpus_file, capsys):
+    """classify_family and the CLI share one default seed, so the library
+    call draws the samples `classify` prints; with seed 0 it drew L12a's
+    degenerate a = -2."""
+    assert main(["classify", corpus_file("L12a.lie"), "--output", "structured"]) == 0
+    printed = json.loads(capsys.readouterr().out)["samples"]
+    fam = classify_family(corpus.entry("L12a").load())
+    assert fam.all_agree
+    assert [
+        {"values": {k: str(v) for k, v in s.values.items()}, "verdict": s.report.verdict.value}
+        for s in fam.samples
+    ] == printed
 
 
 @pytest.mark.parametrize("command", ["classify", "check"])
@@ -689,6 +704,33 @@ def test_table_corpus_manifest_follows_the_json_rules(manifest, message, tmp_pat
 def test_table_corpus_manifest_takes_a_long_integer_where_unchecked(tmp_path, capsys):
     manifest = f'{{"entries": [{H3_ENTRY}], "version": {HUGE}}}'
     assert main(["table", "--corpus", _external_corpus(tmp_path, manifest)]) == 0
+    assert "1 of 1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["validate", "classify", "index", "charpoly", "check"])
+@pytest.mark.parametrize("name", ["h3.lie", "h3.json"])
+def test_a_file_may_start_with_a_byte_order_mark(command, name, tmp_path, capsys):
+    """Editors on Windows often start a UTF-8 file with EF BB BF; it was
+    refused as an unexpected character in text and as invalid JSON."""
+    plain = tmp_path / name
+    plain.write_text("dim 3\n[e1,e2] = e3\n" if name.endswith(".lie") else json.dumps({
+        "dim": 3, "brackets": [{"i": 1, "j": 2, "terms": {"3": "1"}}],
+    }))
+    (tmp_path / "marked").mkdir()
+    marked = tmp_path / "marked" / name
+    marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+    assert main([command, str(plain)]) == 0
+    want = capsys.readouterr()
+    assert main([command, str(marked)]) == 0
+    assert capsys.readouterr() == want
+
+
+def test_table_corpus_reads_files_that_start_with_a_byte_order_mark(tmp_path, capsys):
+    _external_corpus(tmp_path, f'{{"entries": [{H3_ENTRY}]}}')
+    for name in ("manifest.json", "h3.lie"):
+        path = tmp_path / name
+        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    assert main(["table", "--corpus", str(tmp_path)]) == 0
     assert "1 of 1" in capsys.readouterr().out
 
 

@@ -335,6 +335,24 @@ def test_substitute_params_binds_and_excludes():
         substitute_params(alg, {"a": 1, "b": 2})
 
 
+def test_bindings_of_one_family_share_one_registry():
+    """A bound table's registry depends on its dimension alone; each binding
+    still equals the table built over a registry of its own."""
+    alg = corpus.entry("L12a").load()
+    tables = []
+    for a in (1, 3, Fraction(-1, 2)):
+        bound = substitute_params(alg, {"a": a})
+        own = VarRegistry(alg.dim)
+        brackets = {
+            pair: {k: own.constant(c.evaluate({"a": Fraction(a)})) for k, c in alg.bracket(*pair).items()}
+            for pair in alg.stored_pairs()
+        }
+        assert bound == LieAlgebra(alg.dim, own, brackets=brackets)
+        tables.append(bound)
+    assert all(t.registry is tables[0].registry for t in tables)
+    assert tables[0].registry == VarRegistry(alg.dim)
+
+
 def test_with_name():
     alg = algebra_from_table(3, SL2, name="one")
     renamed = alg.with_name("two")

@@ -1,5 +1,6 @@
 """Text and JSON bracket-table formats."""
 
+import codecs
 import json
 import math
 from fractions import Fraction
@@ -536,3 +537,104 @@ def test_undecodable_byte_is_refused_at_its_position(tmp_path, data, where, byte
         load_algebra(path)
     assert (err.value.origin, err.value.line, err.value.column) == (str(path), *where)
     assert err.value.message == f"byte {byte} is not valid UTF-8"
+
+
+def _coefficient_of_e3(text):
+    """The algebra whose only bracket is [e1,e2] = (text)*e3, read from JSON."""
+    return parse_structured(_doc(brackets=[{"i": 1, "j": 2, "terms": {"3": text}}]))
+
+
+def _poly(text):
+    return parse_poly(text, VarRegistry(3, ["a", "b"]))
+
+
+@pytest.mark.parametrize(
+    "read, text, same_as",
+    [
+        (parse_text, "dim 3\n[e1,e2]\t=\te3\n", GOOD),
+        (parse_text, "dim\u00a03\n[e1,e2] =\u00a0e3\n", GOOD),
+        (parse_text, "dim 3\n[e1,\u3000e2]\u3000= e3\n", GOOD),
+        (_poly, "x1\t+\u00a0a\u3000*b", "x1 + a*b"),
+        (parse_text, "dim 2\nparam b\nparam a!=b\n[e1,e2] = a*e1\n",
+         "dim 2\nparam b\nparam a != b\n[e1,e2] = a*e1\n"),
+        (_coefficient_of_e3, "1 +\n\t2", "3"),
+        (_coefficient_of_e3, "2 # a comment ends at its line\n+ 1", "3"),
+    ],
+    ids=["tab", "no-break-space", "ideographic-space", "poly-whitespace", "ne-unspaced",
+         "json-newline-tab", "json-comment"],
+)
+def test_tokenizer_reads_as(read, text, same_as):
+    assert read(text) == read(same_as)
+
+
+@pytest.mark.parametrize(
+    "read, text, where, message",
+    [
+        (parse_text, "dim 3\n[e1,e2] = e3 ! e1\n", (2, 14), "unexpected character '!'"),
+        (parse_text, "dim 2\nparam a !\n", (2, 9), "unexpected character '!'"),
+        (_poly, "a !", (1, 3), "unexpected character '!'"),
+        (parse_text, "dim 3\n[e1,e2] = é*e3\n", (2, 11), "unexpected character 'é'"),
+        (parse_text, "dim ３\n", (1, 5), "unexpected character '３'"),
+        (parse_text, "dim 3\n[ｅ1,e2] = e3\n", (2, 2), "unexpected character 'ｅ'"),
+        (_poly, "2*ｅ1", (1, 3), "unexpected character 'ｅ'"),
+        (parse_text, "dim 3\n[e1,e2] =\ufeffe3\n", (2, 10), "unexpected character '\\ufeff'"),
+        (parse_text, "# c\n\ndim 3  # d\n\n   # e\n[e1,e2] = e3 ! # f\n", (6, 14),
+         "unexpected character '!'"),
+        (parse_text, "# c\n\ndim 3  # d\n\n   # e\n[e1,e2] = e9 # f\n", (6, 11),
+         "basis index e9 out of range for dimension 3"),
+    ],
+    ids=["bang", "bang-at-end", "poly-bang", "accented", "full-width-digit",
+         "full-width-letter", "poly-full-width-letter", "mid-line-bom",
+         "after-comments", "after-comments-grammar"],
+)
+def test_tokenizer_refuses_at(read, text, where, message):
+    with pytest.raises(ParseError) as err:
+        read(text)
+    assert (err.value.line, err.value.column) == where
+    assert err.value.message == message
+
+
+H3_JSON = json.dumps({"dim": 3, "brackets": [{"i": 1, "j": 2, "terms": {"3": "1"}}]})
+
+
+@pytest.mark.parametrize("name, data", [("h3.lie", GOOD), ("h3.json", H3_JSON)], ids=["text", "json"])
+def test_a_leading_byte_order_mark_is_dropped(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_bytes(codecs.BOM_UTF8 + data.encode())
+    assert load_algebra(path) == parse_text(GOOD)
+
+
+@pytest.mark.parametrize(
+    "name, data",
+    [
+        ("t.lie", b"dim 3\n[e1,e2] = e9\n"),
+        ("t.lie", b"dim 0\n"),
+        ("t.lie", b"dim 3\n[e1,e2] = \xef\xbb\xbfe3\n"),
+        ("t.lie", b"dim \xff\n"),
+        ("t.json", b'{"dim": 3,}'),
+        ("t.json", b'{"dim": 3, "brackets": [{"i": 1, "j": 2, "terms": {"3": "\xef\xbb\xbf1"}}]}'),
+    ],
+    ids=["later-line", "first-line", "later-mark", "undecodable", "json", "json-coefficient-mark"],
+)
+def test_errors_after_a_byte_order_mark_keep_their_position(tmp_path, name, data):
+    """Only the first mark goes, and every later position is counted as in
+    the same file without it; a U+FEFF elsewhere is still refused."""
+    (tmp_path / "plain").mkdir()
+    (tmp_path / "marked").mkdir()
+    plain, marked = tmp_path / "plain" / name, tmp_path / "marked" / name
+    plain.write_bytes(data)
+    marked.write_bytes(codecs.BOM_UTF8 + data)
+    with pytest.raises((ParseError, SchemaError)) as want:
+        load_algebra(plain)
+    with pytest.raises(type(want.value)) as got:
+        load_algebra(marked)
+    assert str(got.value).replace(str(marked), str(plain)) == str(want.value)
+
+
+def test_a_second_byte_order_mark_is_refused(tmp_path):
+    path = tmp_path / "h3.lie"
+    path.write_bytes(codecs.BOM_UTF8 * 2 + GOOD.encode())
+    with pytest.raises(ParseError) as err:
+        load_algebra(path)
+    assert (err.value.line, err.value.column) == (1, 1)
+    assert err.value.message == "unexpected character '\\ufeff'"
