@@ -66,6 +66,9 @@ def main(argv=None) -> int:
     except LiePencilError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except MemoryError:
+        print(f"error: {args.command} ran out of memory", file=sys.stderr)
+        return EXIT_DOMAIN
 
 
 def _count(minimum: int):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -23,7 +23,7 @@ from .errors import (
     ParameterBindingError,
     RegistryMismatch,
 )
-from .poly import MAX_POWER_SIZE, Polynomial, VarKind, VarRegistry, size_estimate
+from .poly import MAX_POWER_SIZE, Polynomial, VarKind, VarRegistry, coefficients, size_estimate
 
 __all__ = [
     "ParamDecl",
@@ -259,36 +259,28 @@ class SkewPolyMatrix:
             raise ValueError("indices must be strictly increasing")
         if idx and not (1 <= idx[0] and idx[-1] <= self.size):
             raise ValueError("indices out of range")
-        upper = {}
-        for a in range(len(idx)):
-            for b in range(a + 1, len(idx)):
-                p = self.entry(idx[a], idx[b])
-                if p:
-                    upper[(a + 1, b + 1)] = p
+        upper = {
+            (a + 1, b + 1): self.entry(idx[a], idx[b])
+            for a, b in itertools.combinations(range(len(idx)), 2)
+        }
         return SkewPolyMatrix(len(idx), self.registry, upper)
 
     def congruent(self, p_matrix) -> "SkewPolyMatrix":
-        """P^T M P for a rational matrix P (kept exact, entries stay skew)."""
+        """P^T M P for a rational matrix P, kept exact: entry (i, j) is the sum
+        over the stored (k, l) of M_kl * (P_ki P_lj - P_li P_kj)."""
         n = self.size
-        rows = self.rows()
         p = ratmat.rational_rows(p_matrix)
         if len(p) != n or any(len(row) != n for row in p):
             raise ValueError("congruence matrix has the wrong shape")
-        mp = [
-            [
-                sum((rows[i][k] * p[k][j] for k in range(n)), self.registry.zero())
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
+        stored = [(p[k - 1], p[l - 1], m_kl) for (k, l), m_kl in self.stored()]
         upper = {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                entry = sum(
-                    (mp[k][j] * p[k][i] for k in range(n)), self.registry.zero()
-                )
-                if entry:
-                    upper[(i + 1, j + 1)] = entry
+        for i, j in itertools.combinations(range(n), 2):
+            entry = self.registry.zero()
+            for row_k, row_l, m_kl in stored:
+                weight = row_k[i] * row_l[j] - row_l[i] * row_k[j]
+                if weight:
+                    entry = entry + m_kl * weight
+            upper[(i + 1, j + 1)] = entry
         return SkewPolyMatrix(n, self.registry, upper)
 
     def evaluate(self, values: Mapping[str, Fraction | int]) -> list[list[Fraction | int]]:
@@ -323,39 +315,26 @@ def change_of_basis(alg: LieAlgebra, p_matrix) -> LieAlgebra:
     """Structure constants in the basis e'_i = sum_j P_ji e_j.
 
     P must be invertible over the rationals; parameters ride along unchanged.
+    Entry (i, j) of P^T A_x P is [e'_i, e'_j] in the old basis, e_s read as
+    x_s, and e_s = sum_m (P^-1)_ms e'_m: so x_s -> sum_m (P^-1)_ms x_m gives
+    sum_m c'_ij^m x_m, and c'_ij^m is read back as the coefficient of x_m.
     """
     n = alg.dim
     p = ratmat.rational_rows(p_matrix)
     if len(p) != n or any(len(row) != n for row in p):
         raise ValueError("basis change matrix has the wrong shape")
-    p_inv = ratmat.inverse(p)
-    reg = alg.registry
-    zero = reg.zero()
-    # raw[s] = coefficient of e_s in [e'_i, e'_j]
-    new_brackets: dict[tuple[int, int], dict[int, Polynomial]] = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            raw = [zero] * (n + 1)
-            for k, l in itertools.combinations(range(1, n + 1), 2):
-                weight = p[k - 1][i - 1] * p[l - 1][j - 1] - p[l - 1][i - 1] * p[k - 1][j - 1]
-                if not weight:
-                    continue
-                for s, coeff in alg.bracket(k, l).items():
-                    raw[s] = raw[s] + coeff * weight
-            terms = {}
-            for m in range(1, n + 1):
-                acc = zero
-                for s in range(1, n + 1):
-                    w = p_inv[m - 1][s - 1]
-                    if w and raw[s]:
-                        acc = acc + raw[s] * w
-                if acc:
-                    terms[m] = acc
-            if terms:
-                new_brackets[(i, j)] = terms
-    return LieAlgebra(
-        n, reg, params=alg.params, brackets=new_brackets, name=alg.name
-    )
+    inv = ratmat.inverse(p)
+    reg, zero = alg.registry, alg.registry.zero()
+    back = {
+        f"x{s}": reg.coordinate_form({m: reg.constant(row[s - 1]) for m, row in enumerate(inv, 1)})
+        for s in range(1, n + 1)
+    }
+    positions = {m: reg.position(f"x{m}") for m in range(1, n + 1)}
+    new_brackets = {}
+    for ij, entry in build_ax(alg).congruent(p).stored():
+        moved = entry.substitute(back)
+        new_brackets[ij] = {m: coefficients(moved, x).get(1, zero) for m, x in positions.items()}
+    return LieAlgebra(n, reg, params=alg.params, brackets=new_brackets, name=alg.name)
 
 
 @functools.lru_cache(maxsize=64)

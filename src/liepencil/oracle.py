@@ -20,6 +20,8 @@ Block conventions (sizes in matrix rows):
 * ``KroneckerBlock(k)`` is the (2k+1) x (2k+1) pair built from the k x (k+1)
   strips [I | 0] and [0 | I]; it is singular for every t.  k = 0 gives the
   1 x 1 zero pair.
+
+A block's ``strips()`` are the upper strips of its A and B, as named above.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, repeat
 from random import Random
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from . import ratmat, unipoly
 from .classify import (
@@ -57,24 +59,12 @@ __all__ = [
 ]
 
 
-def _jordan_cell(mu: Fraction, k: int) -> list[list[Fraction]]:
-    cell = [[Fraction(0)] * k for _ in range(k)]
-    for i in range(k):
-        cell[i][i] = Fraction(mu)
-        if i + 1 < k:
-            cell[i][i + 1] = Fraction(1)
-    return cell
-
-
-def _skew_wrap(top: Sequence[Sequence[Fraction]], rows: int, cols: int):
-    """[[0, T], [-T^T, 0]] as one (rows+cols) square matrix."""
-    n = rows + cols
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(rows):
-        for j in range(cols):
-            out[i][rows + j] = Fraction(top[i][j])
-            out[rows + j][i] = -Fraction(top[i][j])
-    return out
+def _bands(rows: int, cols: int, diagonal, above) -> list[list]:
+    """The rows x cols strip: ``diagonal`` at (i, i), ``above`` at (i, i+1), else 0."""
+    return [
+        [diagonal if j == i else above if j == i + 1 else 0 for j in range(cols)]
+        for i in range(rows)
+    ]
 
 
 @dataclass(frozen=True)
@@ -90,13 +80,9 @@ class JordanBlock:
     def matrix_size(self) -> int:
         return 2 * self.size
 
-    def pair(self):
+    def strips(self):
         k = self.size
-        eye = [[Fraction(1 if i == j else 0) for j in range(k)] for i in range(k)]
-        return (
-            _skew_wrap(_jordan_cell(self.eigenvalue, k), k, k),
-            _skew_wrap(eye, k, k),
-        )
+        return _bands(k, k, self.eigenvalue, 1), _bands(k, k, 1, 0)
 
 
 @dataclass(frozen=True)
@@ -111,13 +97,9 @@ class InfiniteJordanBlock:
     def matrix_size(self) -> int:
         return 2 * self.size
 
-    def pair(self):
+    def strips(self):
         k = self.size
-        eye = [[Fraction(1 if i == j else 0) for j in range(k)] for i in range(k)]
-        return (
-            _skew_wrap(eye, k, k),
-            _skew_wrap(_jordan_cell(Fraction(0), k), k, k),
-        )
+        return _bands(k, k, 1, 0), _bands(k, k, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -132,14 +114,9 @@ class KroneckerBlock:
     def matrix_size(self) -> int:
         return 2 * self.size + 1
 
-    def pair(self):
+    def strips(self):
         k = self.size
-        strip_a = [[Fraction(1 if j == i else 0) for j in range(k + 1)] for i in range(k)]
-        strip_b = [[Fraction(1 if j == i + 1 else 0) for j in range(k + 1)] for i in range(k)]
-        return (
-            _skew_wrap(strip_a, k, k + 1),
-            _skew_wrap(strip_b, k, k + 1),
-        )
+        return _bands(k, k + 1, 1, 0), _bands(k, k + 1, 0, 1)
 
 
 class NumericPencil:
@@ -177,22 +154,26 @@ class NumericPencil:
 
 
 def assemble(blocks) -> NumericPencil:
-    """Block-diagonal pencil from canonical blocks, in the order given."""
+    """Block-diagonal pencil from canonical blocks, in the order given.
+
+    Each block fills its diagonal square with [[0, T], [-T^T, 0]] for each
+    of its two ``strips()`` T; :class:`NumericPencil` scales them to ints.
+    """
     blocks = list(blocks)
     if not blocks:
         raise ValueError("at least one block is required")
     n = sum(bl.matrix_size for bl in blocks)
-    a = [[Fraction(0)] * n for _ in range(n)]
-    b = [[Fraction(0)] * n for _ in range(n)]
+    a = [[0] * n for _ in range(n)]
+    b = [[0] * n for _ in range(n)]
     offset = 0
     for bl in blocks:
-        ba, bb = bl.pair()
-        m = bl.matrix_size
-        for i in range(m):
-            for j in range(m):
-                a[offset + i][offset + j] = ba[i][j]
-                b[offset + i][offset + j] = bb[i][j]
-        offset += m
+        for out, strip in zip((a, b), bl.strips()):
+            right = offset + len(strip)
+            for i, row in enumerate(strip, start=offset):
+                for j, v in enumerate(row, start=right):
+                    out[i][j] = v
+                    out[j][i] = -v
+        offset += bl.matrix_size
     return NumericPencil(a, b)
 
 

@@ -94,11 +94,10 @@ def read_source(path) -> SourceDoc:
     try:
         return SourceDoc(data.decode("utf-8"), origin=str(p))
     except UnicodeDecodeError as exc:
-        # splitlines drops a last empty line; the sentinel keeps the bad byte's line
-        lines = (data[:exc.start].decode("utf-8") + "x").splitlines()
+        lines = _LINE_END.split(data[:exc.start].decode("utf-8"))
         raise ParseError(
             f"byte {data[exc.start]:#04x} is not valid UTF-8",
-            line=len(lines), column=len(lines[-1]), origin=str(p),
+            line=len(lines), column=len(lines[-1]) + 1, origin=str(p),
         ) from None
 
 
@@ -115,6 +114,10 @@ def parse_source(doc: SourceDoc) -> LieAlgebra:
 
 
 # -- tokenizer ----------------------------------------------------------------
+
+# A line ends at \n, \r\n or \r alone; str.splitlines also breaks at \v, \f,
+# U+001C..U+001E, U+0085, U+2028 and U+2029, which a comment may hold.
+_LINE_END = re.compile(r"\r\n|\r|\n")
 
 _TOKEN_RE = re.compile(
     r"""
@@ -386,7 +389,7 @@ def parse_text(doc: SourceDoc | str) -> LieAlgebra:
     if isinstance(doc, str):
         doc = SourceDoc(doc)
     origin = doc.origin
-    lines = doc.text.splitlines()
+    lines = _LINE_END.split(doc.text)
     statements = []
     for no, raw in enumerate(lines, start=1):
         tokens = _tokenize_line(raw, no, origin)

@@ -58,21 +58,24 @@ def generic_rank(matrix: SkewPolyMatrix) -> int:
     principal Pfaffian, so only the indices with a stored entry are paired.
     The growth runs on :func:`_integer_matrix`, which has the same rank.
     """
+    return _cache_and_rank(matrix)[1]
+
+
+def _cache_and_rank(matrix: SkewPolyMatrix) -> tuple[PfaffianCache, int]:
+    """The cache on :func:`_integer_matrix` and the rank grown from the fixed point's rows."""
     cache = PfaffianCache(_integer_matrix(matrix))
-    return _grow(cache, matrix.size, bool, _fixed_point(matrix.registry))
+    start = _independent_rows(cache.matrix, _fixed_point(matrix.registry))
+    return cache, _grow(cache, matrix.size, bool, start)
 
 
-def _grow(cache: PfaffianCache, cap: int, counts, point) -> int:
+def _grow(cache: PfaffianCache, cap: int, counts, chosen: tuple[int, ...]) -> int:
     """|I| for the index set grown as in :func:`generic_rank`.
 
-    I starts from the rows independent at ``point`` (see
-    :func:`_independent_rows`), or from the empty set when ``point`` is
-    None, and a Pfaffian extends I when ``counts`` holds for it; the
-    caller's point makes ``counts`` hold for Pf of the start.  The growth
-    stops once |I| reaches ``cap``, which spares the search over all pairs
-    that proves no larger I exists.
+    I starts from ``chosen``, increasing indices for which ``counts``
+    holds, and a Pfaffian extends I when ``counts`` holds for it.  The
+    growth stops once |I| reaches ``cap``, which spares the search over all
+    pairs that proves no larger I exists.
     """
-    chosen = () if point is None else _independent_rows(cache.matrix, point)
     while len(chosen) < cap:
         rest = [i for i in cache.live if i not in chosen]
         for j, k in itertools.combinations(rest, 2):
@@ -411,7 +414,8 @@ def _certified_p0(cache: PfaffianCache, r: int, h: Polynomial):
     point = _fixed_point(h.registry)
     for f, order, pos in factors:
         moved = _on_factor(f, pos, point)
-        rank_f = _grow(cache, r, lambda pf, f=f: not divides(f, pf), moved)
+        start = () if moved is None else _independent_rows(cache.matrix, moved)
+        rank_f = _grow(cache, r, lambda pf, f=f: not divides(f, pf), start)
         if rank_f == r:
             continue
         if 2 * order > r - rank_f:
@@ -465,9 +469,7 @@ def pencil_profile(source: LieAlgebra | SkewPolyMatrix) -> PencilProfile:
     stays in Z[params, x]; the profile keeps the matrix as given.
     """
     matrix = build_ax(source) if isinstance(source, LieAlgebra) else source
-    n = matrix.size
-    cache = PfaffianCache(_integer_matrix(matrix))
-    r = _grow(cache, n, bool, _fixed_point(matrix.registry))
+    cache, r = _cache_and_rank(matrix)
     live = cache.live
     total = math.comb(len(live), r)
     g = None

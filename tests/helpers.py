@@ -402,6 +402,27 @@ def heisenberg_algebra(k):
     )
 
 
+def lift(alg: LieAlgebra, m: int) -> LieAlgebra:
+    """g[t]/t^m for a parameter-free table g of dimension n.
+
+    The basis element e_k t^i, 0 <= i < m, has index i*n + k, and
+    [X t^i, Y t^j] = [X, Y] t^(i+j), zero from t^m on.
+    """
+    n = alg.dim
+    reg = VarRegistry(m * n)
+    brackets = {}
+    for i, j in itertools.product(range(m), repeat=2):
+        if i + j >= m:
+            continue
+        for a, b in itertools.product(range(1, n + 1), repeat=2):
+            if i * n + a < j * n + b:
+                brackets[(i * n + a, j * n + b)] = {
+                    (i + j) * n + k: reg.constant(c.constant_value())
+                    for k, c in alg.bracket(a, b).items()
+                }
+    return LieAlgebra(m * n, reg, brackets=brackets, name=f"{alg.name}[t]/t^{m}")
+
+
 def naive_jacobi_violations(alg):
     """Jacobi violations by the dense triple loop over structure constants.
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib
+import re
 from fractions import Fraction
 
 import pytest
@@ -17,9 +18,10 @@ from liepencil.classify import (
 from liepencil.errors import InvalidAlgebra
 from liepencil.model import substitute_params, validate
 from liepencil.oracle import cross_check
-from liepencil.parser import parse_text
+from liepencil.parser import parse_poly, parse_text
+from liepencil.poly import normalize
 
-from helpers import algebra_from_table
+from helpers import algebra_from_table, lift
 
 
 def test_verdict_sentences_pinned():
@@ -219,3 +221,22 @@ def test_classify_rejects_unbound_use_of_samples_on_plain_algebra():
     fam = classify_family(corpus.entry("heisenberg3").load(), samples=3, seed=0)
     assert fam.samples == ()
     assert fam.all_agree
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_truncated_current_algebra_keeps_the_type(m):
+    """g[t]/t^m has index m*ind g, the verdict of g, and
+    p0 = p0(g)(x_{(m-1)n+k})^m up to normalization, for every valid
+    parameter-free corpus table g of dimension n."""
+    tables = [e.load() for e in corpus.manifest()]
+    tables = [g for g in tables if not g.param_names() and validate(g).ok]
+    assert len(tables) == 10
+    for g in tables:
+        lifted = lift(g, m)
+        assert validate(lifted).ok, lifted.name
+        base, report = classify(g), classify(lifted)
+        assert report.index == m * base.index, lifted.name
+        assert report.verdict is base.verdict, lifted.name
+        top = (m - 1) * g.dim
+        renamed = re.sub(r"x(\d+)", lambda k: f"x{top + int(k.group(1))}", str(base.p0))
+        assert report.p0 == normalize(parse_poly(renamed, lifted.registry) ** m), lifted.name

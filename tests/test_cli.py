@@ -749,6 +749,17 @@ def test_table_corpus_refuses_an_undecodable_file(bad, data, where, tmp_path, ca
     assert capsys.readouterr().err == f"error: {tmp_path / bad}:{where}: byte 0xff is not valid UTF-8\n"
 
 
+def test_out_of_memory_is_one_line_naming_the_command(corpus_file, capsys, monkeypatch):
+    def exhausted(alg):
+        raise MemoryError
+
+    monkeypatch.setattr(sys.modules["liepencil.cli"], "classify", exhausted)
+    assert main(["classify", corpus_file("heisenberg3.lie")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: classify ran out of memory\n"
+    assert "Traceback" not in err
+
+
 def test_console_script_installed(corpus_file, capsys, monkeypatch):
     """The `liepencil` command is declared, and it runs as an installed shim runs it.
 

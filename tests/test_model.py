@@ -1,5 +1,6 @@
 """Bracket tables, Jacobi validation, and the symbolic bracket matrix."""
 
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -7,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liepencil import corpus
+from liepencil import corpus, ratmat
 from liepencil.errors import ExclusionViolation, ParameterBindingError
 from liepencil.model import (
     LieAlgebra,
@@ -29,6 +30,7 @@ from helpers import (
     laplace_det,
     naive_jacobi_violations,
     nilradical_algebra,
+    random_fraction,
     random_unimodular,
     reference_ax,
 )
@@ -302,6 +304,42 @@ def test_integer_basis_change_stays_in_integers():
         assert congruent.stored() and all(holds_ints(e) for _, e in congruent.stored())
     scaled = change_of_basis(algebra_from_table(3, SL2), [[1, 0, 0], [0, 1, 0], [0, 0, 2]])
     assert scaled.structure_constant(1, 2, 3).constant_value() == Fraction(1, 2)
+
+
+def _invertible_rational(n, rng):
+    while True:
+        p = [[random_fraction(rng) for _ in range(n)] for _ in range(n)]
+        if ratmat.det(p):
+            return p
+
+
+def test_change_of_basis_is_bilinear_in_the_old_basis():
+    """[e'_i, e'_j] read in the old basis is the bilinear expansion of
+    [sum_k P_ki e_k, sum_l P_lj e_l]: sum_m c'_ij^m P_sm equals
+    sum_{k,l} P_ki P_lj c_kl^s for every i < j and s, on every corpus
+    table under a seeded unimodular and a seeded rational P."""
+    rng = random.Random(26)
+    for entry in corpus.manifest():
+        alg = entry.load()
+        n, zero = alg.dim, alg.registry.zero()
+        old = {
+            (k, l): alg.bracket(k, l)
+            for k, l in itertools.permutations(range(1, n + 1), 2)
+            if alg.bracket(k, l)
+        }
+        for p in (random_unimodular(n, rng), _invertible_rational(n, rng)):
+            moved = change_of_basis(alg, p)
+            for i, j in itertools.combinations(range(1, n + 1), 2):
+                want = [zero] * (n + 1)
+                for (k, l), terms in old.items():
+                    weight = p[k - 1][i - 1] * p[l - 1][j - 1]
+                    for s, c in terms.items():
+                        want[s] = want[s] + c * weight
+                got = [zero] * (n + 1)
+                for m, c in moved.bracket(i, j).items():
+                    for s in range(1, n + 1):
+                        got[s] = got[s] + c * p[s - 1][m - 1]
+                assert got == want, (entry.name, i, j)
 
 
 def test_stored_lists_the_nonzero_upper_entries():

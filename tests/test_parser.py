@@ -525,8 +525,11 @@ def test_structured_null_nonzero_is_no_exclusion():
         (b"dim 3\n\xff", (2, 1), "0xff"),
         (b"\xe9", (1, 1), "0xe9"),
         (b"dim 3\r\n# caf\xc3\xa9 \xc3\n", (2, 8), "0xc3"),
+        (b"# a\x0cb \xe2\x80\xa8 c\ndim \xff\n", (2, 5), "0xff"),
+        (b"dim 3\r# \xc2\x85\x1c \xff\n", (2, 6), "0xff"),
     ],
-    ids=["comment", "line-start", "first-byte", "cut-sequence"],
+    ids=["comment", "line-start", "first-byte", "cut-sequence", "after-comment-with-breaks",
+         "in-comment-with-breaks"],
 )
 def test_undecodable_byte_is_refused_at_its_position(tmp_path, data, where, byte):
     """Input files are UTF-8; a byte that is not is a parse error, not a
@@ -559,9 +562,14 @@ def _poly(text):
          "dim 2\nparam b\nparam a != b\n[e1,e2] = a*e1\n"),
         (_coefficient_of_e3, "1 +\n\t2", "3"),
         (_coefficient_of_e3, "2 # a comment ends at its line\n+ 1", "3"),
+        (parse_text, "# a\x0c[e1,e2] = e1\ndim 3\n[e1,e2] = e3\n", GOOD),
+        (parse_text, "# a\x1c[e1,e2] = e1\ndim 3\n[e1,e2] = e3\n", GOOD),
+        (parse_text, "# a\x85[e1,e2] = e1\ndim 3\n[e1,e2] = e3\n", GOOD),
+        (parse_text, "# a\u2028[e1,e2] = e1\ndim 3\n[e1,e2] = e3\n", GOOD),
     ],
     ids=["tab", "no-break-space", "ideographic-space", "poly-whitespace", "ne-unspaced",
-         "json-newline-tab", "json-comment"],
+         "json-newline-tab", "json-comment", "comment-form-feed", "comment-file-separator",
+         "comment-next-line", "comment-line-separator"],
 )
 def test_tokenizer_reads_as(read, text, same_as):
     assert read(text) == read(same_as)
@@ -582,10 +590,12 @@ def test_tokenizer_reads_as(read, text, same_as):
          "unexpected character '!'"),
         (parse_text, "# c\n\ndim 3  # d\n\n   # e\n[e1,e2] = e9 # f\n", (6, 11),
          "basis index e9 out of range for dimension 3"),
+        (parse_text, "dim 3\n# a b\x0cc\n[e1,e2] = e9\n", (3, 11),
+         "basis index e9 out of range for dimension 3"),
     ],
     ids=["bang", "bang-at-end", "poly-bang", "accented", "full-width-digit",
          "full-width-letter", "poly-full-width-letter", "mid-line-bom",
-         "after-comments", "after-comments-grammar"],
+         "after-comments", "after-comments-grammar", "after-form-feed-comment"],
 )
 def test_tokenizer_refuses_at(read, text, where, message):
     with pytest.raises(ParseError) as err:

@@ -503,9 +503,8 @@ def _recording_grow(monkeypatch):
     calls = []
     grow = pencil._grow
 
-    def recording(cache, cap, counts, point):
-        start = () if point is None else pencil._independent_rows(cache.matrix, point)
-        calls.append((cache, cap, counts, start, grow(cache, cap, counts, point)))
+    def recording(cache, cap, counts, start):
+        calls.append((cache, cap, counts, start, grow(cache, cap, counts, start)))
         return calls[-1][-1]
 
     monkeypatch.setattr(pencil, "_grow", recording)
