@@ -314,25 +314,26 @@ def _p0_by_deflation(pencil: NumericPencil, span: ratmat.SpanBuilder) -> unipoly
     regular part, Jordan blocks only, and there p0 is the Pfaffian of the
     Gram pair of A and B on coset representatives, up to a constant.  With
     U = 0 (no singular block) the quotient is the whole space and the Gram
-    pair is A, B themselves.
+    pair is A, B themselves, which go to the Pfaffian as they are.
 
-    One span serves both: ann(Y) is the kernel of the images A u, B u of a
-    basis of U, and the span of U, grown further, accepts the coset
-    representatives from it.
+    Otherwise one span serves both: ann(Y) is the kernel of the images
+    A u, B u of a basis of U, and the span of U, grown further, accepts the
+    coset representatives from it.
     """
     a, b = pencil.a, pencil.b
-    y_rows = [ratmat.mat_vec(m, vec) for vec in span.basis() for m in (a, b)]
-    w_basis = ratmat.kernel(y_rows) if y_rows else ratmat.identity(pencil.size)
-    reps = [w for w in w_basis if span.add(w)]
-    if not reps:
-        return [1]
+    if span.dim:
+        y_rows = [ratmat.mat_vec(m, vec) for vec in span.basis() for m in (a, b)]
+        reps = [w for w in ratmat.kernel(y_rows) if span.add(w)]
+        if not reps:
+            return [1]
 
-    def gram(mat):
-        # entry (i, j) is reps[i] . mat reps[j]; each image is formed once
-        images = [ratmat.mat_vec(mat, v) for v in reps]
-        return [[sum(map(operator.mul, u, w)) for w in images] for u in reps]
+        def gram(mat):
+            # entry (i, j) is reps[i] . mat reps[j]; each image is formed once
+            images = [ratmat.mat_vec(mat, v) for v in reps]
+            return [[sum(map(operator.mul, u, w)) for w in images] for u in reps]
 
-    pf = unipoly.pencil_pfaffian(gram(a), gram(b))
+        a, b = gram(a), gram(b)
+    pf = unipoly.pencil_pfaffian(a, b)
     if not pf:
         raise ArithmeticError("deflated pencil is singular; rank certificate failed")
     return unipoly.primitive(pf)

@@ -2,11 +2,18 @@
 
 Plain lists of lists, no floats.  Every elimination is forward
 fraction-free elimination (Bareiss, Math. Comp. 22, 1968) on the input
-scaled to integers, one :func:`_reduce` step per row and pivot:
+scaled to integers (an all-int input is taken as it is):
 :func:`_eliminate` brings a matrix to echelon form for the rank and the
 determinant, :func:`_back_substitute` solves that form for the kernel and
 the inverse, and :class:`SpanBuilder` reduces each new vector against the
-rows it has accepted.
+rows it has accepted.  Both go through one :func:`_reduce` step per row
+and pivot, and only where the row meets the pivot column.  Eager Bareiss
+would also rescale every other row by the new pivot over the old one;
+here that rescaling is deferred.  A row keeps the pivot it was last
+divided by, the next step that meets it divides by that pivot instead,
+and a row that becomes a pivot row or enters the span is brought up to
+date first.  By Sylvester's identity each division is exact, and every
+pivot, determinant and echelon row is the one eager Bareiss gives.
 """
 
 from __future__ import annotations
@@ -54,57 +61,60 @@ def scale_to_int(m) -> tuple[list[list[int]], int]:
     """(s*m, s) for the least common denominator s of the entries of m.
 
     Entries are ints or Fractions, read through the ``numerator`` and
-    ``denominator`` both carry.
+    ``denominator`` both carry.  An all-int m comes back as a plain copy.
     """
+    if all(type(v) is int for row in m for v in row):
+        return [list(row) for row in m], 1
     scale = math.lcm(*(v.denominator for row in m for v in row))
     if scale == 1:
         return [[v.numerator for v in row] for row in m], 1
     return [[v.numerator * (scale // v.denominator) for v in row] for row in m], scale
 
 
-def _reduce(w: list[int], pivot_row: list[int], col: int, d: int) -> list[int]:
-    """One fraction-free (Bareiss) step on the row w: (p*w - w[col]*pivot_row) / d.
+def _reduce(w: list[int], e: int, pivot_row: list[int], col: int) -> tuple[list[int], int]:
+    """One fraction-free (Bareiss) step on a row w with w[col] != 0.
 
-    p is ``pivot_row[col]`` and d the pivot before it.  The division is
-    exact: if w and the pivot row hold the minors of the input bordered by
-    their own row and column on the pivots so far, the result holds those
-    minors bordered with one pivot more (Sylvester's identity).  A row with
-    w[col] = 0 is only rescaled.
+    Returns ``((p*w - w[col]*pivot_row) / e, p)`` with p = ``pivot_row[col]``
+    and e the pivot w was last divided by (1 for an input row).  The pivot
+    row must be up to date, the pivot before p being d.  Eager Bareiss
+    brings every row through every step, and a row whose entry in the pivot
+    column is 0 only gets rescaled, to w*p/d.  Here such a row is left as it
+    is, with its e, so the eager row would be w*d/e; putting that into the
+    eager step, (p*(w*d/e) - (w[col]*d/e)*pivot_row) / d, gives the formula
+    above.  The division is exact because the result is the eager row, whose
+    entries are minors of the input bordered by their own row and column on
+    the pivots so far (Sylvester's identity).
     """
     p = pivot_row[col]
     f = w[col]
-    if f:
-        return [(p * a - f * b) // d for a, b in zip(w, pivot_row)]
-    if p != d:
-        return [p * a // d for a in w]
-    return w
+    return [(p * a - f * b) // e for a, b in zip(w, pivot_row)], p
 
 
-def _step(work: list[list[int]], row: int, col: int, d: int) -> int:
-    """Forward Bareiss step on the pivot ``work[row][col]``, in place.
-
-    Every row below the pivot goes through :func:`_reduce`; the rows above
-    are left as they are.  Returns the pivot, the next d.
-    """
-    wr = work[row]
-    for i in range(row + 1, len(work)):
-        work[i] = _reduce(work[i], wr, col, d)
-    return wr[col]
+def _up_to_date(w: list[int], e: int, d: int) -> list[int]:
+    """The eager form w*d/e of a row last divided by e, with d the last pivot."""
+    return w if e == d else [a * d // e for a in w]
 
 
 def _eliminate(work: list[list[int]]) -> tuple[list[int], int, int]:
     """Forward fraction-free elimination of an integer matrix, in place.
 
     Returns ``(pivot_cols, d, sign)``.  Pivots are taken column by column,
-    from the first row at or below the current one with a nonzero entry,
-    and each is cleared from the rows below by :func:`_step`.  At the end
-    the matrix is in echelon form: row i starts at ``pivot_cols[i]`` with
-    the minor of the input on the first i + 1 pivot rows and columns, rows
-    past the rank are zero, d is the last pivot (1 with no pivot at all)
-    and ``sign`` is the parity of the row swaps.
+    from the first row at or below the current one with a nonzero entry.
+    The pivot row is first brought up to date by :func:`_up_to_date`, and
+    each row below it with a nonzero entry in the pivot column goes through
+    :func:`_reduce`; the other rows are left as they are, each with the
+    pivot it was last divided by.  A row left behind is a nonzero multiple
+    of its eager form, so it has the same zeros and the same pivot choice,
+    and it is brought up to date when it becomes a pivot row.  At the end
+    the matrix is in echelon form, entry for entry the one eager Bareiss
+    gives: row i starts at ``pivot_cols[i]`` with the minor of the input on
+    the first i + 1 pivot rows and columns, rows past the rank are zero, d
+    is the last pivot (1 with no pivot at all) and ``sign`` is the parity
+    of the row swaps.
     """
     rows = len(work)
     cols = len(work[0]) if rows else 0
+    last = [1] * rows  # the pivot each row was last divided by
     pivots: list[int] = []
     d = 1
     sign = 1
@@ -117,8 +127,13 @@ def _eliminate(work: list[list[int]]) -> tuple[list[int], int, int]:
             continue
         if pivot != row:
             work[row], work[pivot] = work[pivot], work[row]
+            last[row], last[pivot] = last[pivot], last[row]
             sign = -sign
-        d = _step(work, row, col, d)
+        wr = work[row] = _up_to_date(work[row], last[row], d)
+        for i in range(row + 1, rows):
+            if work[i][col]:
+                work[i], last[i] = _reduce(work[i], last[i], wr, col)
+        d = wr[col]
         pivots.append(col)
     return pivots, d, sign
 
@@ -216,11 +231,14 @@ def _quotient(a: int, d: int) -> int | Fraction:
 class SpanBuilder:
     """Incrementally grown row space with exact membership tests.
 
-    The rows are kept in forward echelon form, as :func:`_eliminate` leaves
-    them: row i is the i-th accepted vector after one :func:`_reduce` step
-    on each row before it, and its pivot is its first nonzero column.  A
-    vector reduces the same way, one step per row, and is in the span
-    exactly when nothing of it is left.
+    The rows are kept in forward echelon form, as eager Bareiss would leave
+    them: row i is the i-th accepted vector after one fraction-free step on
+    each row before it, and its pivot is its first nonzero column.  A
+    vector reduces the same way, through :func:`_reduce` against each row
+    whose pivot column it meets, and is in the span exactly when nothing of
+    it is left; an accepted one is brought up to date by
+    :func:`_up_to_date` before it is stored.  Vectors of any length other
+    than ``width`` raise ValueError.
     """
 
     def __init__(self, width: int):
@@ -229,23 +247,26 @@ class SpanBuilder:
         self._rows: list[list[int]] = []
         self._pivots: list[int] = []
 
-    def _residual(self, vec) -> tuple[list[int], list[int]]:
-        """vec scaled to integers, and its reduction against the span."""
+    def _residual(self, vec) -> tuple[list[int], list[int], int]:
+        """vec scaled to integers, its reduction against the span, and the
+        pivot that reduction was last divided by."""
+        if len(vec) != self.width:
+            raise ValueError(f"a vector of length {len(vec)} in a span of width {self.width}")
         (ints,), _ = scale_to_int([vec])
-        res = ints
-        d = 1
+        res, e = ints, 1
         for row, c in zip(self._rows, self._pivots):
-            res = _reduce(res, row, c, d)
-            d = row[c]
-        return ints, res
+            if res[c]:
+                res, e = _reduce(res, e, row, c)
+        return ints, res, e
 
     def add(self, vec) -> bool:
         """Insert a vector; returns True when it enlarged the span."""
-        ints, res = self._residual(vec)
+        ints, res, e = self._residual(vec)
         col = next((j for j, x in enumerate(res) if x), None)
         if col is None:
             return False
-        self._rows.append(res)
+        d = self._rows[-1][self._pivots[-1]] if self._rows else 1
+        self._rows.append(_up_to_date(res, e, d))
         self._pivots.append(col)
         self._accepted.append(ints)
         return True

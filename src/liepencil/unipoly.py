@@ -219,14 +219,31 @@ def rational_roots(p):
         if deg(p) == 0:
             break
         mult = 0
-        # p is primitive and so is d*t - n, so by Gauss's lemma the
-        # quotient is again primitive, in Z[t]
-        while evaluate(p, cand) == 0:
-            p = div_exact(p, [-cand.numerator, cand.denominator])
+        while (quot := _divide_linear(p, cand.numerator, cand.denominator)) is not None:
+            p = quot
             mult += 1
         if mult:
             roots.append((cand, mult))
     return roots, p, True
+
+
+def _divide_linear(p: Poly, n: int, d: int):
+    """p / (d*t - n) for a primitive integer p, or None when n/d is no root.
+
+    One synthetic division from the top: the quotient q has q[k-1] =
+    (p[k] + n*q[k]) / d, and the remainder is p[0] + n*q[0].  With d > 0
+    and gcd(n, d) = 1, d*t - n is primitive, so by Gauss's lemma it divides
+    p in Q[t] only if the quotient is in Z[t]; a division by d with a
+    remainder on the way therefore already rules the root out.
+    """
+    q = [0] * (len(p) - 1)
+    acc = 0
+    for k in range(len(p) - 1, 0, -1):
+        acc, rem = divmod(p[k] + n * acc, d)
+        if rem:
+            return None
+        q[k - 1] = acc
+    return q if p[0] + n * acc == 0 else None
 
 
 def pencil_det(a_rows: Sequence[Sequence[int]], b_rows: Sequence[Sequence[int]]) -> Poly:

@@ -14,7 +14,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from liepencil import ratmat
+from liepencil import ratmat, unipoly
 from liepencil.model import LieAlgebra, SkewPolyMatrix
 from liepencil.oracle import InfiniteJordanBlock, JordanBlock, KroneckerBlock
 from liepencil.poly import Polynomial, VarRegistry, coefficients, div_exact, normalize
@@ -310,6 +310,109 @@ def fixed_count_samples(pencil) -> tuple[int, list[list[list[int]]]]:
             kernels.append(kernel)
         t += 1
     return best, kernels
+
+
+def eager_reduce(w: list[int], pivot_row: list[int], col: int, d: int) -> list[int]:
+    """One eager fraction-free (Bareiss) step: (p*w - w[col]*pivot_row) / d.
+
+    p is ``pivot_row[col]`` and d the pivot before it; a row with w[col] = 0
+    is rescaled to p*w/d.  ``ratmat`` defers that rescaling; this step, and
+    :func:`eager_eliminate` and :class:`EagerSpan` built on it, are the
+    reference its echelon rows must equal.
+    """
+    p = pivot_row[col]
+    f = w[col]
+    if f:
+        return [(p * a - f * b) // d for a, b in zip(w, pivot_row)]
+    if p != d:
+        return [p * a // d for a in w]
+    return w
+
+
+def eager_eliminate(work: list[list[int]]) -> tuple[list[int], int, int]:
+    """``ratmat._eliminate`` with every row below a pivot through :func:`eager_reduce`."""
+    rows = len(work)
+    cols = len(work[0]) if rows else 0
+    pivots: list[int] = []
+    d = 1
+    sign = 1
+    for col in range(cols):
+        row = len(pivots)
+        if row == rows:
+            break
+        pivot = next((i for i in range(row, rows) if work[i][col]), None)
+        if pivot is None:
+            continue
+        if pivot != row:
+            work[row], work[pivot] = work[pivot], work[row]
+            sign = -sign
+        for i in range(row + 1, rows):
+            work[i] = eager_reduce(work[i], work[row], col, d)
+        d = work[row][col]
+        pivots.append(col)
+    return pivots, d, sign
+
+
+class EagerSpan:
+    """``ratmat.SpanBuilder`` on integer vectors, each reduced by
+    :func:`eager_reduce` against every accepted row."""
+
+    def __init__(self):
+        self.rows: list[list[int]] = []
+        self.pivots: list[int] = []
+
+    def _residual(self, vec: list[int]) -> list[int]:
+        res = list(vec)
+        d = 1
+        for row, c in zip(self.rows, self.pivots):
+            res = eager_reduce(res, row, c, d)
+            d = row[c]
+        return res
+
+    def add(self, vec: list[int]) -> bool:
+        res = self._residual(vec)
+        col = next((j for j, x in enumerate(res) if x), None)
+        if col is None:
+            return False
+        self.rows.append(res)
+        self.pivots.append(col)
+        return True
+
+    def contains(self, vec: list[int]) -> bool:
+        return not any(self._residual(vec))
+
+
+def reference_rational_roots(p):
+    """``unipoly.rational_roots`` with each candidate r tested by Horner's
+    rule in Q and divided out by ``unipoly.div_exact`` while p(r) = 0."""
+    p = unipoly.primitive(p)
+    roots = []
+    mult0 = 0
+    while p and not p[0]:
+        p = p[1:]
+        mult0 += 1
+    if mult0:
+        roots.append((Fraction(0), mult0))
+    if unipoly.deg(p) == 0:
+        return roots, p, True
+    nums = unipoly._divisors(p[0])
+    dens = unipoly._divisors(p[-1])
+    if nums is None or dens is None:
+        return roots, p, False
+    candidates = sorted(
+        {Fraction(s * n, d) for n in nums for d in dens for s in (1, -1)},
+        key=lambda f: (abs(f), f < 0),
+    )
+    for cand in candidates:
+        if unipoly.deg(p) == 0:
+            break
+        mult = 0
+        while unipoly.evaluate(p, cand) == 0:
+            p = unipoly.div_exact(p, [-cand.numerator, cand.denominator])
+            mult += 1
+        if mult:
+            roots.append((cand, mult))
+    return roots, p, True
 
 
 def reference_ax(alg: LieAlgebra) -> SkewPolyMatrix:

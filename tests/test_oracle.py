@@ -342,15 +342,24 @@ def test_pencils_hold_integers():
 
 
 def test_deflation_hands_integer_grams_to_pencil_pfaffian(monkeypatch):
-    """The Gram pair on ann(Y)/U holds ints: with no singular block it is
-    A, B themselves, and a K(1) block leaves a quotient three rows smaller."""
+    """The Gram pair on ann(Y)/U holds ints.  With no singular block it is
+    A, B themselves, handed over as they are: t = 0 has full rank, so no
+    vector enters a span and no image is formed.  A K(1) block leaves a
+    quotient three rows smaller."""
     seen = []
     real_pf = unipoly.pencil_pfaffian
     monkeypatch.setattr(
         unipoly, "pencil_pfaffian", lambda a, b: seen.append((a, b)) or real_pf(a, b)
     )
+    calls = []
+    for owner, name in ((ratmat.SpanBuilder, "add"), (ratmat, "mat_vec")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(
+            owner, name, lambda *args, real=real, name=name: calls.append(name) or real(*args)
+        )
     for singular, verdict in (((), Verdict.JORDAN), ((KroneckerBlock(1),), Verdict.MIXED)):
         seen.clear()
+        calls.clear()
         blocks = [JordanBlock(Fraction(2), 2), *singular, JordanBlock(Fraction(-1, 2), 1)]
         pencil = _scrambled(blocks, seed=10)
         rep = pencil_type(pencil)
@@ -360,8 +369,11 @@ def test_deflation_hands_integer_grams_to_pencil_pfaffian(monkeypatch):
         gram_a, gram_b = seen[0]
         assert len(gram_a) == 6
         assert _all_ints(gram_a) and _all_ints(gram_b)
-        if not singular:
-            assert (gram_a, gram_b) == (pencil.a, pencil.b)
+        if singular:
+            assert "add" in calls and "mat_vec" in calls
+        else:
+            assert gram_a is pencil.a and gram_b is pencil.b
+            assert calls == []
 
 
 def test_common_scale_leaves_report_unchanged():

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liepencil import ratmat
 from liepencil.ratmat import (
@@ -21,7 +22,7 @@ from liepencil.ratmat import (
     transpose,
 )
 
-from helpers import laplace_det, random_unimodular
+from helpers import EagerSpan, eager_eliminate, laplace_det, random_unimodular
 
 
 def _random_matrix(rng, rows, cols, lo=-8, hi=8):
@@ -265,3 +266,94 @@ def test_span_builder_membership_matches_rank():
         assert sb.contains(v) == (rank(m + [v]) == 3), v
         assert sb.contains([Fraction(x, 5) for x in v]) == sb.contains(v)
     assert sb.dim == 3
+
+
+def test_span_builder_refuses_a_vector_of_another_width():
+    sb = SpanBuilder(3)
+    assert sb.add([1, 0, 0])
+    for wrong in ([0, 1, 0, 5], [0, 1], []):
+        with pytest.raises(ValueError):
+            sb.add(wrong)
+        with pytest.raises(ValueError):
+            sb.contains(wrong)
+    assert sb.dim == 1 and sb.basis() == [[1, 0, 0]]
+
+
+@st.composite
+def _matrices(draw, max_rows=7, max_cols=7):
+    """Dense, sparse or rank-deficient integer matrices, some of them
+    divided entry by entry into Fractions."""
+    rows = draw(st.integers(1, max_rows))
+    cols = draw(st.integers(1, max_cols))
+    kind = draw(st.sampled_from(["dense", "sparse", "deficient"]))
+    small = st.integers(-9, 9)
+    if kind == "sparse":
+        small = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -3, 7])
+    if kind == "deficient":
+        r = draw(st.integers(0, min(rows, cols) - 1))
+        left = [[draw(small) for _ in range(r)] for _ in range(rows)]
+        right = [[draw(small) for _ in range(cols)] for _ in range(r)]
+        m = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] if r else [0] * cols
+             for row in left]
+    else:
+        m = [[draw(small) for _ in range(cols)] for _ in range(rows)]
+    if draw(st.booleans()):
+        m = [[Fraction(v, draw(st.integers(1, 4))) for v in row] for row in m]
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrices())
+def test_deferred_rescaling_matches_eager_bareiss(m):
+    """Pivots, d, sign and every work row equal eager Bareiss's."""
+    lazy, _ = ratmat.scale_to_int(m)
+    eager = [list(row) for row in lazy]
+    assert ratmat._eliminate(lazy) == eager_eliminate(eager)
+    assert lazy == eager
+
+
+@settings(max_examples=200, deadline=None)
+@given(_matrices(max_rows=9), _matrices(max_rows=4))
+def test_span_builder_matches_the_eager_span(offered, probes):
+    """The same add answers, rows and pivots as eager reduction, and the
+    same contains answers on other vectors of the same width."""
+    width = len(offered[0])
+    # probes of the same kinds, cut or repeated to the width
+    probes = [(row * width)[:width] for row in probes]
+    sb, ref = SpanBuilder(width), EagerSpan()
+    for vec in offered:
+        (ints,), _ = ratmat.scale_to_int([vec])
+        assert sb.add(vec) == ref.add(ints)
+    assert (sb._rows, sb._pivots) == (ref.rows, ref.pivots)
+    for vec in probes + offered:
+        (ints,), _ = ratmat.scale_to_int([vec])
+        assert sb.contains(vec) == ref.contains(ints)
+
+
+def test_rows_outside_the_pivot_block_are_not_rebuilt(monkeypatch):
+    """On a block-diagonal matrix the steps on one block's pivots reduce
+    only that block's rows, and the rows of the blocks after it stay the
+    very lists they were."""
+    rng = random.Random(27)
+    blocks = [_random_matrix(rng, 3, 3) for _ in range(3)]
+    n = 9
+    m = [[0] * n for _ in range(n)]
+    for k, block in enumerate(blocks):
+        for i, row in enumerate(block):
+            m[3 * k + i][3 * k: 3 * k + 3] = row
+    work, _ = ratmat.scale_to_int(m)
+    rows = list(work)  # the row objects before elimination
+    reduced = []
+    real = ratmat._reduce
+
+    def spy(w, e, pivot_row, col):
+        later = range(3 * (col // 3 + 1), n)
+        assert all(work[i] is rows[i] for i in later)
+        reduced.append((next(i for i in range(n) if work[i] is w), col))
+        return real(w, e, pivot_row, col)
+
+    monkeypatch.setattr(ratmat, "_reduce", spy)
+    eager = [list(row) for row in work]
+    assert ratmat._eliminate(work) == eager_eliminate(eager)
+    assert work == eager
+    assert reduced and all(i // 3 == col // 3 for i, col in reduced)

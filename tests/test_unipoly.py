@@ -22,7 +22,7 @@ from liepencil.unipoly import (
     rational_roots,
 )
 
-from helpers import laplace_det, pfaffian_matchings
+from helpers import laplace_det, pfaffian_matchings, reference_rational_roots
 
 coeffs = st.fractions(min_value=-6, max_value=6, max_denominator=5)
 polys = st.lists(coeffs, min_size=0, max_size=5)
@@ -90,6 +90,41 @@ def test_rational_roots_irrational_residual():
     assert roots == []
     assert deg(residual) == 2
     assert complete
+
+
+# rootless over Q, or 1 for none
+_ROOTLESS = ([1], [1, 0, 1], [-2, 0, 1], [3, 1, 2], [5, -3, 7])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(-12, 12), st.integers(1, 6)), max_size=5),
+    st.sampled_from(_ROOTLESS),
+    st.integers(0, 2),
+    st.sampled_from([1, -4, Fraction(2, 3)]),
+)
+def test_rational_roots_match_horner_and_exact_division(factors, rootless, zeros, scale):
+    """One integer synthetic division per candidate gives the roots, the
+    order, the residual and ``complete`` of testing each candidate by
+    Horner's rule in Q and dividing it out with ``div_exact``, for products
+    of linear factors d*t - n, a rootless quadratic and t^zeros, given as
+    ints or as Fractions."""
+    p = [0] * zeros + rootless
+    for n, d in factors:
+        p = mul(p, [-n, d])
+    p = [scale * c for c in p]
+    got = rational_roots(p)
+    assert got == reference_rational_roots(p)
+    assert all(type(c) is int for c in got[1])
+
+
+def test_rational_roots_give_up_past_the_factor_bound():
+    """A trailing coefficient past ``_FACTOR_BOUND`` ends the search after
+    the zero roots, with the rest as the residual and ``complete`` False."""
+    big = unipoly._FACTOR_BOUND + 1
+    p = mul([0, 0, 1], mul([-big, 1], [-2, 3]))
+    got = rational_roots(p)
+    assert got == reference_rational_roots(p) == ([(Fraction(0), 2)], [2 * big, -3 * big - 2, 3], False)
 
 
 def test_evaluate():
