@@ -26,10 +26,6 @@ from typing import Sequence
 from .errors import SingularMatrix
 
 
-def identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def transpose(m: Sequence[Sequence]) -> list[list]:
     return [list(col) for col in zip(*m)] if m else []
 
@@ -66,8 +62,6 @@ def scale_to_int(m) -> tuple[list[list[int]], int]:
     if all(type(v) is int for row in m for v in row):
         return [list(row) for row in m], 1
     scale = math.lcm(*(v.denominator for row in m for v in row))
-    if scale == 1:
-        return [[v.numerator for v in row] for row in m], 1
     return [[v.numerator * (scale // v.denominator) for v in row] for row in m], scale
 
 

@@ -1,10 +1,14 @@
-"""Dense univariate polynomials over Z or Q, as coefficient lists.
+"""Dense univariate polynomials over Z, as coefficient lists.
 
 ``p[i]`` is the coefficient of the i-th power; the zero polynomial is the
-empty list, so there are never trailing zeros.  Coefficients keep the ring
-they come in: integer lists stay in Z[t] through every ring operation and
-every exact division, and a ``Fraction`` appears only where a quotient
-leaves Z.  This tiny layer backs the numeric pencil oracle and is
+empty list, so there are never trailing zeros.  Everything is computed in
+Z[t] through one elimination, :func:`pencil_pfaffian`, and one long
+division, :func:`_divide`, that stops at the first step which is not exact
+in Z; :func:`pencil_det` is the Pfaffian of a skew embedding, and
+:func:`gcd_poly` a primitive pseudo-remainder sequence.  A
+``Fraction`` enters only through the input of :func:`primitive`, which
+scales it to a primitive integer polynomial, and as a characteristic number
+(a rational root).  This tiny layer backs the numeric pencil oracle and is
 deliberately independent from the sparse multivariate ring in
 :mod:`liepencil.poly`: the two implementations check each other in the
 test suite.
@@ -16,7 +20,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-Poly = list  # list[int] in Z[t]; Fractions enter only over Q
+Poly = list  # list[int] in Z[t]; a Fraction only as primitive's input
 
 
 def trim(p) -> Poly:
@@ -62,45 +66,35 @@ def mul(p, q) -> Poly:
     return trim(out)
 
 
-def _quotient(a, b):
-    """a / b, kept in Z when b divides a, else a Fraction."""
-    f, rem = divmod(a, b)
-    return Fraction(a) / b if rem else f
+def _divide(p, q):
+    """Long division of p by q != 0 in Z[t], from the top.
 
-
-def divmod_poly(p, q) -> tuple[Poly, Poly]:
+    Returns ``(quotient, remainder)`` with deg(remainder) < deg(q), or None
+    at the first step whose leading coefficient lc(q) does not divide.
+    """
     if not q:
         raise ZeroDivisionError("univariate division by zero")
-    r = list(p)
-    quot = [0] * max(len(p) - len(q) + 1, 0)
+    r = trim(p)
     dq = deg(q)
     lc = q[-1]
-    while len(r) - 1 >= dq and any(r):
-        while r and not r[-1]:
-            r.pop()
-        if len(r) - 1 < dq:
-            break
-        shift = len(r) - 1 - dq
-        f = _quotient(r[-1], lc)
-        quot[shift] = f
-        for i, c in enumerate(q):
-            r[shift + i] -= f * c
-    return trim(quot), trim(r)
+    quot = [0] * max(len(r) - dq, 0)
+    for k in range(len(quot) - 1, -1, -1):
+        c, rem = divmod(r[k + dq], lc)
+        if rem:
+            return None
+        quot[k] = c
+        if c:
+            for i in range(dq):
+                r[k + i] -= c * q[i]
+    return quot, trim(r[:dq])
 
 
 def div_exact(p, q) -> Poly:
-    quot, rem = divmod_poly(p, q)
-    if rem:
-        raise ValueError("univariate division was not exact")
-    return quot
-
-
-def evaluate(p, x) -> Fraction:
-    x = Fraction(x)
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
+    """p / q, for q dividing p in Z[t]; ValueError otherwise."""
+    res = _divide(p, q)
+    if res is None or res[1]:
+        raise ValueError("univariate division was not exact in Z[t]")
+    return res[0]
 
 
 def primitive(p) -> Poly:
@@ -118,12 +112,17 @@ def primitive(p) -> Poly:
 
 
 def gcd_poly(p, q) -> Poly:
-    """Normalized gcd (primitive, positive leading); gcd(p, 0) = primitive(p)."""
-    a, b = trim(p), trim(q)
+    """Normalized gcd (primitive, positive leading); gcd(p, 0) = primitive(p).
+
+    A primitive pseudo-remainder sequence: every step of the long division
+    of lc(b)^(deg a - deg b + 1) * a by b is exact in Z, and each remainder
+    is made primitive, which by Gauss's lemma keeps the gcd.
+    """
+    a, b = primitive(trim(p)), primitive(trim(q))
     while b:
-        _, r = divmod_poly(a, b)
-        a, b = b, r
-    return primitive(a)
+        scaled = [c * b[-1] ** max(len(a) - len(b) + 1, 0) for c in a]
+        a, b = b, primitive(_divide(scaled, b)[1])
+    return a
 
 
 def format_poly(p, var: str = "lambda") -> str:
@@ -168,7 +167,8 @@ def _decimal(c) -> str:
         return _decimal(high) + _decimal(low).zfill(half)
 
 
-# Largest coefficient magnitude the rational root search factors.
+# Largest coefficient magnitude the rational root search factors; its
+# square root bounds the number of candidates the search tests.
 _FACTOR_BOUND = 10**12
 
 
@@ -191,9 +191,13 @@ def rational_roots(p):
     """All rational roots with multiplicities, plus the rootless cofactor.
 
     Returns ``(roots, residual, complete)`` where roots is a list of
-    ``(root, multiplicity)`` pairs.  When the trailing or leading coefficient
-    is too large to factor (past ``_FACTOR_BOUND``), the search is abandoned
-    and ``complete`` is False.
+    ``(root, multiplicity)`` pairs in the order of |root|, a positive root
+    before its negative.  A candidate n/d in lowest terms, with n dividing
+    the trailing and d the leading coefficient, is a root exactly when the
+    primitive d*t - n divides p in Z[t] (Gauss's lemma), and each one found
+    is divided out.  When an end coefficient is too large to factor (past
+    ``_FACTOR_BOUND``), or there would be more than its square root of
+    candidates, the search is abandoned and ``complete`` is False.
     """
     p = primitive(p)
     if not p:
@@ -209,85 +213,39 @@ def rational_roots(p):
         return roots, p, True
     nums = _divisors(p[0])
     dens = _divisors(p[-1])
-    if nums is None or dens is None:
+    if nums is None or dens is None or 2 * len(nums) * len(dens) > math.isqrt(_FACTOR_BOUND):
         return roots, p, False
-    candidates = sorted(
-        {Fraction(s * n, d) for n in nums for d in dens for s in (1, -1)},
-        key=lambda f: (abs(f), f < 0),
-    )
-    for cand in candidates:
+    candidates = ((m, d) for n in nums for d in dens if math.gcd(n, d) == 1 for m in (n, -n))
+    for m, d in candidates:
         if deg(p) == 0:
             break
         mult = 0
-        while (quot := _divide_linear(p, cand.numerator, cand.denominator)) is not None:
-            p = quot
+        # the quotient stays primitive, so a root's m and d still divide its ends
+        while not (p[0] % m or p[-1] % d) and (res := _divide(p, [-m, d])) and not res[1]:
+            p = res[0]
             mult += 1
         if mult:
-            roots.append((cand, mult))
+            roots.append((Fraction(m, d), mult))
+    roots.sort(key=lambda root: (abs(root[0]), root[0] < 0))
     return roots, p, True
 
 
-def _divide_linear(p: Poly, n: int, d: int):
-    """p / (d*t - n) for a primitive integer p, or None when n/d is no root.
-
-    One synthetic division from the top: the quotient q has q[k-1] =
-    (p[k] + n*q[k]) / d, and the remainder is p[0] + n*q[0].  With d > 0
-    and gcd(n, d) = 1, d*t - n is primitive, so by Gauss's lemma it divides
-    p in Q[t] only if the quotient is in Z[t]; a division by d with a
-    remainder on the way therefore already rules the root out.
-    """
-    q = [0] * (len(p) - 1)
-    acc = 0
-    for k in range(len(p) - 1, 0, -1):
-        acc, rem = divmod(p[k] + n * acc, d)
-        if rem:
-            return None
-        q[k - 1] = acc
-    return q if p[0] + n * acc == 0 else None
-
-
 def pencil_det(a_rows: Sequence[Sequence[int]], b_rows: Sequence[Sequence[int]]) -> Poly:
-    """det(A + t B) for integer matrices, by fraction-free elimination.
+    """det(A + t B) for square integer matrices of one size.
 
-    Entries live in Z[t]; every division by the previous pivot is exact in
-    Z[t] (Sylvester's identity), so the work stays in ints and intermediate
-    blowup stays polynomial.
+    With M = A + t B of size n, the skew embedding [[0, M], [-M^T, 0]] has
+    Pfaffian (-1)^(n(n-1)/2) det(M), so this is :func:`pencil_pfaffian` of
+    the embeddings of A and B, with that sign.
     """
     n = len(a_rows)
-    if n == 0:
-        return [1]
-    work: list[list[Poly]] = [
-        [trim([a_rows[i][j], b_rows[i][j]]) for j in range(n)] for i in range(n)
-    ]
-    prev: Poly = [1]
-    sign = 1
-    for k in range(n):
-        pivot = None
-        best = None
-        for i in range(k, n):
-            for j in range(k, n):
-                e = work[i][j]
-                if e and (best is None or len(e) < best):
-                    best = len(e)
-                    pivot = (i, j)
-        if pivot is None:
-            return []
-        pi, pj = pivot
-        if pi != k:
-            work[k], work[pi] = work[pi], work[k]
-            sign = -sign
-        if pj != k:
-            for row in work:
-                row[k], row[pj] = row[pj], row[k]
-            sign = -sign
-        pv = work[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = sub(mul(pv, work[i][j]), mul(work[i][k], work[k][j]))
-                work[i][j] = div_exact(num, prev) if num else []
-        prev = pv
-    result = work[n - 1][n - 1]
-    return neg(result) if sign < 0 else result
+    if len(b_rows) != n or any(len(row) != n for row in (*a_rows, *b_rows)):
+        raise ValueError("a determinant needs two square matrices of one size")
+
+    def embed(m):
+        return [[0] * n + list(row) for row in m] + [[-v for v in col] + [0] * n for col in zip(*m)]
+
+    pf = pencil_pfaffian(embed(a_rows), embed(b_rows))
+    return neg(pf) if n * (n - 1) // 2 % 2 else pf
 
 
 def pencil_pfaffian(a_rows: Sequence[Sequence[int]], b_rows: Sequence[Sequence[int]]) -> Poly:

@@ -11,6 +11,7 @@ needs something honest to disagree with.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -382,9 +383,51 @@ class EagerSpan:
         return not any(self._residual(vec))
 
 
+def horner(p, x) -> Fraction:
+    """p(x) in Q by Horner's rule."""
+    acc = Fraction(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def divmod_poly(p, q):
+    """Univariate long division over Q: (quotient, remainder) with
+    deg(remainder) < deg(q).  A coefficient stays an int where lc(q)
+    divides it exactly, and becomes a Fraction otherwise."""
+    if not q:
+        raise ZeroDivisionError("univariate division by zero")
+    r = list(p)
+    quot = [0] * max(len(p) - len(q) + 1, 0)
+    dq = len(q) - 1
+    lc = q[-1]
+    while len(r) - 1 >= dq and any(r):
+        while r and not r[-1]:
+            r.pop()
+        if len(r) - 1 < dq:
+            break
+        shift = len(r) - 1 - dq
+        f, rem = divmod(r[-1], lc)
+        if rem:
+            f = Fraction(r[-1]) / lc
+        quot[shift] = f
+        for i, c in enumerate(q):
+            r[shift + i] -= f * c
+    return unipoly.trim(quot), unipoly.trim(r)
+
+
+def euclid_gcd(p, q):
+    """``unipoly.gcd_poly`` by Euclid's algorithm over Q."""
+    a, b = unipoly.trim(p), unipoly.trim(q)
+    while b:
+        a, b = b, divmod_poly(a, b)[1]
+    return unipoly.primitive(a)
+
+
 def reference_rational_roots(p):
-    """``unipoly.rational_roots`` with each candidate r tested by Horner's
-    rule in Q and divided out by ``unipoly.div_exact`` while p(r) = 0."""
+    """``unipoly.rational_roots`` with the candidates as one sorted set of
+    Fractions, each tested by Horner's rule and divided out over Q while
+    p(r) = 0."""
     p = unipoly.primitive(p)
     roots = []
     mult0 = 0
@@ -397,7 +440,7 @@ def reference_rational_roots(p):
         return roots, p, True
     nums = unipoly._divisors(p[0])
     dens = unipoly._divisors(p[-1])
-    if nums is None or dens is None:
+    if nums is None or dens is None or 2 * len(nums) * len(dens) > math.isqrt(unipoly._FACTOR_BOUND):
         return roots, p, False
     candidates = sorted(
         {Fraction(s * n, d) for n in nums for d in dens for s in (1, -1)},
@@ -407,8 +450,8 @@ def reference_rational_roots(p):
         if unipoly.deg(p) == 0:
             break
         mult = 0
-        while unipoly.evaluate(p, cand) == 0:
-            p = unipoly.div_exact(p, [-cand.numerator, cand.denominator])
+        while horner(p, cand) == 0:
+            p, _ = divmod_poly(p, [-cand.numerator, cand.denominator])
             mult += 1
         if mult:
             roots.append((cand, mult))

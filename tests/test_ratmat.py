@@ -12,7 +12,6 @@ from liepencil import ratmat
 from liepencil.ratmat import (
     SpanBuilder,
     det,
-    identity,
     inverse,
     is_skew,
     kernel,
@@ -23,6 +22,10 @@ from liepencil.ratmat import (
 )
 
 from helpers import EagerSpan, eager_eliminate, laplace_det, random_unimodular
+
+
+def identity(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def _random_matrix(rng, rows, cols, lo=-8, hi=8):

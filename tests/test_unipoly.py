@@ -1,7 +1,8 @@
-"""Dense univariate polynomials over the rationals."""
+"""Dense univariate polynomials over the integers."""
 
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,8 +12,6 @@ from liepencil import unipoly
 from liepencil.unipoly import (
     deg,
     div_exact,
-    divmod_poly,
-    evaluate,
     format_poly,
     gcd_poly,
     mul,
@@ -22,10 +21,16 @@ from liepencil.unipoly import (
     rational_roots,
 )
 
-from helpers import laplace_det, pfaffian_matchings, reference_rational_roots
+from helpers import (
+    divmod_poly,
+    euclid_gcd,
+    horner,
+    laplace_det,
+    pfaffian_matchings,
+    reference_rational_roots,
+)
 
-coeffs = st.fractions(min_value=-6, max_value=6, max_denominator=5)
-polys = st.lists(coeffs, min_size=0, max_size=5)
+int_polys = st.lists(st.integers(-9, 9), max_size=5).map(unipoly.trim)
 
 
 def from_roots(roots, lead=1):
@@ -38,21 +43,55 @@ def from_roots(roots, lead=1):
 def test_divmod_reconstructs():
     p = from_roots([1, 2, 3])
     q = from_roots([2])
-    quo, rem = divmod_poly(p, q)
-    assert unipoly.add(mul(quo, q), rem) == unipoly.trim(p)
-    assert not rem
     assert div_exact(p, q) == from_roots([1, 3])
 
 
-@given(polys, polys)
-@settings(max_examples=80, deadline=None)
-def test_divmod_identity(p, q):
-    p, q = unipoly.trim(p), unipoly.trim(q)
-    if not q:
-        return
-    quo, rem = divmod_poly(p, q)
-    assert unipoly.add(mul(quo, q), rem) == p
-    assert deg(rem) < deg(q)
+@given(int_polys, int_polys.filter(bool), int_polys, st.integers(1, 4))
+@settings(max_examples=300, deadline=None)
+def test_division_in_z_matches_the_quotient_over_q(s, q, r, content):
+    """For p = s*q, or s*q + r, with q of content ``content`` as well,
+    the division in Z[t] gives the quotient over Q exactly when that
+    quotient is in Z[t] and the remainder is 0; otherwise no quotient,
+    and ``div_exact`` raises."""
+    q = [content * c for c in q]
+    for p in (mul(s, q), unipoly.add(mul(s, q), r)):
+        quot, rem = divmod_poly(p, q)
+        res = unipoly._divide(p, q)
+        if res is not None:
+            assert unipoly.add(mul(res[0], q), res[1]) == p
+            assert deg(res[1]) < deg(q)
+        if not rem and all(type(c) is int for c in quot):
+            assert res == (quot, [])
+            assert div_exact(p, q) == quot
+        else:
+            assert res is None or res[1]
+            with pytest.raises(ValueError):
+                div_exact(p, q)
+
+
+def test_division_by_a_non_primitive_divisor_is_not_exact():
+    with pytest.raises(ValueError):
+        div_exact([1, 1], [2, 2])
+    assert div_exact([2, 2], [2, 2]) == [1]
+    with pytest.raises(ZeroDivisionError):
+        div_exact([1], [])
+
+
+@given(
+    st.lists(st.integers(-6, 6), max_size=4),
+    int_polys,
+    int_polys,
+    st.sampled_from([1, -3, Fraction(2, 5)]),
+)
+@settings(max_examples=300, deadline=None)
+def test_gcd_matches_euclid_over_q(g, a, b, scale):
+    """The primitive pseudo-remainder sequence in Z[t] gives the gcd of
+    Euclid's algorithm over Q, for int and Fraction inputs that share the
+    factor g."""
+    p = [scale * c for c in mul(g, a)]
+    q = mul(g, b)
+    assert gcd_poly(p, q) == euclid_gcd(p, q)
+    assert gcd_poly(q, p) == euclid_gcd(q, p)
 
 
 def test_gcd_of_products():
@@ -118,6 +157,17 @@ def test_rational_roots_match_horner_and_exact_division(factors, rootless, zeros
     assert all(type(c) is int for c in got[1])
 
 
+def test_rational_roots_give_up_past_the_candidate_bound():
+    """963761198400 has 6720 divisors, so both ends together give about
+    9*10^7 candidates, past sqrt(_FACTOR_BOUND): the search stops before
+    testing any, with the input as the residual."""
+    p = [963761198400, 1, 963761198400]
+    start = time.perf_counter()
+    got = rational_roots(p)
+    assert time.perf_counter() - start < 1.0
+    assert got == ([], p, False)
+
+
 def test_rational_roots_give_up_past_the_factor_bound():
     """A trailing coefficient past ``_FACTOR_BOUND`` ends the search after
     the zero roots, with the rest as the residual and ``complete`` False."""
@@ -125,13 +175,6 @@ def test_rational_roots_give_up_past_the_factor_bound():
     p = mul([0, 0, 1], mul([-big, 1], [-2, 3]))
     got = rational_roots(p)
     assert got == reference_rational_roots(p) == ([(Fraction(0), 2)], [2 * big, -3 * big - 2, 3], False)
-
-
-def test_evaluate():
-    p = from_roots([1, 2])
-    assert evaluate(p, Fraction(1)) == 0
-    assert evaluate(p, Fraction(0)) == 2
-    assert evaluate(p, Fraction(3)) == 2
 
 
 def test_format_poly():
@@ -152,6 +195,18 @@ def test_format_poly_writes_coefficients_past_the_digit_limit():
     assert format_poly([-big, 1]) == f"lambda - {text}"
 
 
+def test_pencil_det_refuses_matrices_of_other_shapes():
+    square = [[1, 2], [3, 4]]
+    for a, b in (
+        (square, [[1, 2, 3], [4, 5, 6], [7, 8, 9]]),
+        (square, [[1, 2]]),
+        ([[1, 2, 3], [4, 5, 6]], [[1, 2, 3], [4, 5, 6]]),
+        ([[1, 2], [3]], square),
+    ):
+        with pytest.raises(ValueError):
+            pencil_det(a, b)
+
+
 def test_pencil_det_against_laplace():
     rng = random.Random(17)
     for n in (1, 2, 3, 4):
@@ -165,7 +220,7 @@ def test_pencil_det_against_laplace():
                 [Fraction(a[i][j] + t * b[i][j]) for j in range(n)]
                 for i in range(n)
             ]
-            assert evaluate(got, Fraction(t)) == laplace_det(rows)
+            assert horner(got, Fraction(t)) == laplace_det(rows)
 
 
 def _all_ints(p):
@@ -221,7 +276,7 @@ def test_pencil_pfaffian_sign_against_matchings():
             a, b = _skew(rng, n, density), _skew(rng, n, density)
             pf = pencil_pfaffian(a, b)
             for t in range(-2, 3):
-                assert evaluate(pf, t) == pfaffian_matchings(_at(a, b, t)), (n, t)
+                assert horner(pf, t) == pfaffian_matchings(_at(a, b, t)), (n, t)
 
 
 def test_pencil_pfaffian_pivots_past_a_zero_entry():
@@ -231,7 +286,7 @@ def test_pencil_pfaffian_pivots_past_a_zero_entry():
     pf = pencil_pfaffian(a, b)
     assert pf == [5, 5, 1]  # w12 w34 - w13 w24 + w14 w23 = 0 - 1 + (2 + t)(3 + t)
     for t in range(-2, 3):
-        assert evaluate(pf, t) == pfaffian_matchings(_at(a, b, t))
+        assert horner(pf, t) == pfaffian_matchings(_at(a, b, t))
 
 
 def test_pencil_pfaffian_of_a_singular_pencil_is_zero():
@@ -272,7 +327,3 @@ def test_integer_input_stays_in_integers():
         assert got and _all_ints(got), got
 
 
-def test_divmod_falls_back_to_fractions_when_inexact():
-    quo, rem = divmod_poly([1, 0, 1], [1, 3])
-    assert quo == [Fraction(-1, 9), Fraction(1, 3)]
-    assert rem == [Fraction(10, 9)]
