@@ -209,8 +209,9 @@ class PencilTypeReport:
     multiplicities; ``residual`` is the rootless cofactor left after them,
     and ``char_complete`` records whether the root search ran to the end.
     ``infinite_count`` counts Jordan blocks at t = infinity, half the rank
-    deficit of B alone.  ``corank``, ``has_infinite`` and ``verdict`` are
-    read off these; ``method`` names the one route p0 takes, "deflation".
+    deficit of B on the regular part.  ``corank``, ``has_infinite`` and
+    ``verdict`` are read off these; ``method`` names the one route p0
+    takes, "deflation".
     """
 
     size: int
@@ -304,17 +305,17 @@ def _samples(pencil: NumericPencil) -> tuple[int, ratmat.SpanBuilder]:
             return n - shortest, span
 
 
-def _p0_by_deflation(pencil: NumericPencil, span: ratmat.SpanBuilder) -> unipoly.Poly:
-    """Split off the singular part and take the Pfaffian on the regular quotient.
+def _regular_part(pencil: NumericPencil, span: ratmat.SpanBuilder) -> tuple[list, list]:
+    """Split off the singular part: the Gram pair of A and B on ann(Y)/U.
 
     ``span`` holds U, the sum of the Kronecker blocks' kernel spaces, as
     :func:`_samples` leaves it.  Pairing U with its image Y = A(U) + B(U)
     and passing to ann(Y)/U removes every Kronecker block: each one is a
     pairing of its kernel space with its image.  What is left is the
-    regular part, Jordan blocks only, and there p0 is the Pfaffian of the
-    Gram pair of A and B on coset representatives, up to a constant.  With
-    U = 0 (no singular block) the quotient is the whole space and the Gram
-    pair is A, B themselves, which go to the Pfaffian as they are.
+    regular part, Jordan blocks only, and the Gram pair of A and B on coset
+    representatives is congruent to it.  With U = 0 (no singular block)
+    the quotient is the whole space and the pair is A, B themselves, handed
+    on as they are; with no representatives it is the empty pair.
 
     Otherwise one span serves both: ann(Y) is the kernel of the images
     A u, B u of a basis of U, and the span of U, grown further, accepts the
@@ -324,8 +325,6 @@ def _p0_by_deflation(pencil: NumericPencil, span: ratmat.SpanBuilder) -> unipoly
     if span.dim:
         y_rows = [ratmat.mat_vec(m, vec) for vec in span.basis() for m in (a, b)]
         reps = [w for w in ratmat.kernel(y_rows) if span.add(w)]
-        if not reps:
-            return [1]
 
         def gram(mat):
             # entry (i, j) is reps[i] . mat reps[j]; each image is formed once
@@ -333,10 +332,7 @@ def _p0_by_deflation(pencil: NumericPencil, span: ratmat.SpanBuilder) -> unipoly
             return [[sum(map(operator.mul, u, w)) for w in images] for u in reps]
 
         a, b = gram(a), gram(b)
-    pf = unipoly.pencil_pfaffian(a, b)
-    if not pf:
-        raise ArithmeticError("deflated pencil is singular; rank certificate failed")
-    return unipoly.primitive(pf)
+    return a, b
 
 
 def pencil_type(pencil: NumericPencil) -> PencilTypeReport:
@@ -348,12 +344,22 @@ def pencil_type(pencil: NumericPencil) -> PencilTypeReport:
     kernels at the points of that rank.  Such a point hits no eigenvalue,
     and the span it stalls holds the values of every Kronecker block's
     kernel vector m(t) at more points than its degree, so it is U (see
-    :func:`_samples` for the proof).  p0 comes from
-    :func:`_p0_by_deflation` on that span; B alone is eliminated once more
-    for the blocks at t = infinity.
+    :func:`_samples` for the proof).  :func:`_regular_part` turns that span
+    into the m x m Gram pair (G_A, G_B) of the regular part, and p0 is the
+    primitive part of Pf(G_A + t G_B).
+
+    The blocks at t = infinity are counted on the same pair.  It is
+    congruent to the direct sum of the Jordan blocks, in which B of a
+    finite Jordan block has full rank and B of an infinite block of size k
+    has rank 2k - 2, so infinite_count = (m - rank G_B) / 2, and 0 for the
+    empty pair.
     """
     r, span = _samples(pencil)
-    p0 = _p0_by_deflation(pencil, span)
+    gram_a, gram_b = _regular_part(pencil, span)
+    pf = unipoly.pencil_pfaffian(gram_a, gram_b)
+    if not pf:
+        raise ArithmeticError("deflated pencil is singular; rank certificate failed")
+    p0 = unipoly.primitive(pf)
     roots, residual, complete = unipoly.rational_roots(p0)
     return PencilTypeReport(
         size=pencil.size,
@@ -362,7 +368,7 @@ def pencil_type(pencil: NumericPencil) -> PencilTypeReport:
         char_numbers=tuple(roots),
         char_complete=complete,
         residual=tuple(residual),
-        infinite_count=(r - ratmat.rank(pencil.b)) // 2,
+        infinite_count=(len(gram_b) - ratmat.rank(gram_b)) // 2,
     )
 
 

@@ -2,13 +2,16 @@
 
 ``p[i]`` is the coefficient of the i-th power; the zero polynomial is the
 empty list, so there are never trailing zeros.  Everything is computed in
-Z[t] through one elimination, :func:`pencil_pfaffian`, and one long
-division, :func:`_divide`, that stops at the first step which is not exact
-in Z; :func:`pencil_det` is the Pfaffian of a skew embedding, and
-:func:`gcd_poly` a primitive pseudo-remainder sequence.  A
-``Fraction`` enters only through the input of :func:`primitive`, which
-scales it to a primitive integer polynomial, and as a characteristic number
-(a rational root).  This tiny layer backs the numeric pencil oracle and is
+Z[t] through one Pfaffian, :func:`pencil_pfaffian`, and one long division,
+:func:`_divide`, that stops at the first step which is not exact in Z.
+Pf(A + t B) is one integer Pfaffian at t = 2^k, with k chosen by Hadamard's
+inequality and Cauchy's estimate so that every coefficient is below 2^(k-1)
+and is read back as a signed base-2^k digit (see :func:`pencil_pfaffian`
+for the proof); :func:`pencil_det` is the Pfaffian of a skew embedding, and
+:func:`gcd_poly` a primitive pseudo-remainder sequence.  A ``Fraction``
+enters only through the input of :func:`primitive`, which scales it to a
+primitive integer polynomial, and as a characteristic number (a rational
+root).  This tiny layer backs the numeric pencil oracle and is
 deliberately independent from the sparse multivariate ring in
 :mod:`liepencil.poly`: the two implementations check each other in the
 test suite.
@@ -35,35 +38,8 @@ def deg(p) -> int:
     return len(p) - 1
 
 
-def add(p, q) -> Poly:
-    n = max(len(p), len(q))
-    out = [0] * n
-    for i, c in enumerate(p):
-        out[i] += c
-    for i, c in enumerate(q):
-        out[i] += c
-    return trim(out)
-
-
 def neg(p) -> Poly:
     return [-c for c in p]
-
-
-def sub(p, q) -> Poly:
-    return add(p, neg(q))
-
-
-def mul(p, q) -> Poly:
-    if not p or not q:
-        return []
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if not a:
-            continue
-        for j, b in enumerate(q):
-            if b:
-                out[i + j] += a * b
-    return trim(out)
 
 
 def _divide(p, q):
@@ -89,16 +65,9 @@ def _divide(p, q):
     return quot, trim(r[:dq])
 
 
-def div_exact(p, q) -> Poly:
-    """p / q, for q dividing p in Z[t]; ValueError otherwise."""
-    res = _divide(p, q)
-    if res is None or res[1]:
-        raise ValueError("univariate division was not exact in Z[t]")
-    return res[0]
-
-
 def primitive(p) -> Poly:
     """Integer scalar multiple as ints, coprime, positive leading."""
+    p = trim(p)
     if not p:
         return []
     num = 0
@@ -118,7 +87,7 @@ def gcd_poly(p, q) -> Poly:
     of lc(b)^(deg a - deg b + 1) * a by b is exact in Z, and each remainder
     is made primitive, which by Gauss's lemma keeps the gcd.
     """
-    a, b = primitive(trim(p)), primitive(trim(q))
+    a, b = primitive(p), primitive(q)
     while b:
         scaled = [c * b[-1] ** max(len(a) - len(b) + 1, 0) for c in a]
         a, b = b, primitive(_divide(scaled, b)[1])
@@ -249,69 +218,92 @@ def pencil_det(a_rows: Sequence[Sequence[int]], b_rows: Sequence[Sequence[int]])
 
 
 def pencil_pfaffian(a_rows: Sequence[Sequence[int]], b_rows: Sequence[Sequence[int]]) -> Poly:
-    """Pf(A + t B) for skew-symmetric integer matrices, by fraction-free elimination.
+    """Pf(A + t B) for skew-symmetric integer matrices, as one integer Pfaffian.
 
-    Each step takes a nonzero entry (i, j), i < j, of the remaining indices,
-    the shortest one, as the pivot pair and moves it to the front; that
-    reordering multiplies the Pfaffian by (-1)^(pos_i + pos_j - 1), where
-    pos is the place among the remaining indices.  Every other entry (p, q)
-    with p < q becomes
+    P(t) = Pf(A + t B) is read off the integer Pfaffian of M = A + T B at
+    T = 2^k (Kronecker substitution): P(T) = sum p_j T^j, and when every
+    |p_j| < T/2 the p_j are the signed base-T digits of P(T), one way only.
+
+    The bound.  Let c_i = |a_i| + |b_i|, with a_i, b_i the i-th rows and
+    |.| the Euclidean norm.  For |t| = 1 row i of A + t B has norm at most
+    c_i, so Hadamard's inequality gives |P(t)|^2 = |det(A + t B)| <= prod c_i,
+    and by Cauchy's estimate every |p_j| is at most the largest |P(t)| on
+    the unit circle, H = (prod c_i)^(1/2).  In integers, c_i is below
+    isqrt(|a_i|^2) + isqrt(|b_i|^2) + 2, so with h the product of those
+    factors, H^2 <= h < 2^h.bit_length() <= 2^(2k - 2), that is H < T/2.
+
+    The elimination is fraction-free (Knuth, "Overlapping Pfaffians",
+    1996).  Each step takes the first nonzero entry (i, j) of the first
+    remaining row i as the pivot pair and moves j next to i, which
+    multiplies the Pfaffian by (-1)^(pos_j - 1), pos_j being j's place
+    among the remaining indices.  Every other entry (p, q), p < q, becomes
 
         (w_ij w_pq - w_ip w_jq + w_iq w_jp) / prev
 
-    with prev the previous pivot, and only that upper triangle is kept.
-    The division is exact in Z[t] by the Pfaffian analogue of Sylvester's
-    identity (Knuth, "Overlapping Pfaffians", 1996): the new entry is the
-    Pfaffian on the pivot pairs so far plus p and q, so the last pivot is
-    Pf(A + t B) up to the sign of the reorderings.  With no nonzero entry
-    left, or an odd size, the Pfaffian is zero.  Input that is not
-    skew-symmetric raises ValueError.
+    with prev the previous pivot; only that upper triangle is kept.  The
+    division is exact in Z by the Pfaffian analogue of Sylvester's identity:
+    the new entry is the Pfaffian on the pivot pairs so far plus p and q, so
+    the last pivot is Pf(M) up to the sign of the reorderings.  A remaining
+    row of zeros, or an odd size, makes the Pfaffian zero; P(T) = 0 only
+    for P = 0, because the top digit of a nonzero P outweighs the rest.
+    Input that is not skew-symmetric raises ValueError.
     """
     n = len(a_rows)
     if (
         len(b_rows) != n
         or any(len(row) != n for row in (*a_rows, *b_rows))
         or any(
-            m[i][j] != -m[j][i] for m in (a_rows, b_rows) for i in range(n) for j in range(i, n)
+            list(row) != [-v for v in col] for m in (a_rows, b_rows) for row, col in zip(m, zip(*m))
         )
     ):
         raise ValueError("a Pfaffian needs two skew-symmetric matrices of one size")
     if n % 2:
         return []
-    w: list[list[Poly]] = [
-        [trim([a_rows[i][j], b_rows[i][j]]) if i < j else [] for j in range(n)]
-        for i in range(n)
+    h = 1
+    for ra, rb in zip(a_rows, b_rows):
+        h *= math.isqrt(sum(v * v for v in ra)) + math.isqrt(sum(v * v for v in rb)) + 2
+    k = (h.bit_length() + 1) // 2 + 1
+    # w[x] holds the entries (x, y) for y > x, in the order of the remaining indices
+    w = [
+        [a + (b << k) for a, b in zip(ra[i + 1:], rb[i + 1:])]
+        for i, (ra, rb) in enumerate(zip(a_rows, b_rows))
     ]
-    live = list(range(n))
-    prev: Poly = [1]
+    prev = 1
     sign = 1
-    while live:
-        best, shortest = None, 0
-        for x, i in enumerate(live):
-            wi = w[i]
-            for y in range(x + 1, len(live)):
-                size = len(wi[live[y]])
-                if size and (best is None or size < shortest):
-                    best, shortest = (x, y), size
-        if best is None:
+    while w:
+        first = w[0]
+        c = next((x for x, v in enumerate(first) if v), None)
+        if c is None:
             return []
-        x, y = best
-        i, j = live[x], live[y]
-        if (x + y - 1) % 2:
+        if c % 2:
             sign = -sign
-        rest = live[:x] + live[x + 1:y] + live[y + 1:]
-        pivot = w[i][j]
-        # rows i and j over the rest, read through skew symmetry
-        row_i = [w[i][p] if i < p else neg(w[p][i]) for p in rest]
-        row_j = [w[j][p] if j < p else neg(w[p][j]) for p in rest]
-        for x, p in enumerate(rest):
-            wp = w[p]
-            for y in range(x + 1, len(rest)):
-                num = add(
-                    sub(mul(pivot, wp[rest[y]]), mul(row_i[x], row_j[y])),
-                    mul(row_i[y], row_j[x]),
-                )
-                wp[rest[y]] = div_exact(num, prev) if num else []
+        pivot = first[c]
+        j = c + 1
+        # rows i = 0 and j over the remaining indices, read through skew symmetry
+        row_i = first[:c] + first[j:]
+        row_j = [-w[p][c - p] for p in range(1, j)] + w[j]
+        reduced = []
+        for x, p in enumerate((*range(1, j), *range(j + 1, len(w)))):
+            row_p = w[p][: j - p - 1] + w[p][j - p:] if p < j else w[p]
+            wip, wjp = row_i[x], row_j[x]
+            reduced.append([
+                (pivot * wpq - wip * wjq + wiq * wjp) // prev
+                for wpq, wiq, wjq in zip(row_p, row_i[x + 1:], row_j[x + 1:])
+            ])
         prev = pivot
-        live = rest
-    return neg(prev) if sign < 0 else prev
+        w = reduced
+    return _signed_digits(prev if sign > 0 else -prev, k)
+
+
+def _signed_digits(v: int, k: int) -> Poly:
+    """The digits p_j, each in [-2^(k-1), 2^(k-1)), with v = sum p_j 2^(jk)."""
+    base = 1 << k
+    half = base >> 1
+    out = []
+    while v:
+        d = v & (base - 1)
+        if d >= half:
+            d -= base
+        out.append(d)
+        v = (v - d) >> k
+    return out

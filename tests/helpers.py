@@ -383,6 +383,101 @@ class EagerSpan:
         return not any(self._residual(vec))
 
 
+def uni_add(p, q):
+    """p + q in Z[t]."""
+    n = max(len(p), len(q))
+    out = [0] * n
+    for i, c in enumerate(p):
+        out[i] += c
+    for i, c in enumerate(q):
+        out[i] += c
+    return unipoly.trim(out)
+
+
+def uni_sub(p, q):
+    return uni_add(p, unipoly.neg(q))
+
+
+def uni_mul(p, q):
+    """p * q by the schoolbook product."""
+    if not p or not q:
+        return []
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if not a:
+            continue
+        for j, b in enumerate(q):
+            if b:
+                out[i + j] += a * b
+    return unipoly.trim(out)
+
+
+def uni_div_exact(p, q):
+    """p / q, for q dividing p in Z[t]; ValueError otherwise."""
+    res = unipoly._divide(p, q)
+    if res is None or res[1]:
+        raise ValueError("univariate division was not exact in Z[t]")
+    return res[0]
+
+
+def reference_pencil_pfaffian(a_rows, b_rows):
+    """Pf(A + t B) by fraction-free elimination with polynomial entries.
+
+    ``unipoly.pencil_pfaffian`` before it became one integer Pfaffian at
+    t = 2^k.  Each step takes the shortest nonzero entry (i, j), i < j, of
+    the remaining indices as the pivot pair, with the sign
+    (-1)^(pos_i + pos_j - 1) of moving it to the front, and every other
+    entry (p, q), p < q, becomes (w_ij w_pq - w_ip w_jq + w_iq w_jp) / prev,
+    an exact division in Z[t].  Same refusals and results as the packed
+    version: ValueError for input that is not skew, [] for odd or singular.
+    """
+    n = len(a_rows)
+    if (
+        len(b_rows) != n
+        or any(len(row) != n for row in (*a_rows, *b_rows))
+        or any(
+            m[i][j] != -m[j][i] for m in (a_rows, b_rows) for i in range(n) for j in range(i, n)
+        )
+    ):
+        raise ValueError("a Pfaffian needs two skew-symmetric matrices of one size")
+    if n % 2:
+        return []
+    w = [
+        [unipoly.trim([a_rows[i][j], b_rows[i][j]]) if i < j else [] for j in range(n)]
+        for i in range(n)
+    ]
+    live = list(range(n))
+    prev = [1]
+    sign = 1
+    while live:
+        best, shortest = None, 0
+        for x, i in enumerate(live):
+            for y in range(x + 1, len(live)):
+                size = len(w[i][live[y]])
+                if size and (best is None or size < shortest):
+                    best, shortest = (x, y), size
+        if best is None:
+            return []
+        x, y = best
+        i, j = live[x], live[y]
+        if (x + y - 1) % 2:
+            sign = -sign
+        rest = live[:x] + live[x + 1:y] + live[y + 1:]
+        pivot = w[i][j]
+        row_i = [w[i][p] if i < p else unipoly.neg(w[p][i]) for p in rest]
+        row_j = [w[j][p] if j < p else unipoly.neg(w[p][j]) for p in rest]
+        for x, p in enumerate(rest):
+            for y in range(x + 1, len(rest)):
+                num = uni_add(
+                    uni_sub(uni_mul(pivot, w[p][rest[y]]), uni_mul(row_i[x], row_j[y])),
+                    uni_mul(row_i[y], row_j[x]),
+                )
+                w[p][rest[y]] = uni_div_exact(num, prev) if num else []
+        prev = pivot
+        live = rest
+    return unipoly.neg(prev) if sign < 0 else prev
+
+
 def horner(p, x) -> Fraction:
     """p(x) in Q by Horner's rule."""
     acc = Fraction(0)

@@ -25,7 +25,7 @@ from liepencil.oracle import (
     pencil_type,
 )
 
-from helpers import fixed_count_samples, random_blocks, random_unimodular
+from helpers import fixed_count_samples, random_blocks, random_unimodular, uni_mul
 
 
 def _scrambled(blocks, seed):
@@ -110,6 +110,20 @@ def test_infinite_with_kronecker_is_mixed():
     assert rep.infinite_count == 1
 
 
+def test_infinite_blocks_are_counted_on_the_regular_part(monkeypatch):
+    """K(1) + N(2) + J(3, 1): B has rank 2 on N(2) and full rank on J(3, 1),
+    so the 6 x 6 Gram of B on the regular part has rank 4, one block at
+    infinity, and B is never eliminated at its full size 9."""
+    blocks = [KroneckerBlock(1), InfiniteJordanBlock(2), JordanBlock(Fraction(3), 1)]
+    pencil = _scrambled(blocks, seed=29)
+    ranks, _ = _count_eliminations(monkeypatch)
+    rep = pencil_type(pencil)
+    assert rep.verdict is Verdict.MIXED
+    assert rep.infinite_count == 1
+    assert dict(rep.char_numbers) == {Fraction(-3): 1}
+    assert [len(m) for m in ranks] == [6]
+
+
 def test_char_numbers_with_multiplicities():
     blocks = [
         JordanBlock(Fraction(-2), 2),
@@ -131,7 +145,7 @@ def _closed_form_p0(blocks):
         if isinstance(b, JordanBlock):
             mu = b.eigenvalue
             for _ in range(b.size):
-                p0 = unipoly.mul(p0, [mu.numerator, mu.denominator])
+                p0 = uni_mul(p0, [mu.numerator, mu.denominator])
     return tuple(unipoly.primitive(p0))
 
 
@@ -196,7 +210,7 @@ def test_eigenvalues_on_the_first_sample_points(blocks, points, monkeypatch):
     assert dict(rep.char_numbers) == want and rep.char_complete
     assert rep.infinite_count == 0
     assert kernels[:-1] == [pencil.at(t) for t in range(points)]
-    assert len(kernels) == points + 1 and ranks == [pencil.b]
+    assert len(kernels) == points + 1 and [len(m) for m in ranks] == [_regular_size(blocks)]
 
 
 def test_stall_rule_matches_the_fixed_count_walk():
@@ -262,7 +276,12 @@ def test_rank_is_read_past_singular_sample_points(monkeypatch):
     # t = 0, 1, 2 are eigenvalues; K(1) then needs three points of rank 8,
     # t = 3, 4 and 5, the last adding nothing; one more kernel, on Y
     assert kernels[:-1] == [pencil.at(t) for t in range(6)]
-    assert len(kernels) == 7 and ranks == [pencil.b]
+    assert len(kernels) == 7 and [len(m) for m in ranks] == [6]
+
+
+def _regular_size(blocks):
+    """Rows of the regular part: the pencil without its Kronecker blocks."""
+    return sum(b.matrix_size for b in blocks if not isinstance(b, KroneckerBlock))
 
 
 def _count_eliminations(monkeypatch):
@@ -275,14 +294,14 @@ def _count_eliminations(monkeypatch):
 
 def test_one_elimination_per_sample_point(monkeypatch):
     """One kernel of A + t*B per point until a point adds nothing, one more
-    on Y, and one rank, of B alone.  K(1) has kernel vectors of degree 1 in
-    t, so the third point t = 2 adds nothing; the eigenvalue t = -1 is never
-    sampled."""
+    on Y, and one rank, of B on the regular part.  K(1) has kernel vectors
+    of degree 1 in t, so the third point t = 2 adds nothing; the eigenvalue
+    t = -1 is never sampled."""
     pencil = _scrambled([KroneckerBlock(1), JordanBlock(Fraction(1), 2)], seed=4)
     ranks, kernels = _count_eliminations(monkeypatch)
     rep = pencil_type(pencil)
     assert rep.corank == 1 and dict(rep.char_numbers) == {Fraction(-1): 2}
-    assert ranks == [pencil.b]
+    assert [len(m) for m in ranks] == [4]
     assert kernels[:-1] == [pencil.at(t) for t in range(3)]
     assert len(kernels) == 4
 

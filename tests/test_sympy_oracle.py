@@ -2,8 +2,9 @@
 evaluation.
 
 A development-only oracle: the module is skipped when sympy is not
-installed.  Each case is small (matrices of size at most 6) and seeded or
-drawn by hypothesis, with integer and with rational coefficients.
+installed.  Each case is small (matrices of size at most 6, or 10 for the
+numeric pencils) and seeded or drawn by hypothesis, with integer and with
+rational coefficients.
 """
 
 import random
@@ -18,6 +19,7 @@ from sympy.polys.matrices import DomainMatrix  # noqa: E402
 from liepencil.model import SkewPolyMatrix  # noqa: E402
 from liepencil.pencil import generic_rank, pfaffian  # noqa: E402
 from liepencil.poly import Polynomial, VarRegistry, _line, _line_bound, poly_gcd  # noqa: E402
+from liepencil.unipoly import pencil_pfaffian  # noqa: E402
 
 from helpers import moved_gcd_cases, prs_gcd  # noqa: E402
 
@@ -138,6 +140,30 @@ def test_pfaffian_squared_is_sympy_determinant(rational):
         m = _skew_matrix(rng, rational, size, None)
         det = _to_sympy_matrix(m).det(method="domain-ge")
         assert sympy.expand(to_sympy(pfaffian(m)) ** 2 - det) == 0, size
+
+
+def _int_skew(rng, n, bound):
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.7:
+                m[i][j] = rng.randint(-bound, bound)
+                m[j][i] = -m[i][j]
+    return m
+
+
+def test_pencil_pfaffian_squared_is_sympy_determinant():
+    """Pf(A + tB)^2 = det(A + tB), the determinant by sympy over Z[t]."""
+    ring = sympy.ZZ[sympy.Symbol("t")]
+    (t,) = ring.gens
+    rng = random.Random(73)
+    for n in range(11):
+        for bound in (3, 10**15):
+            a, b = _int_skew(rng, n, bound), _int_skew(rng, n, bound)
+            rows = [[ring.zero + x + y * t for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+            det = DomainMatrix(rows, (n, n), ring).det()
+            pf = sum((c * t**i for i, c in enumerate(pencil_pfaffian(a, b))), ring.zero)
+            assert pf**2 == det, (n, bound)
 
 
 @pytest.mark.parametrize("rational", [False, True], ids=["integer", "rational"])

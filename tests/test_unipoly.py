@@ -1,5 +1,6 @@
 """Dense univariate polynomials over the integers."""
 
+import math
 import random
 import sys
 import time
@@ -8,13 +9,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import liepencil
 from liepencil import unipoly
 from liepencil.unipoly import (
     deg,
-    div_exact,
     format_poly,
     gcd_poly,
-    mul,
     pencil_det,
     pencil_pfaffian,
     primitive,
@@ -27,7 +27,11 @@ from helpers import (
     horner,
     laplace_det,
     pfaffian_matchings,
+    reference_pencil_pfaffian,
     reference_rational_roots,
+    uni_add,
+    uni_div_exact as div_exact,
+    uni_mul as mul,
 )
 
 int_polys = st.lists(st.integers(-9, 9), max_size=5).map(unipoly.trim)
@@ -54,11 +58,11 @@ def test_division_in_z_matches_the_quotient_over_q(s, q, r, content):
     quotient is in Z[t] and the remainder is 0; otherwise no quotient,
     and ``div_exact`` raises."""
     q = [content * c for c in q]
-    for p in (mul(s, q), unipoly.add(mul(s, q), r)):
+    for p in (mul(s, q), uni_add(mul(s, q), r)):
         quot, rem = divmod_poly(p, q)
         res = unipoly._divide(p, q)
         if res is not None:
-            assert unipoly.add(mul(res[0], q), res[1]) == p
+            assert uni_add(mul(res[0], q), res[1]) == p
             assert deg(res[1]) < deg(q)
         if not rem and all(type(c) is int for c in quot):
             assert res == (quot, [])
@@ -302,6 +306,55 @@ def test_pencil_pfaffian_of_a_singular_pencil_is_zero():
     assert pencil_pfaffian([[0] * 4 for _ in range(4)], [[0] * 4 for _ in range(4)]) == []
 
 
+@st.composite
+def _skew_pencils(draw):
+    """Skew pairs of size 0..16, odd sizes included, with entries up to
+    10**40 in magnitude, often zero, and up to two rows zero in both."""
+    n = draw(st.integers(0, 16))
+    bound = 10 ** draw(st.sampled_from([0, 1, 4, 40]))
+    entry = st.one_of(st.just(0), st.integers(-bound, bound))
+    zero_rows = draw(st.sets(st.integers(0, n - 1), max_size=2)) if n else set()
+    pair = []
+    for _ in range(2):
+        m = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                if i not in zero_rows and j not in zero_rows:
+                    m[i][j] = draw(entry)
+                    m[j][i] = -m[i][j]
+        pair.append(m)
+    return pair
+
+
+@given(_skew_pencils())
+@settings(max_examples=150, deadline=None)
+def test_pencil_pfaffian_matches_the_polynomial_elimination(pencil):
+    """The one integer Pfaffian at t = 2^k, read back digit by digit, gives
+    the Pfaffian of the elimination with polynomial entries."""
+    a, b = pencil
+    assert pencil_pfaffian(a, b) == reference_pencil_pfaffian(a, b)
+
+
+@pytest.mark.parametrize("m", [2, 4])
+@pytest.mark.parametrize("bits", [20, 61])
+def test_pencil_pfaffian_bound_is_tight_enough(m, bits):
+    """m diagonal 2x2 blocks with the entry c in both A and B give
+    Pf = c^m (1 + t)^m.  Its middle coefficient C(m, m/2) c^m lies within
+    a factor 4 of the Hadamard bound H = (2c)^m, and with c + 2 a power of
+    two the integer bound puts 2^(k-1) just past H, so a read-back with two
+    bits fewer per digit would split that coefficient."""
+    c = 2**bits - 2
+    a = [[0] * (2 * m) for _ in range(2 * m)]
+    for i in range(0, 2 * m, 2):
+        a[i][i + 1], a[i + 1][i] = c, -c
+    want = [math.comb(m, i) * c**m for i in range(m + 1)]
+    assert 4 * want[m // 2] > (2 * c) ** m
+    assert pencil_pfaffian(a, a) == want
+    assert pencil_pfaffian(a, [[-v for v in row] for row in a]) == [
+        (-1) ** i * w for i, w in enumerate(want)
+    ]
+
+
 def test_pencil_pfaffian_refuses_non_skew_input():
     skew = [[0, 1], [-1, 0]]
     for a, b in (
@@ -314,11 +367,18 @@ def test_pencil_pfaffian_refuses_non_skew_input():
             pencil_pfaffian(a, b)
 
 
+def test_rational_roots_refuses_the_zero_polynomial_in_every_form():
+    for zero in ([], [0], [0, 0], [Fraction(0), 0]):
+        with pytest.raises(ValueError):
+            liepencil.rational_roots(zero)
+        assert primitive(zero) == []
+
+
 def test_integer_input_stays_in_integers():
     p, q = [2, -3, 1], [-1, 0, 4]
     for got in (
         unipoly.trim([1, 2, 0]),
-        unipoly.add(p, q),
+        uni_add(p, q),
         mul(p, q),
         div_exact(mul(p, q), q),
         primitive([Fraction(4, 3), Fraction(-2, 3)]),
