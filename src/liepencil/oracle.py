@@ -26,7 +26,6 @@ A block's ``strips()`` are the upper strips of its A and B, as named above.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, repeat
@@ -186,7 +185,7 @@ def congruence(pencil: NumericPencil, p_rows) -> NumericPencil:
     p, _ = ratmat.scale_to_int(ratmat.rational_rows(p_rows))
     if len(p) != pencil.size or any(len(r) != pencil.size for r in p):
         raise ValueError("congruence matrix size does not match the pencil")
-    if ratmat.det(p) == 0:
+    if ratmat.rank(p) < pencil.size:
         raise SingularMatrix("congruence matrix is singular")
     pt = ratmat.transpose(p)
     return NumericPencil(
@@ -325,13 +324,8 @@ def _regular_part(pencil: NumericPencil, span: ratmat.SpanBuilder) -> tuple[list
     if span.dim:
         y_rows = [ratmat.mat_vec(m, vec) for vec in span.basis() for m in (a, b)]
         reps = [w for w in ratmat.kernel(y_rows) if span.add(w)]
-
-        def gram(mat):
-            # entry (i, j) is reps[i] . mat reps[j]; each image is formed once
-            images = [ratmat.mat_vec(mat, v) for v in reps]
-            return [[sum(map(operator.mul, u, w)) for w in images] for u in reps]
-
-        a, b = gram(a), gram(b)
+        cols = ratmat.transpose(reps)
+        a, b = (ratmat.matmul(reps, ratmat.matmul(m, cols)) for m in (a, b))
     return a, b
 
 

@@ -1,19 +1,25 @@
 """Exact linear algebra over rationals and integers.
 
-Plain lists of lists, no floats.  Every elimination is forward
-fraction-free elimination (Bareiss, Math. Comp. 22, 1968) on the input
-scaled to integers (an all-int input is taken as it is):
-:func:`_eliminate` brings a matrix to echelon form for the rank and the
-determinant, :func:`_back_substitute` solves that form for the kernel and
-the inverse, and :class:`SpanBuilder` reduces each new vector against the
-rows it has accepted.  Both go through one :func:`_reduce` step per row
-and pivot, and only where the row meets the pivot column.  Eager Bareiss
-would also rescale every other row by the new pivot over the old one;
-here that rescaling is deferred.  A row keeps the pivot it was last
-divided by, the next step that meets it divides by that pivot instead,
-and a row that becomes a pivot row or enters the span is brought up to
-date first.  By Sylvester's identity each division is exact, and every
-pivot, determinant and echelon row is the one eager Bareiss gives.
+Plain lists of lists, no floats.  There is one elimination:
+:class:`SpanBuilder` inserts integer rows one at a time by forward
+fraction-free elimination (Bareiss, Math. Comp. 22, 1968).  The rank,
+kernel and inverse of a matrix come from the span of its rows, scaled to
+integers once (an all-int input is taken as it is) and inserted in order
+by :func:`_span`; :func:`_back_substitute` solves the span's rows for the
+kernel and the inverse.
+
+A row goes through one :func:`_reduce` step per accepted row whose pivot
+column it meets, and takes its pivot at the first nonzero column of what
+is left.  So the accepted rows have distinct leading columns, and their
+pivot set is that of the reduced row echelon form, which depends only on
+the row space: the free columns, and the kernel basis built on them, do
+not depend on the order of the rows.  Eager Bareiss would also rescale
+every other row by the new pivot over the old one; here that rescaling is
+deferred.  A row keeps the pivot it was last divided by, the next step
+that meets it divides by that pivot instead, and a row that enters the
+span is brought up to date first.  By Sylvester's identity each division
+is exact, and every pivot and echelon row is the one eager Bareiss gives
+on the accepted rows in insertion order.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from itertools import compress, count
 from typing import Sequence
 
 from .errors import SingularMatrix
@@ -89,65 +96,28 @@ def _up_to_date(w: list[int], e: int, d: int) -> list[int]:
     return w if e == d else [a * d // e for a in w]
 
 
-def _eliminate(work: list[list[int]]) -> tuple[list[int], int, int]:
-    """Forward fraction-free elimination of an integer matrix, in place.
+def _back_substitute(
+    rows: list[list[int]], pivots: list[int], d: int, cols: int
+) -> dict[int, list[int]]:
+    """Solve a span's echelon rows for every free column at once.
 
-    Returns ``(pivot_cols, d, sign)``.  Pivots are taken column by column,
-    from the first row at or below the current one with a nonzero entry.
-    The pivot row is first brought up to date by :func:`_up_to_date`, and
-    each row below it with a nonzero entry in the pivot column goes through
-    :func:`_reduce`; the other rows are left as they are, each with the
-    pivot it was last divided by.  A row left behind is a nonzero multiple
-    of its eager form, so it has the same zeros and the same pivot choice,
-    and it is brought up to date when it becomes a pivot row.  At the end
-    the matrix is in echelon form, entry for entry the one eager Bareiss
-    gives: row i starts at ``pivot_cols[i]`` with the minor of the input on
-    the first i + 1 pivot rows and columns, rows past the rank are zero, d
-    is the last pivot (1 with no pivot at all) and ``sign`` is the parity
-    of the row swaps.
+    ``rows``, ``pivots`` and ``d`` are a :class:`SpanBuilder`'s rows in
+    insertion order, their pivot columns and the last pivot; ``cols`` is the
+    width.  For the k-th free column f, x_k is the solution with x_k[f] = d
+    and 0 at the other free columns.  Returns, for each column c, the list
+    of x_k[c] over k.  The rows are solved from the last inserted to the
+    first: each row is zero left of its own pivot and at the pivot of every
+    row inserted before it, so the entries it still needs, at the pivots of
+    the rows after it, are solved already.  Every quotient is exact: d is
+    +-the minor on the rows and the pivot columns, so by Cramer's rule each
+    x_k[c] is a minor of the same size; a remainder means the rows are
+    corrupt, and raises ArithmeticError.
     """
-    rows = len(work)
-    cols = len(work[0]) if rows else 0
-    last = [1] * rows  # the pivot each row was last divided by
-    pivots: list[int] = []
-    d = 1
-    sign = 1
-    for col in range(cols):
-        row = len(pivots)
-        if row == rows:
-            break
-        pivot = next((i for i in range(row, rows) if work[i][col]), None)
-        if pivot is None:
-            continue
-        if pivot != row:
-            work[row], work[pivot] = work[pivot], work[row]
-            last[row], last[pivot] = last[pivot], last[row]
-            sign = -sign
-        wr = work[row] = _up_to_date(work[row], last[row], d)
-        for i in range(row + 1, rows):
-            if work[i][col]:
-                work[i], last[i] = _reduce(work[i], last[i], wr, col)
-        d = wr[col]
-        pivots.append(col)
-    return pivots, d, sign
-
-
-def _back_substitute(work: list[list[int]], pivots: list[int], d: int) -> dict[int, list[int]]:
-    """Solve the echelon system for every free column at once.
-
-    For the k-th free column f, x_k is the solution with x_k[f] = d, the
-    last pivot, and 0 at the other free columns.  Returns, for each column
-    c, the list of x_k[c] over k.  Every quotient is exact: d is the minor
-    on the pivot rows and columns, so by Cramer's rule each x_k[c] is a
-    minor of the same size; a remainder means the echelon form is corrupt,
-    and raises ArithmeticError.
-    """
-    cols = len(work[0])
     pivot_set = set(pivots)
     free = [c for c in range(cols) if c not in pivot_set]
     x = {f: [d if g == f else 0 for g in free] for f in free}
     for i in range(len(pivots) - 1, -1, -1):
-        row = work[i]
+        row = rows[i]
         # free columns left of the pivot hold zero in an echelon row
         acc = [-d * row[f] for f in free]
         for c in pivots[i + 1:]:
@@ -165,10 +135,18 @@ def _back_substitute(work: list[list[int]], pivots: list[int], d: int) -> dict[i
     return x
 
 
+def _span(m) -> SpanBuilder:
+    """The span of the rows of m, scaled to integers once and inserted in order."""
+    ints, _ = scale_to_int(m)
+    span = SpanBuilder(len(ints[0]) if ints else 0)
+    for row in ints:
+        span._insert(row)
+    return span
+
+
 def rank(m) -> int:
-    """Rank over the rationals: the number of pivots."""
-    work, _ = scale_to_int(m)
-    return len(_eliminate(work)[0])
+    """Rank over the rationals: the dimension of the row space."""
+    return _span(m).dim
 
 
 def kernel(m) -> list[list[int]]:
@@ -177,44 +155,32 @@ def kernel(m) -> list[list[int]]:
     One vector per free column f, in column order: primitive, positive at f
     and zero at the other free columns.
     """
-    if not m:
-        return []
-    work, _ = scale_to_int(m)
-    pivots, d, _ = _eliminate(work)
-    x = _back_substitute(work, pivots, d)
-    cols = len(work[0])
+    span = _span(m)
+    cols, d = span.width, span._d
+    x = _back_substitute(span._rows, span._pivots, d, cols)
     unit = 1 if d > 0 else -1
     basis = []
-    for k in range(cols - len(pivots)):
+    for k in range(cols - span.dim):
         vec = [x[c][k] for c in range(cols)]
         g = unit * math.gcd(*vec)
         basis.append([v // g for v in vec])
     return basis
 
 
-def det(m) -> Fraction:
-    """Determinant: the last pivot, with the sign of the row swaps."""
-    n = len(m)
-    work, scale = scale_to_int(m)
-    pivots, d, sign = _eliminate(work)
-    if len(pivots) < n:
-        return Fraction(0)
-    return Fraction(sign * d, scale**n)
-
-
 def inverse(m) -> list[list[int | Fraction]]:
-    """Back substitution on [s*M | I]: free column n + k gives -d*(s*M)^-1 e_k.
+    """Back substitution on the rows of [M | I]: free column n + k gives -d*M^-1 e_k.
 
-    Each entry is an int wherever it is one, as for a unimodular M.
+    Scaling [M | I] to integers leaves that kernel unchanged.  M is
+    invertible exactly when the pivot columns are 0..n-1.  Each entry is an
+    int wherever it is one, as for a unimodular M.
     """
     n = len(m)
-    ints, scale = scale_to_int(m)
-    work = [row + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(ints)]
-    pivots, d, _ = _eliminate(work)
-    if pivots != list(range(n)):
+    span = _span([list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(m)])
+    if sorted(span._pivots) != list(range(n)):
         raise SingularMatrix("matrix is not invertible")
-    x = _back_substitute(work, pivots, d)
-    return [[_quotient(-scale * v, d) for v in x[c]] for c in range(n)]
+    d = span._d
+    x = _back_substitute(span._rows, span._pivots, d, 2 * n)
+    return [[_quotient(-v, d) for v in x[c]] for c in range(n)]
 
 
 def _quotient(a: int, d: int) -> int | Fraction:
@@ -240,33 +206,43 @@ class SpanBuilder:
         self._accepted: list[list[int]] = []
         self._rows: list[list[int]] = []
         self._pivots: list[int] = []
+        self._d = 1  # the last pivot, 1 before the first row
 
-    def _residual(self, vec) -> tuple[list[int], list[int], int]:
-        """vec scaled to integers, its reduction against the span, and the
-        pivot that reduction was last divided by."""
+    def _ints(self, vec) -> list[int]:
         if len(vec) != self.width:
             raise ValueError(f"a vector of length {len(vec)} in a span of width {self.width}")
         (ints,), _ = scale_to_int([vec])
+        return ints
+
+    def _residual(self, ints: list[int]) -> tuple[list[int], int]:
+        """The reduction of an integer vector against the span, and the
+        pivot that reduction was last divided by."""
         res, e = ints, 1
         for row, c in zip(self._rows, self._pivots):
             if res[c]:
                 res, e = _reduce(res, e, row, c)
-        return ints, res, e
+        return res, e
 
-    def add(self, vec) -> bool:
-        """Insert a vector; returns True when it enlarged the span."""
-        ints, res, e = self._residual(vec)
-        col = next((j for j, x in enumerate(res) if x), None)
+    def _insert(self, ints: list[int]) -> bool:
+        """Insert an integer vector of the right width; True when it
+        enlarged the span."""
+        res, e = self._residual(ints)
+        col = next(compress(count(), res), None)
         if col is None:
             return False
-        d = self._rows[-1][self._pivots[-1]] if self._rows else 1
-        self._rows.append(_up_to_date(res, e, d))
+        row = _up_to_date(res, e, self._d)
+        self._rows.append(row)
         self._pivots.append(col)
+        self._d = row[col]
         self._accepted.append(ints)
         return True
 
+    def add(self, vec) -> bool:
+        """Insert a vector; returns True when it enlarged the span."""
+        return self._insert(self._ints(vec))
+
     def contains(self, vec) -> bool:
-        return not any(self._residual(vec)[1])
+        return not any(self._residual(self._ints(vec))[0])
 
     @property
     def dim(self) -> int:

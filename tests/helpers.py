@@ -318,8 +318,9 @@ def eager_reduce(w: list[int], pivot_row: list[int], col: int, d: int) -> list[i
 
     p is ``pivot_row[col]`` and d the pivot before it; a row with w[col] = 0
     is rescaled to p*w/d.  ``ratmat`` defers that rescaling; this step, and
-    :func:`eager_eliminate` and :class:`EagerSpan` built on it, are the
-    reference its echelon rows must equal.
+    :class:`EagerSpan` built on it, are the reference its echelon rows must
+    equal.  :func:`eager_eliminate` builds on it too, for a determinant on
+    the test side.
     """
     p = pivot_row[col]
     f = w[col]
@@ -331,7 +332,14 @@ def eager_reduce(w: list[int], pivot_row: list[int], col: int, d: int) -> list[i
 
 
 def eager_eliminate(work: list[list[int]]) -> tuple[list[int], int, int]:
-    """``ratmat._eliminate`` with every row below a pivot through :func:`eager_reduce`."""
+    """Eager fraction-free elimination of an integer matrix, in place.
+
+    Returns ``(pivot_cols, d, sign)``.  Pivots are taken column by column,
+    from the first row at or below the current one with a nonzero entry,
+    and every row below a pivot goes through :func:`eager_reduce`.  d is
+    the last pivot and ``sign`` the parity of the row swaps, so a square
+    matrix of full rank has determinant sign * d.
+    """
     rows = len(work)
     cols = len(work[0]) if rows else 0
     pivots: list[int] = []

@@ -1,4 +1,10 @@
-"""Exact linear algebra over Fraction matrices."""
+"""Exact linear algebra over Fraction and int matrices.
+
+Rank, kernel and inverse all come from one elimination, the insertion of
+a matrix's rows into a span; they are checked against Laplace expansion,
+against rank-nullity and the defining equations, and the span's echelon
+rows against eager Bareiss.
+"""
 
 import itertools
 import math
@@ -11,7 +17,6 @@ from hypothesis import given, settings, strategies as st
 from liepencil import ratmat
 from liepencil.ratmat import (
     SpanBuilder,
-    det,
     inverse,
     is_skew,
     kernel,
@@ -21,7 +26,7 @@ from liepencil.ratmat import (
     transpose,
 )
 
-from helpers import EagerSpan, eager_eliminate, laplace_det, random_unimodular
+from helpers import EagerSpan, laplace_det, random_unimodular
 
 
 def identity(n):
@@ -50,35 +55,14 @@ def _deficient_inputs(seed):
     return inputs + [repeated, zero_col, [[Fraction(0)] * 3 for _ in range(2)]]
 
 
-def test_det_against_laplace():
-    rng = random.Random(3)
-    for n in (1, 2, 3, 4, 5):
-        m = _random_matrix(rng, n, n)
-        assert det(m) == laplace_det(m)
-        # a zero pivot forces a row swap
-        m[0][0] = Fraction(0)
-        assert det(m) == laplace_det(m)
-    for m in _deficient_inputs(4):
-        if len(m) == len(m[0]):
-            assert det(m) == laplace_det(m) == 0
-
-
-def test_det_of_unimodular_is_unit():
-    rng = random.Random(5)
-    for n in (2, 3, 4):
-        for _ in range(5):
-            p = random_unimodular(n, rng)
-            assert det([[Fraction(v) for v in row] for row in p]) in (1, -1)
-
-
 def test_inverse_roundtrip():
     rng = random.Random(7)
     # a zero in the corner forces a row swap
     swap = [[Fraction(0), Fraction(1, 2)], [Fraction(-3, 4), Fraction(5, 3)]]
     for m in [swap] + [_random_matrix(rng, n, n) for n in (1, 2, 3, 4, 5)]:
-        if det(m) == 0:
-            continue
         n = len(m)
+        if rank(m) < n:
+            continue
         assert matmul(m, inverse(m)) == identity(n)
         assert matmul(inverse(m), m) == identity(n)
 
@@ -161,7 +145,7 @@ def _int_and_fraction_inputs(seed):
     return fractions + ints
 
 
-def test_rank_det_inverse_against_laplace():
+def test_rank_kernel_inverse_against_laplace():
     for m in _int_and_fraction_inputs(21):
         r = _rank_by_minors(m)
         assert rank(m) == r
@@ -171,7 +155,6 @@ def test_rank_det_inverse_against_laplace():
         if len(m) != len(m[0]):
             continue
         n = len(m)
-        assert det(m) == laplace_det(m)
         if r < n:
             continue
         inv = inverse(m)
@@ -187,8 +170,8 @@ def test_back_substitution_refuses_a_remainder():
     remainder; it raises instead of being rounded away."""
     # row [2, 1] with pivot column 0: x = (-1/2, 1) scaled by d = 1
     with pytest.raises(ArithmeticError):
-        ratmat._back_substitute([[2, 1]], [0], 1)
-    assert ratmat._back_substitute([[2, 1]], [0], 2) == {0: [-1], 1: [2]}
+        ratmat._back_substitute([[2, 1]], [0], 1, 2)
+    assert ratmat._back_substitute([[2, 1]], [0], 2, 2) == {0: [-1], 1: [2]}
 
 
 def test_is_skew():
@@ -308,11 +291,16 @@ def _matrices(draw, max_rows=7, max_cols=7):
 @settings(max_examples=300, deadline=None)
 @given(_matrices())
 def test_deferred_rescaling_matches_eager_bareiss(m):
-    """Pivots, d, sign and every work row equal eager Bareiss's."""
-    lazy, _ = ratmat.scale_to_int(m)
-    eager = [list(row) for row in lazy]
-    assert ratmat._eliminate(lazy) == eager_eliminate(eager)
-    assert lazy == eager
+    """The span of a matrix's rows holds the rows, pivots and last pivot
+    that eager Bareiss gives on its integer rows in order."""
+    span = ratmat._span(m)
+    ref = EagerSpan()
+    ints, _ = ratmat.scale_to_int(m)
+    for row in ints:
+        ref.add(row)
+    assert (span._rows, span._pivots) == (ref.rows, ref.pivots)
+    assert span._d == (ref.rows[-1][ref.pivots[-1]] if ref.rows else 1)
+    assert span.dim == len(ref.rows)
 
 
 @settings(max_examples=200, deadline=None)
@@ -334,29 +322,32 @@ def test_span_builder_matches_the_eager_span(offered, probes):
 
 
 def test_rows_outside_the_pivot_block_are_not_rebuilt(monkeypatch):
-    """On a block-diagonal matrix the steps on one block's pivots reduce
-    only that block's rows, and the rows of the blocks after it stay the
-    very lists they were."""
+    """On a block-diagonal matrix a row is reduced only against the pivot
+    rows of its own block, and the kernel is the blocks' kernels side by
+    side."""
     rng = random.Random(27)
-    blocks = [_random_matrix(rng, 3, 3) for _ in range(3)]
+    blocks = [_rank_deficient(rng, 3, 3, 2) for _ in range(3)]
     n = 9
     m = [[0] * n for _ in range(n)]
     for k, block in enumerate(blocks):
         for i, row in enumerate(block):
             m[3 * k + i][3 * k: 3 * k + 3] = row
-    work, _ = ratmat.scale_to_int(m)
-    rows = list(work)  # the row objects before elimination
     reduced = []
     real = ratmat._reduce
 
     def spy(w, e, pivot_row, col):
-        later = range(3 * (col // 3 + 1), n)
-        assert all(work[i] is rows[i] for i in later)
-        reduced.append((next(i for i in range(n) if work[i] is w), col))
+        block = col // 3
+        assert all(v == 0 for j, v in enumerate(w) if j // 3 != block)
+        assert all(v == 0 for j, v in enumerate(pivot_row) if j // 3 != block)
+        reduced.append(col)
         return real(w, e, pivot_row, col)
 
     monkeypatch.setattr(ratmat, "_reduce", spy)
-    eager = [list(row) for row in work]
-    assert ratmat._eliminate(work) == eager_eliminate(eager)
-    assert work == eager
-    assert reduced and all(i // 3 == col // 3 for i, col in reduced)
+    expected = [
+        [0] * (3 * k) + vec + [0] * (n - 3 * k - 3)
+        for k, block in enumerate(blocks)
+        for vec in kernel(block)
+    ]
+    reduced.clear()
+    assert kernel(m) == expected
+    assert reduced

@@ -1,5 +1,5 @@
-"""sympy as an independent check of gcd, Pfaffian, generic rank and
-evaluation.
+"""sympy as an independent check of gcd, Pfaffian, generic rank,
+evaluation, and the rank, kernel and inverse of rational matrices.
 
 A development-only oracle: the module is skipped when sympy is not
 installed.  Each case is small (matrices of size at most 6, or 10 for the
@@ -7,6 +7,7 @@ numeric pencils) and seeded or drawn by hypothesis, with integer and with
 rational coefficients.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -16,9 +17,11 @@ from hypothesis import given, settings, strategies as st
 sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
+from liepencil.errors import SingularMatrix  # noqa: E402
 from liepencil.model import SkewPolyMatrix  # noqa: E402
 from liepencil.pencil import generic_rank, pfaffian  # noqa: E402
 from liepencil.poly import Polynomial, VarRegistry, _line, _line_bound, poly_gcd  # noqa: E402
+from liepencil.ratmat import inverse, kernel, rank  # noqa: E402
 from liepencil.unipoly import pencil_pfaffian  # noqa: E402
 
 from helpers import moved_gcd_cases, prs_gcd  # noqa: E402
@@ -179,6 +182,69 @@ def test_generic_rank_matches_sympy(rational):
         assert generic_rank(m) == want, (size, layers)
         ranks.add(want)
     assert ranks == {2, 4, 6}
+
+
+def _rational_matrix(rng):
+    """A matrix of size at most 6 with entries in Q: dense, of lower rank
+    (a product through Q^r), or dense with a zero row and a zero column;
+    half of them square."""
+    rows = rng.randint(1, 6)
+    cols = rows if rng.random() < 0.5 else rng.randint(1, 6)
+    kind = rng.choice(("dense", "deficient", "zeros"))
+
+    def entry():
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+
+    m = [[entry() for _ in range(cols)] for _ in range(rows)]
+    if kind == "deficient":
+        r = rng.randint(0, min(rows, cols) - 1)
+        left = [[entry() for _ in range(r)] for _ in range(rows)]
+        right = [[entry() for _ in range(cols)] for _ in range(r)]
+        m = [[sum((a * b[j] for a, b in zip(row, right)), Fraction(0)) for j in range(cols)]
+             for row in left]
+    elif kind == "zeros":
+        zero_col = rng.randrange(cols)
+        m[rng.randrange(rows)] = [Fraction(0)] * cols
+        for row in m:
+            row[zero_col] = Fraction(0)
+    return m
+
+
+def _fraction(v):
+    return Fraction(int(v.p), int(v.q))
+
+
+def test_rank_kernel_inverse_match_sympy():
+    """rank, kernel and inverse of 300 seeded rational matrices against
+    sympy: the kernel is sympy's nullspace() scaled to primitive integers,
+    vector for vector and sign for sign."""
+    rng = random.Random(79)
+    inverted = singular = 0
+    for trial in range(300):
+        m = _rational_matrix(rng)
+        sm = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row] for row in m])
+        r = sm.rank()
+        assert rank(m) == r, trial
+        want = []
+        for vec in sm.nullspace():
+            vec = [_fraction(v) for v in vec]
+            scale = math.lcm(*(v.denominator for v in vec))
+            ints = [int(v * scale) for v in vec]
+            g = math.gcd(*ints)
+            want.append([v // g for v in ints])
+        assert kernel(m) == want, trial
+        n = len(m)
+        if n != len(m[0]):
+            continue
+        if r < n:
+            singular += 1
+            with pytest.raises(SingularMatrix):
+                inverse(m)
+            continue
+        inverted += 1
+        inv = sm.inv()
+        assert inverse(m) == [[_fraction(inv[i, j]) for j in range(n)] for i in range(n)], trial
+    assert inverted > 50 and singular > 20
 
 
 _rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
