@@ -9,13 +9,12 @@ the polynomial whose degree pattern separates the pencil classes.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from functools import cached_property
 
+from . import modp
 from .model import LieAlgebra, SkewPolyMatrix, build_ax
 from .poly import (
     Polynomial,
@@ -43,8 +42,8 @@ def generic_rank(matrix: SkewPolyMatrix) -> int:
     """Rank over the rational function field in all symbolic variables.
 
     Takes a maximal set of rows that are independent at one fixed point
-    mod a prime (see :func:`_independent_rows`) as an index set I, grows I
-    by a pair j < k outside it whenever the principal Pfaffian
+    mod a prime (see :func:`modp.independent_rows`) as an index set I,
+    grows I by a pair j < k outside it whenever the principal Pfaffian
     Pf_{I+{j,k}} is nonzero, and returns |I| once no such pair is left.
 
     The result is exact: the point only gives a start with Pf_I != 0, and
@@ -64,7 +63,7 @@ def generic_rank(matrix: SkewPolyMatrix) -> int:
 def _cache_and_rank(matrix: SkewPolyMatrix) -> tuple[PfaffianCache, int]:
     """The cache on :func:`_integer_matrix` and the rank grown from the fixed point's rows."""
     cache = PfaffianCache(_integer_matrix(matrix))
-    start = _independent_rows(cache.matrix, _fixed_point(matrix.registry))
+    start = modp.independent_rows(cache.matrix, modp.fixed_point(matrix.registry))
     return cache, _grow(cache, matrix.size, bool, start)
 
 
@@ -86,111 +85,6 @@ def _grow(cache: PfaffianCache, cap: int, counts, chosen: tuple[int, ...]) -> in
         else:
             break
     return len(chosen)
-
-
-# The growth starts from the rows that are independent at one fixed point
-# modulo this prime, drawn from this seed.  The values must not follow a
-# pattern: at x_k = c*g^k, for one, A_x of gl_n is taken at a matrix of
-# rank 1, where its rank is 2n - 2.
-_PRIME = 2**31 - 1
-_POINT_SEED = 2207
-
-
-@functools.lru_cache(maxsize=16)
-def _point_values(count: int) -> tuple[int, ...]:
-    rng = random.Random(_POINT_SEED)
-    return tuple(rng.randrange(1, _PRIME) for _ in range(count))
-
-
-def _fixed_point(reg) -> tuple[int, ...]:
-    """The fixed point: one value mod _PRIME per registry position."""
-    return _point_values(len(reg.names()))
-
-
-def _evaluator(reg, point):
-    """p -> p(point) mod _PRIME, for integer polynomials over ``reg``."""
-    seen: dict[int, int] = {}
-
-    def value(p: Polynomial) -> int:
-        total = 0
-        for mono, c in p.terms():
-            v = seen.get(mono)
-            if v is None:
-                v = 1
-                for pos, e in reg.exponents(mono):
-                    v = v * (point[pos] if e == 1 else pow(point[pos], e, _PRIME)) % _PRIME
-                seen[mono] = v
-            total += c * v
-        return total % _PRIME
-
-    return value
-
-
-def _independent_rows(matrix: SkewPolyMatrix, point) -> tuple[int, ...]:
-    """A maximal set I of rows of the integer ``matrix`` that are
-    independent mod _PRIME at ``point``, in increasing order.
-
-    Skew elimination in pivot pairs, each row a sparse dict: take the lowest
-    row i left with an entry, its lowest entry a_ij as the pivot, and replace
-    the rows left by the Schur complement of the block on {i, j}, which is
-    skew again: a_kl += (a_jk*a_il - a_ik*a_jl) / a_ij.  I is the union of
-    the pivot pairs.  Pf of a block matrix factors through its Schur
-    complement, so Pf_I at the point is the product of the pivots up to
-    sign: the block on I is nonsingular there, and Pf_I is a nonzero
-    polynomial.  The elimination ends when no entry is left, so |I| is the
-    rank at the point.
-    """
-    value = _evaluator(matrix.registry, point)
-    rows: dict[int, dict[int, int]] = {}
-    for (i, j), p in matrix.stored():
-        v = value(p)
-        if v:
-            rows.setdefault(i, {})[j] = v
-            rows.setdefault(j, {})[i] = _PRIME - v
-    chosen = []
-    while rows:
-        i = min(rows)
-        ri = rows.pop(i)
-        if not ri:
-            continue
-        j = min(ri)
-        rj = rows.pop(j)
-        chosen += (i, j)
-        inverse = pow(ri.pop(j), -1, _PRIME)
-        del rj[i]
-        for k in ri:
-            del rows[k][i]
-        for k in rj:
-            del rows[k][j]
-        rest = sorted(ri.keys() | rj.keys())
-        for n, k in enumerate(rest):
-            rk = rows[k]
-            ik, jk = ri.get(k, 0), rj.get(k, 0)
-            for l in rest[n + 1:]:
-                v = (rk.get(l, 0) + (jk * ri.get(l, 0) - ik * rj.get(l, 0)) * inverse) % _PRIME
-                if v:
-                    rk[l] = v
-                    rows[l][k] = _PRIME - v
-                elif l in rk:
-                    del rk[l], rows[l][k]
-    return tuple(sorted(chosen))
-
-
-def _on_factor(f: Polynomial, pos: int, point):
-    """``point`` moved onto f = 0 mod _PRIME along the coordinate v at
-    registry position ``pos``, or None.
-
-    f = c*v + e with c and e free of v; the value of v becomes -e/c, and
-    None says that c vanishes at the point.
-    """
-    view = coefficients(f, pos)
-    value = _evaluator(f.registry, point)
-    c = value(view[1])
-    if not c:
-        return None
-    moved = list(point)
-    moved[pos] = -value(view.get(0, f.registry.zero())) * pow(c, -1, _PRIME) % _PRIME
-    return moved
 
 
 def principal_subsets(n: int, r: int):
@@ -401,20 +295,20 @@ def _certified_p0(cache: PfaffianCache, r: int, h: Polynomial):
     those factors to their order in h.
 
     Each growth starts from the rows that are independent at the fixed
-    point moved onto f = 0 (see :func:`_on_factor`), or from the empty set
-    when the point cannot be moved there.  f is primitive, since h is, so
-    f | Pf_I gives Pf_I = f*q with q integral (Gauss's lemma), and Pf_I
-    vanishes mod _PRIME wherever f does: a Pfaffian nonzero there is not
-    divisible by f.
+    point moved onto f = 0 (see :func:`modp.on_factor`), or from the empty
+    set when the point cannot be moved there.  f is primitive, since h is,
+    so f | Pf_I gives Pf_I = f*q with q integral (Gauss's lemma), and Pf_I
+    vanishes mod the prime wherever f does: a Pfaffian nonzero there is
+    not divisible by f.
     """
     factors = _certified_factors(h)
     if factors is None:
         return None
     p0 = h.registry.one()
-    point = _fixed_point(h.registry)
+    point = modp.fixed_point(h.registry)
     for f, order, pos in factors:
-        moved = _on_factor(f, pos, point)
-        start = () if moved is None else _independent_rows(cache.matrix, moved)
+        moved = modp.on_factor(f, pos, point)
+        start = () if moved is None else modp.independent_rows(cache.matrix, moved)
         rank_f = _grow(cache, r, lambda pf, f=f: not divides(f, pf), start)
         if rank_f == r:
             continue

@@ -3,20 +3,24 @@
 The numeric oracle is an independent second route to a verdict, so its
 analysis uses only exact linear algebra (``ratmat``), dense univariate
 polynomials (``unipoly``), the error types and the standard library.  It
-must not reach the symbolic engine (``poly``, ``pencil``, ``model``) itself;
-it imports ``classify`` only for ``cross_check``, which takes its sample
-reports, and the matrices they hold, from the classifier.  ``ratmat``
-may use the error types and the standard library, ``unipoly`` the standard
-library alone.  The other way round, ``pencil``, the symbolic core, uses
-``model`` and ``poly`` alone, so its verdicts never lean on the oracle.
-Below it, ``model`` uses ``poly``, ``ratmat`` and the error types, and
-``poly`` the error types alone.  Above it, ``classify`` uses ``pencil``,
-``model``, ``poly`` and the error types, and ``parser``, which turns input
-into a table, uses ``model``, ``poly`` and the error types.  The packed monomial format is ``poly``'s
-own: no other module imports a private name from it or reads a private
-attribute of a ``VarRegistry``.  Outside input is decoded in ``parser``
-alone: it holds the package's one ``json.loads``, so every JSON input, a
-corpus manifest included, is read by the same rules.
+must not reach the symbolic engine (``poly``, ``modp``, ``pencil``,
+``model``) itself; it imports ``classify`` only for ``cross_check``, which
+takes its sample reports, and the matrices they hold, from the classifier.
+``ratmat`` may use the error types and the standard library, ``unipoly`` the
+standard library alone.  The other way round, ``pencil``, the symbolic core,
+uses ``model``, ``poly`` and ``modp`` alone, so its verdicts never lean on
+the oracle.  Below it, ``model`` uses ``poly``, ``ratmat`` and the error
+types, ``poly`` the error types alone, and ``modp``, the arithmetic mod one
+prime that gives the symbolic side its starting points, ``poly`` alone;
+``modp`` holds the package's only three-argument ``pow``, so every modular
+loop outside the oracle lives there.  Above it, ``classify`` uses
+``pencil``, ``model``, ``poly`` and the error types, and ``parser``, which
+turns input into a table, uses ``model``, ``poly`` and the error types.  The
+packed monomial format is ``poly``'s own: no other module imports a private
+name from it or reads a private attribute of a ``VarRegistry``.  Outside
+input is decoded in ``parser`` alone: it holds the package's one
+``json.loads``, so every JSON input, a corpus manifest included, is read by
+the same rules.
 """
 
 import ast
@@ -31,7 +35,8 @@ ALLOWED = {
     "classify.py": {"errors", "model", "pencil", "poly"},
     "oracle.py": {"ratmat", "unipoly", "errors", "classify"},
     "parser.py": {"errors", "model", "poly"},
-    "pencil.py": {"model", "poly"},
+    "modp.py": {"poly"},
+    "pencil.py": {"model", "modp", "poly"},
     "poly.py": {"errors"},
     "model.py": {"errors", "poly", "ratmat"},
     "ratmat.py": {"errors"},
@@ -153,3 +158,27 @@ def test_json_reader_sees_calls_and_imports(tmp_path):
         "    return json.load(fp), json.loads(text), json.dumps(text)\n"
     )
     assert sorted(json_reads(source)) == ["load", "loads", "loads"]
+
+
+def modular_pows(path: Path) -> int:
+    """Calls of ``pow`` with a modulus, as a third argument or as ``mod=``."""
+    return sum(
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "pow"
+        and (len(node.args) == 3 or any(k.arg == "mod" for k in node.keywords))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+    )
+
+
+@pytest.mark.parametrize("name", sorted(str(p.relative_to(PACKAGE)) for p in PACKAGE.rglob("*.py")))
+def test_modular_arithmetic_lives_in_modp(name):
+    found = modular_pows(PACKAGE / name)
+    assert (found > 0) == (name == "modp.py"), f"{name}: {found} modular pow calls"
+
+
+def test_modular_pow_reader_sees_both_spellings(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text(
+        "def f(a, b, p):\n"
+        "    return pow(a, b, p), pow(a, b, mod=p), pow(a, b), a ** b % p\n"
+    )
+    assert modular_pows(source) == 2

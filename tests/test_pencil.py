@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from liepencil import corpus, pencil
+from liepencil import corpus, modp, pencil
 from liepencil.model import SkewPolyMatrix, build_ax, change_of_basis, substitute_params
 from liepencil.oracle import NumericPencil, pencil_type
 from liepencil.pencil import (
@@ -515,7 +515,7 @@ def _zero_point(reg):
     return [0] * len(reg.names())
 
 
-def _last_coordinate_zeroed(reg, fixed_point=pencil._fixed_point):
+def _last_coordinate_zeroed(reg, fixed_point=modp.fixed_point):
     point = list(fixed_point(reg))
     point[reg.position(f"x{reg.dim}")] = 0
     return point
@@ -542,7 +542,7 @@ def test_independent_rows_reach_the_rank_at_the_point():
             (i + 1, j + 1): reg.constant(rows[i][j])
             for i in range(size) for j in range(i + 1, size)
         })
-        chosen = pencil._independent_rows(m, pencil._fixed_point(reg))
+        chosen = modp.independent_rows(m, modp.fixed_point(reg))
         assert len(chosen) == frac_rank(rows), trial
         assert PfaffianCache(m).pfaffian(chosen), trial
 
@@ -555,7 +555,7 @@ def test_degenerate_points_change_no_profile(monkeypatch, degenerate):
     algebras = _start_inputs()
     want = [pencil_profile(alg) for alg in algebras]
     calls = _recording_grow(monkeypatch)
-    monkeypatch.setattr(pencil, "_fixed_point", degenerate)
+    monkeypatch.setattr(modp, "fixed_point", degenerate)
     for alg, prof in zip(algebras, want):
         got = pencil_profile(alg)
         assert (got.generic_rank, got.p0, got.route) == (prof.generic_rank, prof.p0, prof.route), alg.name
@@ -595,13 +595,13 @@ def test_heisenberg_growth_makes_no_symbolic_pfaffian(monkeypatch):
 def test_modular_start_sees_integer_entries_only(monkeypatch):
     """generic_rank scales a rational matrix to ints before the point step."""
     seen = []
-    rows = pencil._independent_rows
+    rows = modp.independent_rows
 
     def recording(matrix, point):
         seen.extend(p for _, p in matrix.stored())
         return rows(matrix, point)
 
-    monkeypatch.setattr(pencil, "_independent_rows", recording)
+    monkeypatch.setattr(modp, "independent_rows", recording)
     reg = VarRegistry(4)
     x = reg.coordinate
     m = SkewPolyMatrix(4, reg, {(1, 2): x(3) * Fraction(1, 2), (3, 4): x(1) * Fraction(2, 3)})
