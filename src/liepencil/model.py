@@ -23,7 +23,15 @@ from .errors import (
     ParameterBindingError,
     RegistryMismatch,
 )
-from .poly import MAX_POWER_SIZE, Polynomial, VarKind, VarRegistry, coefficients, size_estimate
+from .poly import (
+    MAX_POWER_SIZE,
+    Polynomial,
+    VarKind,
+    VarRegistry,
+    coefficients,
+    size_estimate,
+    sum_of_products,
+)
 
 __all__ = [
     "ParamDecl",
@@ -186,11 +194,13 @@ def _jacobi_violations(alg: LieAlgebra) -> tuple[Violation, ...]:
     [e_l,e_c], each read with its antisymmetry sign.  A triple none of
     whose pairs (i,j), (j,k), (i,k) is stored has all three inner brackets
     zero, so only the triples through a stored pair are visited, and the
-    work follows the stored brackets rather than n^5 or even n^3.
+    work follows the stored brackets rather than n^5 or even n^3.  The
+    products of one component are summed by one :func:`sum_of_products`.
     Violations come in ascending (i, j, k, m) order.
     """
     stored = alg._brackets
-    zero = alg.registry.zero()
+    reg = alg.registry
+    zero = reg.zero()
 
     def signed(a: int, b: int):
         # [e_a, e_b] as (stored terms, sign) for a != b
@@ -203,16 +213,17 @@ def _jacobi_violations(alg: LieAlgebra) -> tuple[Violation, ...]:
         triples.update((a, b, c) for c in range(b + 1, alg.dim + 1))
     bad = []
     for i, j, k in sorted(triples):
-        total: dict[int, Polynomial] = {}
+        products: dict[int, list] = {}
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
             outer, s_ab = signed(a, b)
             for l, c_ab in (outer or {}).items():
                 inner, s_lc = signed(l, c)  # l == c finds nothing stored
                 for m, c_lc in (inner or {}).items():
-                    term = c_ab * c_lc
-                    acc = total.get(m, zero)
-                    total[m] = acc + term if s_ab == s_lc else acc - term
-        bad.extend(Violation(i, j, k, m, total[m]) for m in sorted(total) if total[m])
+                    products.setdefault(m, []).append((c_ab, c_lc, s_ab != s_lc))
+        for m in sorted(products):
+            total = sum_of_products(reg, products[m])
+            if total is not zero:
+                bad.append(Violation(i, j, k, m, total))
     return tuple(bad)
 
 

@@ -61,7 +61,8 @@ def independent_rows(matrix, point) -> tuple[int, ...]:
     complement, so Pf_I at the point is the product of the pivots up to
     sign: the block on I is nonsingular there, and Pf_I is a nonzero
     polynomial.  The elimination ends when no entry is left, so |I| is the
-    rank at the point.
+    rank at the point.  The pivot is inverted only when at least two rows
+    are left to update; on h_{2k+1} none ever is.
     """
     value = evaluator(matrix.registry, point)
     rows: dict[int, dict[int, int]] = {}
@@ -79,13 +80,16 @@ def independent_rows(matrix, point) -> tuple[int, ...]:
         j = min(ri)
         rj = rows.pop(j)
         chosen += (i, j)
-        inverse = pow(ri.pop(j), -1, PRIME)
+        pivot = ri.pop(j)
         del rj[i]
         for k in ri:
             del rows[k][i]
         for k in rj:
             del rows[k][j]
         rest = sorted(ri.keys() | rj.keys())
+        if len(rest) < 2:
+            continue
+        inverse = pow(pivot, -1, PRIME)
         for n, k in enumerate(rest):
             rk = rows[k]
             ik, jk = ri.get(k, 0), rj.get(k, 0)

@@ -26,6 +26,7 @@ from .poly import (
     monomial_content,
     normalize,
     poly_gcd,
+    sum_of_products,
 )
 
 __all__ = [
@@ -144,28 +145,31 @@ class PfaffianCache:
         Only the stored entries of that row inside the set are visited.  The
         term pairing the lowest index with ``bit`` has the sign (-1)^(t+1)
         for ``bit`` at position t of the set, counted from 0 at the lowest
-        index: the parity of the indices of ``rest`` below ``bit``.
+        index: the parity of the indices of ``rest`` below ``bit``.  The
+        terms are summed by one :func:`sum_of_products`, and a sub-Pfaffian
+        is skipped when it is the cache's zero: every vanishing Pfaffian in
+        the memo is that one object, which on inputs such as n8 most of the
+        memo's entries are.
         """
         memo = self._memo
+        zero = self._zero
         low = mask & -mask
         rest = mask ^ low
         i = low.bit_length() - 1
         row = self._right[i]
         hits = self._reach[i] & rest
-        total = self._zero
+        products = []
         while hits:
             bit = hits & -hits
             hits ^= bit
             sub = memo.get(rest ^ bit)
             if sub is None:
                 sub = self._pf(rest ^ bit)
-            if sub:
-                term = row[bit] * sub
-                if (rest & (bit - 1)).bit_count() % 2:
-                    total = total - term
-                else:
-                    total = total + term
-        memo[mask] = total
+            if sub is not zero:
+                products.append((row[bit], sub, (rest & (bit - 1)).bit_count() % 2))
+        total = memo[mask] = (
+            sum_of_products(self.matrix.registry, products) if products else zero
+        )
         return total
 
 

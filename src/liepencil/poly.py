@@ -17,13 +17,20 @@ lex is int order, a product of monomials is their sum, and the constant
 monomial is 0.  The top bit of each field is a guard bit that is always
 clear: m2 divides m1 exactly when ``m1 - m2`` borrows into no guard bit.
 Exponents and total degrees are at most ``MAX_EXPONENT``, which
-``Polynomial.__mul__`` enforces with :class:`DegreeOverflow`.  The layout is
-private to this module; other code reads a monomial only through
-:meth:`VarRegistry.exponents`.  A polynomial maps monomials to nonzero
-coefficients; the zero polynomial has an empty term map and its degree is the
-sentinel ``NEG_INF``.  Values are never mutated after construction and every
-operation is a pure function, so independent computations can safely share
-them across threads or processes.
+:func:`sum_of_products`, and through it ``*``, enforces with
+:class:`DegreeOverflow`.  The layout is private to this module; other code
+reads a monomial only through :meth:`VarRegistry.exponents`.  A polynomial
+maps monomials to nonzero coefficients; the zero polynomial has an empty
+term map and its degree is the sentinel ``NEG_INF``.  Values are never
+mutated after construction and every operation is a pure function, so
+independent computations can safely share them across threads or processes.
+
+Sums of products.  A Pfaffian expanded along a row and a Jacobi component
+are sums of many products.  :func:`sum_of_products` adds them all into one
+term map and compacts it once, where a loop of ``+`` and ``*`` would build a
+polynomial per product and copy the running sum each time.  Each registry
+holds one shared zero polynomial, ``VarRegistry.zero()``, and a vanishing
+sum of products is that object, so a memo full of zeros holds one.
 
 Variable order.  A :class:`VarRegistry` fixes the variable set and the
 monomial order for one computation.  Kinds are ordered
@@ -61,6 +68,7 @@ __all__ = [
     "try_divide",
     "div_exact",
     "divides",
+    "sum_of_products",
     "coefficients",
     "monomial_content",
     "poly_gcd",
@@ -125,7 +133,7 @@ class VarRegistry:
 
     __slots__ = (
         "dim", "params", "_names", "_kinds", "_pos", "_display",
-        "_shift", "_unit", "_guard", "_degree_shift", "_kind_mask",
+        "_shift", "_unit", "_guard", "_degree_shift", "_kind_mask", "_shared_zero",
     )
 
     def __init__(self, dim: int, params: Sequence[str] = ()):
@@ -174,6 +182,7 @@ class VarRegistry:
             low -= count
             masks.append((kind, ((1 << EXPONENT_BITS * count) - 1) << EXPONENT_BITS * low))
         self._kind_mask = tuple(masks)
+        self._shared_zero = Polynomial(self, {})
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -233,7 +242,8 @@ class VarRegistry:
     # -- polynomial constructors ------------------------------------------
 
     def zero(self) -> "Polynomial":
-        return Polynomial(self, {})
+        """The zero polynomial, one shared object per registry."""
+        return self._shared_zero
 
     def one(self) -> "Polynomial":
         return self.constant(1)
@@ -420,22 +430,7 @@ class Polynomial:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        if self._terms and other._terms:
-            degree = (max(self._terms) + max(other._terms)) >> self.registry._degree_shift
-            if degree > MAX_EXPONENT:
-                raise DegreeOverflow(
-                    f"a product of total degree {degree} exceeds the limit {MAX_EXPONENT}"
-                )
-        terms: dict = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                m = m1 + m2
-                s = terms.get(m, 0) + c1 * c2
-                if s:
-                    terms[m] = s
-                else:
-                    terms.pop(m, None)
-        return _wrap(self.registry, terms)
+        return sum_of_products(self.registry, ((self, other, False),))
 
     __rmul__ = __mul__
 
@@ -564,6 +559,45 @@ def _wrap(registry: VarRegistry, terms: dict) -> Polynomial:
     p.registry = registry
     p._terms = terms
     return p
+
+
+def sum_of_products(registry: VarRegistry, triples) -> Polynomial:
+    """The sum of a*b, or of -a*b where ``negative`` holds, over the
+    ``(a, b, negative)`` triples, all over ``registry``.
+
+    Every product goes into one term map that is compacted once at the
+    end, so no polynomial is built per product and no partial sum is
+    copied (Monagan & Pearce, CASC 2007); ``*`` is the sum of one product.
+    An operand over another registry raises :class:`RegistryMismatch`, and
+    a product past ``MAX_EXPONENT`` raises :class:`DegreeOverflow`, even
+    where the sum would cancel it.  A vanishing sum is ``registry.zero()``
+    itself, so a caller can test for zero by identity.
+    """
+    acc: dict = {}
+    get = acc.get
+    shift = registry._degree_shift
+    for a, b, negative in triples:
+        if (a.registry is not registry and a.registry != registry) or (
+            b.registry is not registry and b.registry != registry
+        ):
+            raise RegistryMismatch("a product over a foreign registry")
+        if not (a._terms and b._terms):
+            continue
+        degree = (max(a._terms) + max(b._terms)) >> shift
+        if degree > MAX_EXPONENT:
+            raise DegreeOverflow(
+                f"a product of total degree {degree} exceeds the limit {MAX_EXPONENT}"
+            )
+        inner = b._terms.items()
+        for m1, c1 in a._terms.items():
+            if negative:
+                c1 = -c1
+            for m2, c2 in inner:
+                m = m1 + m2
+                acc[m] = get(m, 0) + c1 * c2
+    if 0 in acc.values():
+        acc = {m: c for m, c in acc.items() if c}
+    return _wrap(registry, acc) if acc else registry._shared_zero
 
 
 def size_estimate(p: Polynomial) -> tuple[int, int, dict[int, int], float]:

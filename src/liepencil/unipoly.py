@@ -19,6 +19,7 @@ test suite.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Sequence
@@ -142,17 +143,28 @@ _FACTOR_BOUND = 10**12
 
 
 def _divisors(n: int):
-    """Sorted positive divisors, or None when factoring would be too costly."""
+    """Sorted positive divisors, or None when factoring would be too costly.
+
+    Trial division by 2, 3 and then the numbers 6k - 1 and 6k + 1, while
+    their square is at most the part of n not yet factored; what is left
+    then is 1 or a prime.  The divisors are the products of the prime
+    powers found.
+    """
     n = abs(n)
     if n == 0 or n > _FACTOR_BOUND:
         return None
-    divs = set()
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            divs.add(i)
-            divs.add(n // i)
-        i += 1
+    divs = [1]
+    for p in itertools.chain((2, 3), itertools.accumulate(itertools.cycle((2, 4)), initial=5)):
+        if p * p > n:
+            break
+        if n % p == 0:
+            powers = [1]
+            while n % p == 0:
+                n //= p
+                powers.append(powers[-1] * p)
+            divs = [d * q for q in powers for d in divs]
+    if n > 1:
+        divs += [d * n for d in divs]
     return sorted(divs)
 
 

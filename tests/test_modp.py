@@ -3,8 +3,11 @@
 import random
 
 from liepencil import modp
+from liepencil.model import build_ax
 from liepencil.modp import PRIME
 from liepencil.poly import VarRegistry
+
+from helpers import borel_algebra, heisenberg_algebra
 
 
 def _random_poly(reg, names, rng, terms=6, top=4):
@@ -93,3 +96,26 @@ def test_fixed_point_has_one_nonzero_value_per_position():
     assert modp.fixed_point(small) == modp.fixed_point(other)
     point = modp.fixed_point(VarRegistry(6))
     assert len(point) == 13 and all(0 < v < PRIME for v in point)
+
+
+def test_independent_rows_inverts_a_pivot_only_to_update_rows(monkeypatch):
+    """On h_{2k+1} no pivot pair leaves a row to update, so the
+    elimination takes no modular inverse, and it still returns every row
+    but the central one.  On b6 it does take inverses, which shows that
+    the count sees them."""
+    inverses = []
+
+    def counting_pow(base, exp, mod=None):
+        if exp == -1:
+            inverses.append(base)
+        return pow(base, exp, mod)
+
+    monkeypatch.setattr(modp, "pow", counting_pow, raising=False)
+    for k in range(1, 16):
+        matrix = build_ax(heisenberg_algebra(k))
+        rows = modp.independent_rows(matrix, modp.fixed_point(matrix.registry))
+        assert rows == tuple(range(1, 2 * k + 1))
+    assert inverses == []
+    matrix = build_ax(borel_algebra(6))
+    rows = modp.independent_rows(matrix, modp.fixed_point(matrix.registry))
+    assert len(rows) == 18 and inverses

@@ -241,6 +241,12 @@ _N7_P0 = (
     " + x5*x6^2*x9*x10*x15 + x5*x6^2*x9*x11*x14 - 2*x5*x6^2*x10*x11*x13"
     " - x6^3*x9*x10*x14 + x6^3*x10^2*x13"
 )
+_N8_P0 = (
+    "x5*x6*x7*x12*x13*x18 + x5*x6*x7*x13^2*x17 - x5*x7^2*x12^2*x18"
+    " - x5*x7^2*x12*x13*x17 + x6^2*x7*x11*x13*x18 + x6^2*x7*x13^2*x16"
+    " - x6*x7^2*x11*x12*x18 + x6*x7^2*x11*x13*x17 - 2*x6*x7^2*x12*x13*x16"
+    " - x7^3*x11*x12*x17 + x7^3*x12^2*x16"
+)
 _B6_P0 = (
     "x4*x10*x15 - x4*x11*x14 - x5*x9*x15 + x5*x11*x13 + x6*x9*x14"
     " - x6*x10*x13"
@@ -268,6 +274,8 @@ def test_profile_pins_on_sign_flipped_matrix_units():
         (gl_algebra(4), "enumerated", 12, "1"),
         (borel_algebra(6), "certified", 18, _B6_P0),
         (nilradical_algebra(7), "certified", 18, _N7_P0),
+        (borel_algebra(7), "certified", 24, "1"),
+        (nilradical_algebra(8), "certified", 24, _N8_P0),
     ]
     for alg, route, rank, p0 in pins:
         prof = pencil_profile(_sign_flipped(alg, rng))
@@ -287,6 +295,29 @@ def test_profile_builds_one_pfaffian_cache(monkeypatch):
     prof = pencil_profile(borel_algebra(4))
     assert prof.index == 2
     assert len(built) == 1
+
+
+def test_vanishing_memo_entries_are_the_shared_zero(monkeypatch):
+    """Every vanishing Pfaffian the profile leaves in the memo is the
+    cache's one zero object, which is the registry's: most memo entries of
+    the larger inputs vanish, so a fresh empty polynomial for each would
+    cost memory.  b6 has entries whose terms cancel, n7 none."""
+    built = []
+
+    class RecordingCache(pencil.PfaffianCache):
+        def __init__(self, matrix):
+            built.append(self)
+            super().__init__(matrix)
+
+    monkeypatch.setattr(pencil, "PfaffianCache", RecordingCache)
+    for alg in (borel_algebra(6), nilradical_algebra(7)):
+        built.clear()
+        pencil_profile(alg)
+        (cache,) = built
+        zeros = [pf for pf in cache._memo.values() if not pf]
+        assert len(zeros) > len(cache._memo) // 2, alg.name
+        assert all(pf is cache._zero for pf in zeros), alg.name
+        assert cache._zero is cache.matrix.registry.zero()
 
 
 def test_profile_p0_divides_every_pfaffian():

@@ -20,6 +20,7 @@ from liepencil.poly import (
     divides,
     normalize,
     poly_gcd,
+    sum_of_products,
     try_divide,
 )
 from liepencil.poly import _line, _line_bound, _on_line, _uni_gcd_degree
@@ -505,3 +506,74 @@ def test_growth_past_the_limit_raises_through_power_and_substitute():
     with pytest.raises(DegreeOverflow):
         (x1 ** MAX_EXPONENT).substitute({"x1": x1 * x2})
     assert (x1 ** MAX_EXPONENT).substitute({"x1": x2}) == x2 ** MAX_EXPONENT
+
+
+# -- sums of products ----------------------------------------------------------
+
+
+def _seeded_poly(rng, terms=4):
+    """A seeded polynomial over REG, the parameter t included: up to
+    ``terms`` terms of degree at most 3 with small Fraction coefficients."""
+    p = REG.zero()
+    for _ in range(rng.randint(0, terms)):
+        term = REG.constant(Fraction(rng.choice([-1, 1]) * rng.randint(1, 7), rng.randint(1, 3)))
+        for _ in range(rng.randint(0, 3)):
+            term = term * V(rng.choice(["x1", "x2", "x3", "a1", "t"]))
+        p = p + term
+    return p
+
+
+def _ring_sum(triples):
+    total = REG.zero()
+    for a, b, negative in triples:
+        total = total - a * b if negative else total + a * b
+    return total
+
+
+def test_sum_of_products_equals_the_ring_sum():
+    """Seeded triples of both signs, some of them followed by the same
+    products with the other sign, so that the sum cancels completely: the
+    result equals the sum built with + and *, stores no zero coefficient,
+    and a vanishing sum is REG.zero() itself."""
+    rng = random.Random(3203)
+    cancelled = 0
+    for trial in range(300):
+        triples = [
+            (_seeded_poly(rng), _seeded_poly(rng), rng.random() < 0.5)
+            for _ in range(rng.randint(0, 6))
+        ]
+        if trial % 3 == 0:
+            triples += [(b, a, not negative) for a, b, negative in reversed(triples)]
+        got = sum_of_products(REG, triples)
+        assert got == _ring_sum(triples)
+        assert all(c != 0 for _, c in got.terms())
+        if not got:
+            cancelled += 1
+            assert got is REG.zero()
+    assert cancelled > 100
+
+
+def test_sum_of_products_takes_an_equal_registry_and_refuses_a_foreign_one():
+    other = VarRegistry(3, params=("t",))
+    x1, x2 = V("x1"), V("x2")
+    assert sum_of_products(REG, [(other.var("x1"), x2, True)]) == -(x1 * x2)
+    assert sum_of_products(REG, []) is REG.zero()
+    foreign = VarRegistry(4).var("x1")
+    for triple in ((foreign, x1, False), (x1, foreign, True), (foreign, REG.zero(), False)):
+        with pytest.raises(RegistryMismatch):
+            sum_of_products(REG, [(x1, x2, False), triple])
+
+
+def test_sum_of_products_checks_the_degree_of_each_product():
+    """A product past MAX_EXPONENT raises, as ``*`` does, even when the
+    sum would cancel it; one at MAX_EXPONENT is built."""
+    top, x2 = V("x1") ** MAX_EXPONENT, V("x2")
+    for triples in (
+        [(top, x2 + 1, False)],
+        [(x2, top, True)],
+        [(top, x2, False), (top, x2, True)],
+    ):
+        with pytest.raises(DegreeOverflow, match=f"total degree {MAX_EXPONENT + 1} exceeds"):
+            sum_of_products(REG, triples)
+    low = V("x1") ** (MAX_EXPONENT - 1)
+    assert sum_of_products(REG, [(low, x2 + 1, True)]) == -(low * x2) - low

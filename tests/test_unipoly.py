@@ -172,6 +172,27 @@ def test_rational_roots_give_up_past_the_candidate_bound():
     assert got == ([], p, False)
 
 
+def test_divisors_match_trial_division_by_every_number():
+    """Seeded n up to 10^6, prime powers and the ends of the range, and a
+    prime and a semiprime near ``_FACTOR_BOUND``; past it, or at 0, the
+    answer is None."""
+
+    def brute(n):
+        small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+        return sorted(set(small + [n // d for d in small]))
+
+    rng = random.Random(3217)
+    cases = [rng.randint(1, 10**6) for _ in range(300)]
+    cases += list(range(1, 200)) + [2**19, 3**12, 5**8, 6**7, 720720, 999983, 10**6]
+    for n in cases:
+        assert unipoly._divisors(n) == unipoly._divisors(-n) == brute(n), n
+    assert unipoly._divisors(999999999989) == [1, 999999999989]
+    assert unipoly._divisors(999983 * 1000003) == [1, 999983, 1000003, 999983 * 1000003]
+    assert unipoly._divisors(0) is None
+    assert unipoly._divisors(unipoly._FACTOR_BOUND + 1) is None
+    assert rational_roots([999999999989, 0, 1]) == ([], [999999999989, 0, 1], True)
+
+
 def test_rational_roots_give_up_past_the_factor_bound():
     """A trailing coefficient past ``_FACTOR_BOUND`` ends the search after
     the zero roots, with the rest as the residual and ``complete`` False."""
