@@ -13,6 +13,11 @@ Subcommands:
 Exit codes are stable: 0 on success or agreement, 1 for domain-level
 failures (Jacobi violations, verdict mismatches, excluded parameter
 values), 2 for unreadable input, parse errors, or bad invocations.
+
+Each subcommand returns one payload, the dict that ``--output structured``
+prints as JSON, and its exit code.  The text report is rendered from that
+same dict by the subcommand's entry in ``RENDER``, so it shows no reading
+the JSON lacks.  :func:`main` is the one writer of stdout.
 """
 
 from __future__ import annotations
@@ -20,21 +25,13 @@ from __future__ import annotations
 import argparse
 import json
 import re
+import signal
 import sys
 import textwrap
 from fractions import Fraction
 
 from . import corpus
-from .classify import (
-    DEFAULT_SEED,
-    ClassificationReport,
-    FamilyReport,
-    Verdict,
-    classify,
-    classify_family,
-    format_values,
-    require_valid,
-)
+from .classify import DEFAULT_SEED, classify, classify_family, format_values, require_valid
 from .errors import InvalidAlgebra, LiePencilError, ParameterBindingError, ParseError
 from .model import LieAlgebra, build_ax, substitute_params, validate
 from .oracle import cross_check
@@ -49,6 +46,11 @@ EXIT_USAGE = 2
 
 
 def entry() -> None:
+    # a closed stdout ends the command as SIGPIPE ends other filters, not
+    # with exit code 2, which is for bad input; in-process callers of main
+    # keep Python's handling
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 
@@ -59,7 +61,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        payload, code = args.func(args)
     except (ParseError, OSError, ParameterBindingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -69,6 +71,11 @@ def main(argv=None) -> int:
     except MemoryError:
         print(f"error: {args.command} ran out of memory", file=sys.stderr)
         return EXIT_DOMAIN
+    if args.output == "structured":
+        print(json.dumps(payload, indent=2))
+    else:
+        print("\n".join(RENDER[args.command](payload)))
+    return code
 
 
 def _count(minimum: int):
@@ -187,254 +194,243 @@ def _load_bound(args) -> LieAlgebra:
     return alg
 
 
-def _emit(payload: dict) -> int:
-    print(json.dumps(payload, indent=2))
-    return EXIT_OK
+def _strings(values) -> dict[str, str]:
+    """Parameter values as the payload holds them, each written as text."""
+    return {k: str(v) for k, v in values.items()}
 
 
 # -- validate -------------------------------------------------------------------
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args):
     alg = load_algebra(args.path)
     report = validate(alg)
-    label = alg.name or args.path
-    if args.output == "structured":
-        print(json.dumps({
-            "name": label,
-            "dim": alg.dim,
-            "ok": report.ok,
-            "violations": [str(v) for v in report.violations],
-        }, indent=2))
-        return EXIT_OK if report.ok else EXIT_DOMAIN
-    if report.ok:
-        print(f"{label}: OK (dim {alg.dim}, {len(alg.stored_pairs())} stored brackets)")
-        return EXIT_OK
-    print(f"{label}: not a Lie algebra ({len(report.violations)} violation(s))")
-    for violation in report.violations:
-        print(f"  {violation}")
-    return EXIT_DOMAIN
+    payload = {
+        "name": alg.name or args.path,
+        "dim": alg.dim,
+        "stored_brackets": len(alg.stored_pairs()),
+        "ok": report.ok,
+        "violations": [str(v) for v in report.violations],
+    }
+    return payload, EXIT_OK if report.ok else EXIT_DOMAIN
 
 
-# -- classify -------------------------------------------------------------------
+def _validate_text(p):
+    if p["ok"]:
+        yield f"{p['name']}: OK (dim {p['dim']}, {p['stored_brackets']} stored brackets)"
+        return
+    yield f"{p['name']}: not a Lie algebra ({len(p['violations'])} violation(s))"
+    for violation in p["violations"]:
+        yield f"  {violation}"
 
 
-def _family_maybe(alg: LieAlgebra, samples: int, seed: int):
-    """Symbolic report plus the sampled family view when it applies."""
-    if samples > 0 and alg.param_names():
-        fam = classify_family(alg, samples=samples, seed=seed)
-        return fam.symbolic, fam
-    return classify(alg), None
+# -- classify, index, charpoly --------------------------------------------------
 
 
-def _classification_payload(report: ClassificationReport, fam: FamilyReport | None) -> dict:
-    payload = report.to_dict()
-    if fam is not None:
-        payload["samples"] = [
-            {
-                "values": {k: str(v) for k, v in pt.values.items()},
-                "verdict": pt.report.verdict.value,
-            }
+def _classification(alg: LieAlgebra, samples: int, seed: int) -> dict:
+    """The report on ``alg``; for a family, with ``samples`` > 0, also the
+    verdict at each sampled point and whether they all agree with it."""
+    if not (samples > 0 and alg.param_names()):
+        return classify(alg).to_dict()
+    fam = classify_family(alg, samples=samples, seed=seed)
+    return {
+        **fam.symbolic.to_dict(),
+        "samples": [
+            {"values": _strings(pt.values), "verdict": pt.report.verdict.value}
             for pt in fam.samples
-        ]
-        payload["samples_agree"] = fam.all_agree
-    return payload
+        ],
+        "samples_agree": fam.all_agree,
+    }
 
 
-def cmd_classify(args) -> int:
-    alg = _load_bound(args)
-    report, fam = _family_maybe(alg, args.samples, args.seed)
-    if args.output == "structured":
-        return _emit(_classification_payload(report, fam))
-    if report.name:
-        print(f"name: {report.name}")
-    print(f"dim: {report.dim}")
-    print(f"generic rank: {report.generic_rank}")
-    print(f"index: {report.index}")
-    print(f"p0: {report.p0}")
-    print(f"p(lambda): {report.profile.p_lambda}")
-    if fam is not None:
-        for pt in fam.samples:
-            print(f"sample {pt.describe_values()}: {pt.report.verdict}")
-        if not fam.all_agree:
-            print("warning: sampled verdicts disagree with the symbolic verdict")
-    print(report.sentence)
-    return EXIT_OK
+def cmd_classify(args):
+    return _classification(_load_bound(args), args.samples, args.seed), EXIT_OK
 
 
-def cmd_index(args) -> int:
+def cmd_index(args):
     alg = _load_bound(args)
     require_valid(alg)
     rank = generic_rank(build_ax(alg))
-    if args.output == "structured":
-        return _emit({
-            "name": alg.name,
-            "dim": alg.dim,
-            "generic_rank": rank,
-            "index": alg.dim - rank,
-        })
-    print(f"dim: {alg.dim}")
-    print(f"generic rank: {rank}")
-    print(f"index: {alg.dim - rank}")
-    return EXIT_OK
+    payload = {"name": alg.name, "dim": alg.dim, "generic_rank": rank, "index": alg.dim - rank}
+    return payload, EXIT_OK
 
 
-def cmd_charpoly(args) -> int:
-    alg = _load_bound(args)
-    report = classify(alg)
-    if args.output == "structured":
-        return _emit({
-            "name": report.name,
-            "p0": str(report.p0),
-            "p_lambda": str(report.profile.p_lambda),
-            "coordinate_degree": report.p0_coordinate_degree,
-        })
-    print(f"p0: {report.p0}")
-    print(f"p(lambda): {report.profile.p_lambda}")
-    return EXIT_OK
+def cmd_charpoly(args):
+    report = classify(_load_bound(args))
+    return {
+        "name": report.name,
+        "p0": str(report.p0),
+        "p_lambda": str(report.profile.p_lambda),
+        "coordinate_degree": report.p0_coordinate_degree,
+    }, EXIT_OK
+
+
+# The readings index, charpoly and classify print, in this order, each one
+# that the payload holds: (payload key, label).
+_READINGS = (
+    ("dim", "dim"),
+    ("generic_rank", "generic rank"),
+    ("index", "index"),
+    ("p0", "p0"),
+    ("p_lambda", "p(lambda)"),
+)
+
+
+def _readings(p):
+    for key, label in _READINGS:
+        if key in p:
+            yield f"{label}: {p[key]}"
+
+
+def _classify_text(p):
+    if p["name"]:
+        yield f"name: {p['name']}"
+    yield from _readings(p)
+    for sample in p.get("samples", ()):
+        yield f"sample {format_values(sample['values'])}: {sample['verdict']}"
+    if not p.get("samples_agree", True):
+        yield "warning: sampled verdicts disagree with the symbolic verdict"
+    yield p["sentence"]
 
 
 # -- table ----------------------------------------------------------------------
 
 
-def _classify_entry(item: corpus.CorpusEntry, samples: int, seed: int):
+def _attempt(label: str, alg: LieAlgebra, samples: int, seed: int) -> dict:
+    """The classification of ``alg`` under ``label``, or, when it is no Lie
+    algebra, the first violation of the Jacobi identity."""
+    try:
+        return {"label": label, **_classification(alg, samples, seed)}
+    except InvalidAlgebra as exc:
+        return {"label": label, "jacobi_failure": str(exc.report.violations[0])}
+
+
+def _table_row(item: corpus.CorpusEntry, samples: int, seed: int) -> dict:
     """All classification attempts for one corpus entry.
 
     The primary transcription is used when it validates; when it does not,
     or when its verdict misses the expected one, a bundled variant (if any)
     is classified as well.  The entry counts as matched when any attempt
-    reproduces the expected verdict.
+    reproduces the expected verdict.  The primary's Jacobi failure is the
+    row's own; a variant's is one of its attempts.
     """
-    attempts = []  # (label, report, fam)
-    failure = None
-    try:
-        attempts.append((item.name,) + _family_maybe(item.load(), samples, seed))
-    except InvalidAlgebra as exc:
-        failure = exc.report
-    need_variant = item.variant is not None and (
-        failure is not None
-        or all(rep.verdict.value != item.expected for _, rep, _ in attempts)
-    )
-    if need_variant:
-        valg = item.load_variant()
-        attempts.append((item.name + "*",) + _family_maybe(valg, samples, seed))
-    matched = any(rep.verdict.value == item.expected for _, rep, _ in attempts)
-    return attempts, failure, matched
+    primary = _attempt(item.name, item.load(), samples, seed)
+    attempts = [] if "jacobi_failure" in primary else [primary]
+    if item.variant is not None and not any(a["verdict"] == item.expected for a in attempts):
+        attempts.append(_attempt(item.name + "*", item.load_variant(), samples, seed))
+    return {
+        "name": item.name,
+        "expected": item.expected,
+        "matched": any(a.get("verdict") == item.expected for a in attempts),
+        "jacobi_failure": primary.get("jacobi_failure"),
+        "note": item.note or None,
+        "attempts": attempts,
+    }
 
 
-def cmd_table(args) -> int:
+def cmd_table(args):
     if args.corpus is not None:
         entries = corpus.manifest_from_dir(args.corpus)
     else:
         entries = corpus.families()
-    results = []
-    for item in entries:
-        attempts, failure, matched = _classify_entry(item, args.samples, args.seed)
-        results.append((item, attempts, failure, matched))
+    rows = [_table_row(item, args.samples, args.seed) for item in entries]
+    matched = sum(row["matched"] for row in rows)
+    payload = {
+        "families": rows,
+        "matched": matched,
+        "total": len(rows),
+        "all_match": matched == len(rows),
+    }
+    return payload, EXIT_OK if payload["all_match"] else EXIT_DOMAIN
 
-    if args.output == "structured":
-        payload = {
-            "families": [
-                {
-                    "name": item.name,
-                    "expected": item.expected,
-                    "matched": matched,
-                    "jacobi_failure": str(failure.violations[0]) if failure else None,
-                    "note": item.note or None,
-                    "attempts": [
-                        {"label": label, **_classification_payload(rep, fam)}
-                        for label, rep, fam in attempts
-                    ],
-                }
-                for item, attempts, failure, matched in results
-            ],
-            "matched": sum(1 for *_rest, m in results if m),
-            "total": len(results),
-            "all_match": all(m for *_rest, m in results),
-        }
-        print(json.dumps(payload, indent=2))
-        return EXIT_OK if payload["all_match"] else EXIT_DOMAIN
 
-    if not results:
-        print("no corpus entries")
-        return EXIT_OK
-
-    width = max(len(label) for _, attempts, *_ in results for label, *_ in attempts or [("?",)])
-    width = max(width, max(len(item.name) for item, *_ in results))
-    for item, attempts, failure, matched in results:
-        if failure is not None:
-            print(f"{item.name:<{width}}  as printed: {failure.violations[0]}")
-            if item.note:
-                for line in textwrap.wrap(f"note: {item.note}", width=76):
-                    print(f"{'':<{width}}  {line}")
-        for label, rep, fam in attempts:
-            status = "ok" if rep.verdict.value == item.expected else "MISMATCH"
+def _table_text(p):
+    rows = p["families"]
+    if not rows:
+        yield "no corpus entries"
+        return
+    labels = [row["name"] for row in rows] + [a["label"] for row in rows for a in row["attempts"]]
+    width = max(map(len, labels))
+    for row in rows:
+        if row["jacobi_failure"] is not None:
+            yield f"{row['name']:<{width}}  as printed: {row['jacobi_failure']}"
+            if row["note"]:
+                for line in textwrap.wrap(f"note: {row['note']}", width=76):
+                    yield f"{'':<{width}}  {line}"
+        for a in row["attempts"]:
+            if "jacobi_failure" in a:
+                yield f"{a['label']:<{width}}  as printed: {a['jacobi_failure']}"
+                continue
+            status = "ok" if a["verdict"] == row["expected"] else "MISMATCH"
             sample_note = ""
-            if fam is not None:
+            if "samples" in a:
                 sample_note = (
-                    f"  [{len(fam.samples)} samples agree]"
-                    if fam.all_agree
+                    f"  [{len(a['samples'])} samples agree]"
+                    if a["samples_agree"]
                     else "  [samples disagree]"
                 )
-            print(
-                f"{label:<{width}}  dim {rep.dim}  index {rep.index}  "
-                f"p0 {str(rep.p0):<10s} {rep.verdict.value:<9s} "
-                f"expected {item.expected:<9s} {status}{sample_note}"
+            yield (
+                f"{a['label']:<{width}}  dim {a['dim']}  index {a['index']}  "
+                f"p0 {a['p0']:<10s} {a['verdict']:<9s} "
+                f"expected {row['expected']:<9s} {status}{sample_note}"
             )
 
     by_verdict: dict[str, list[str]] = {}
-    for item, attempts, failure, matched in results:
-        if attempts:
-            label, rep, _ = attempts[-1]
-            by_verdict.setdefault(rep.verdict.value, []).append(label)
-    print()
-    print("computed types:")
+    for row in rows:
+        classified = [a for a in row["attempts"] if "verdict" in a]
+        if classified:
+            last = classified[-1]
+            by_verdict.setdefault(last["verdict"], []).append(last["label"])
+    yield ""
+    yield "computed types:"
     for verdict in ("jordan", "kronecker", "mixed"):
         if verdict in by_verdict:
-            print(f"  {verdict + ':':<11s}{', '.join(by_verdict[verdict])}")
-
-    mismatched = [item.name for item, _, _, m in results if not m]
-    matched_count = len(results) - len(mismatched)
-    print()
-    print(f"{matched_count} of {len(results)} families match the published types")
+            yield f"  {verdict + ':':<11s}{', '.join(by_verdict[verdict])}"
+    yield ""
+    yield f"{p['matched']} of {p['total']} families match the published types"
+    mismatched = [row["name"] for row in rows if not row["matched"]]
     if mismatched:
-        print(f"mismatches: {', '.join(mismatched)}")
-        return EXIT_DOMAIN
-    return EXIT_OK
+        yield f"mismatches: {', '.join(mismatched)}"
 
 
 # -- check ----------------------------------------------------------------------
 
 
-def cmd_check(args) -> int:
-    alg = _load_bound(args)
-    report = cross_check(alg, trials=args.trials, seed=args.seed)
-    agreeing = sum(1 for t in report.trials if t.agrees)
-    if args.output == "structured":
-        payload = {
-            "symbolic": report.symbolic.to_dict(),
-            "trials": [
-                {
-                    "params": {k: str(v) for k, v in t.param_values.items()},
-                    "agrees": t.agrees,
-                    **t.report.to_dict(),
-                }
-                for t in report.trials
-            ],
-            "agreeing": agreeing,
-            "ok": report.ok,
-        }
-        print(json.dumps(payload, indent=2))
-        return EXIT_OK if report.ok else EXIT_DOMAIN
-    sym = report.symbolic
-    print(f"symbolic: {sym.verdict} (dim {sym.dim}, index {sym.index}, p0: {sym.p0})")
-    for number, t in enumerate(report.trials, start=1):
-        extra = f", params {format_values(t.param_values)}" if t.param_values else ""
-        print(
-            f"trial {number}: {t.report.verdict} "
-            f"(rank {t.report.rank}, corank {t.report.corank}, "
-            f"p0 degree {t.report.p0_degree}{extra}) "
-            f"{'agree' if t.agrees else 'DISAGREE'}"
+def cmd_check(args):
+    report = cross_check(_load_bound(args), trials=args.trials, seed=args.seed)
+    payload = {
+        "symbolic": report.symbolic.to_dict(),
+        "trials": [
+            {"params": _strings(t.param_values), "agrees": t.agrees, **t.report.to_dict()}
+            for t in report.trials
+        ],
+        "agreeing": sum(t.agrees for t in report.trials),
+        "ok": report.ok,
+    }
+    return payload, EXIT_OK if report.ok else EXIT_DOMAIN
+
+
+def _check_text(p):
+    sym = p["symbolic"]
+    yield f"symbolic: {sym['verdict']} (dim {sym['dim']}, index {sym['index']}, p0: {sym['p0']})"
+    for number, t in enumerate(p["trials"], start=1):
+        extra = f", params {format_values(t['params'])}" if t["params"] else ""
+        yield (
+            f"trial {number}: {t['verdict']} "
+            f"(rank {t['rank']}, corank {t['corank']}, "
+            f"p0 degree {t['p0_degree']}{extra}) "
+            f"{'agree' if t['agrees'] else 'DISAGREE'}"
         )
-    print(f"agreement: {agreeing}/{len(report.trials)}")
-    return EXIT_OK if report.ok else EXIT_DOMAIN
+    yield f"agreement: {p['agreeing']}/{len(p['trials'])}"
+
+
+# The text report of each subcommand, a function of its payload alone that
+# yields the lines.
+RENDER = {
+    "validate": _validate_text,
+    "classify": _classify_text,
+    "index": _readings,
+    "charpoly": _readings,
+    "table": _table_text,
+    "check": _check_text,
+}

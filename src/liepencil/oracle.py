@@ -267,10 +267,11 @@ def _samples(pencil: NumericPencil) -> tuple[int, ratmat.SpanBuilder]:
 
     One elimination per integer t = 0, 1, ...: the kernel of A + t*B, whose
     rank is n minus the kernel's length.  A point of full rank ends the walk
-    at once.  Otherwise the walk keeps the span of the kernels at the points
-    of the shortest kernel so far, starts it again when a shorter kernel
-    comes, skips the longer ones, and stops at the first point whose kernel
-    adds nothing to it.  That point gives r, and the span is U.
+    at once: its empty kernel adds nothing.  Otherwise the walk keeps the
+    span of the kernels at the points of the shortest kernel so far, starts
+    it again when a shorter kernel comes, skips the longer ones, and stops
+    at the first point whose kernel adds nothing to it.  That point gives r,
+    and the span is U.
 
     Why the stop is exact.  Over C the pencil is a congruent direct sum of
     canonical blocks (Gantmacher, Theory of Matrices vol. 2, ch. XII), and
@@ -297,8 +298,6 @@ def _samples(pencil: NumericPencil) -> tuple[int, ratmat.SpanBuilder]:
         kernel = ratmat.kernel(pencil.at(t))
         if len(kernel) < shortest:
             shortest, span = len(kernel), ratmat.SpanBuilder(n)
-            if not kernel:
-                return n, span
         # every vector goes in, so no any(): it would stop at the first
         if len(kernel) == shortest and not sum(map(span.add, kernel)):
             return n - shortest, span

@@ -3,8 +3,10 @@
 import codecs
 import contextlib
 import json
+import os
 import shutil
 import signal
+import subprocess
 import sys
 from importlib import metadata
 from pathlib import Path
@@ -13,7 +15,7 @@ import pytest
 
 from liepencil import corpus
 from liepencil.classify import classify, classify_family
-from liepencil.cli import main
+from liepencil.cli import RENDER, main
 from liepencil.errors import InvalidAlgebra
 from liepencil.parser import MAX_DIM, MAX_POWER_SIZE, load_algebra, parse_text
 from liepencil.poly import MAX_EXPONENT
@@ -637,6 +639,41 @@ def test_table_refuses_a_variant_that_is_no_file_name(tmp_path, capsys, variant)
     assert "entries[0]: 'variant' must be a string or null" in err
 
 
+def _bad_variant_corpus(tmp_path) -> str:
+    """A corpus whose L5a entry names the printed L5a as its variant too, so
+    both of its tables fail the Jacobi check, beside a valid h3."""
+    for name in ("L5a.lie", "L5a_variant.lie"):
+        (tmp_path / name).write_text(corpus.read_text("L5a.lie"))
+    (tmp_path / "h3.lie").write_text(corpus.read_text("heisenberg3.lie"))
+    (tmp_path / "manifest.json").write_text(json.dumps({
+        "entries": [
+            {"name": "L5a", "file": "L5a.lie", "expected": "kronecker", "provenance": "analytic",
+             "variant": "L5a_variant.lie", "jacobi_ok": False},
+            {"name": "h3", "file": "h3.lie", "expected": "mixed", "provenance": "analytic"},
+        ],
+    }))
+    return str(tmp_path)
+
+
+def test_table_keeps_its_rows_when_a_variant_fails_jacobi(tmp_path, capsys):
+    """A variant that is no Lie algebra is one failed attempt, written as the
+    primary's failure is: its entry is unmatched and every row prints."""
+    directory = _bad_variant_corpus(tmp_path)
+    violation = "Jacobi identity fails on (e1, e2, e6) in the e3 component: 4"
+    assert main(["table", "--corpus", directory]) == 1
+    out = capsys.readouterr()
+    assert out.err == ""
+    lines = out.out.splitlines()
+    assert lines[:2] == [f"L5a   as printed: {violation}", f"L5a*  as printed: {violation}"]
+    assert lines[2].startswith("h3    dim 3  index 1  p0 x3")
+    assert lines[-3:] == ["", "1 of 2 families match the published types", "mismatches: L5a"]
+    assert main(["table", "--corpus", directory, "--output", "structured"]) == 1
+    families = json.loads(capsys.readouterr().out)["families"]
+    assert families[0]["jacobi_failure"] == violation
+    assert families[0]["attempts"] == [{"label": "L5a*", "jacobi_failure": violation}]
+    assert [f["matched"] for f in families] == [False, True]
+
+
 def test_table_checks_jacobi_once_per_table(monkeypatch, capsys):
     """Each loaded table is validated once, by the classification itself;
     a failing primary keeps its report for the output."""
@@ -749,6 +786,66 @@ def test_table_corpus_refuses_an_undecodable_file(bad, data, where, tmp_path, ca
     assert capsys.readouterr().err == f"error: {tmp_path / bad}:{where}: byte 0xff is not valid UTF-8\n"
 
 
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+def test_a_closed_stdout_ends_the_command_as_sigpipe_does(corpus_file):
+    """Exit code 2 is for bad input; a reader that closes the pipe early
+    ends the command as it ends other filters, with nothing on stderr."""
+    env = dict(os.environ)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "liepencil", "classify", corpus_file("L7a.lie")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == -signal.SIGPIPE
+    assert err == b""
+
+
+CORPUS_DIR = Path(corpus.__file__).parent
+
+
+def _text_and_payload_runs():
+    files = sorted(p.name for p in CORPUS_DIR.glob("*.lie"))
+    runs = [[command, name] for command in ("validate", "classify", "index", "charpoly", "check")
+            for name in files]
+    runs += [
+        ["table"],
+        ["table", "--samples", "0"],
+        ["classify", "L4ab.lie", "--param", "a=1/2", "--param", "b=3"],
+        ["classify", "L4ab.lie", "--samples", "0"],
+        ["classify", "L12a.lie", "--seed", "7"],
+        ["check", "L4ab.lie", "--trials", "2", "--seed", "3"],
+    ]
+    return runs
+
+
+@pytest.mark.parametrize("argv", _text_and_payload_runs(), ids=" ".join)
+def test_text_report_is_rendered_from_the_payload(argv, capsys, monkeypatch):
+    """The text form shows the payload the structured form prints, and no
+    other reading, with the same exit code."""
+    monkeypatch.chdir(CORPUS_DIR)
+    _assert_text_is_rendered(argv, capsys)
+
+
+def test_table_text_is_rendered_from_the_payload_with_a_failing_variant(tmp_path, capsys):
+    _assert_text_is_rendered(["table", "--corpus", _bad_variant_corpus(tmp_path)], capsys)
+
+
+def _assert_text_is_rendered(argv, capsys):
+    code = main(argv)
+    text = capsys.readouterr()
+    assert main(argv + ["--output", "structured"]) == code
+    structured = capsys.readouterr()
+    assert text.err == structured.err
+    if not structured.out:  # the command failed before it had a payload
+        assert text.out == "" and text.err
+        return
+    assert text.out == "\n".join(RENDER[argv[0]](json.loads(structured.out))) + "\n"
+
+
 def test_out_of_memory_is_one_line_naming_the_command(corpus_file, capsys, monkeypatch):
     def exhausted(alg):
         raise MemoryError
@@ -760,7 +857,7 @@ def test_out_of_memory_is_one_line_naming_the_command(corpus_file, capsys, monke
     assert "Traceback" not in err
 
 
-def test_console_script_installed(corpus_file, capsys, monkeypatch):
+def test_console_script_installed(corpus_file, capsys, monkeypatch, request):
     """The `liepencil` command is declared, and it runs as an installed shim runs it.
 
     The shim calls the declared entry point with `sys.argv` set, and
@@ -768,6 +865,9 @@ def test_console_script_installed(corpus_file, capsys, monkeypatch):
     distribution is installed, its entry point must match the declaration
     and the shim must be on PATH.
     """
+    if hasattr(signal, "SIGPIPE"):  # entry() resets it; the test process keeps its own
+        previous = signal.getsignal(signal.SIGPIPE)
+        request.addfinalizer(lambda: signal.signal(signal.SIGPIPE, previous))
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     with pyproject.open("rb") as handle:
