@@ -61,8 +61,10 @@ def independent_rows(matrix, point) -> tuple[int, ...]:
     complement, so Pf_I at the point is the product of the pivots up to
     sign: the block on I is nonsingular there, and Pf_I is a nonzero
     polynomial.  The elimination ends when no entry is left, so |I| is the
-    rank at the point.  The pivot is inverted only when at least two rows
-    are left to update; on h_{2k+1} none ever is.
+    rank at the point.  Each update of a_kl also sets a_lk = -a_kl, so the
+    pairs of rows left are visited in any order.  The pivot is inverted
+    only when at least two rows are left to update; on h_{2k+1} none ever
+    is.
     """
     value = evaluator(matrix.registry, point)
     rows: dict[int, dict[int, int]] = {}
@@ -72,9 +74,8 @@ def independent_rows(matrix, point) -> tuple[int, ...]:
             rows.setdefault(i, {})[j] = v
             rows.setdefault(j, {})[i] = PRIME - v
     chosen = []
-    while rows:
-        i = min(rows)
-        ri = rows.pop(i)
+    for i in sorted(rows):
+        ri = rows.pop(i, None)
         if not ri:
             continue
         j = min(ri)
@@ -86,15 +87,16 @@ def independent_rows(matrix, point) -> tuple[int, ...]:
             del rows[k][i]
         for k in rj:
             del rows[k][j]
-        rest = sorted(ri.keys() | rj.keys())
+        rest = list(ri.keys() | rj.keys())
         if len(rest) < 2:
             continue
         inverse = pow(pivot, -1, PRIME)
         for n, k in enumerate(rest):
             rk = rows[k]
-            ik, jk = ri.get(k, 0), rj.get(k, 0)
+            ik = ri.get(k, 0) * inverse % PRIME
+            jk = rj.get(k, 0) * inverse % PRIME
             for l in rest[n + 1:]:
-                v = (rk.get(l, 0) + (jk * ri.get(l, 0) - ik * rj.get(l, 0)) * inverse) % PRIME
+                v = (rk.get(l, 0) + jk * ri.get(l, 0) - ik * rj.get(l, 0)) % PRIME
                 if v:
                     rk[l] = v
                     rows[l][k] = PRIME - v

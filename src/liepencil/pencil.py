@@ -103,21 +103,22 @@ class PfaffianCache:
     Sharing the cache across all r-subsets of an n x n matrix makes the
     recursive expansion reuse the overlapping smaller minors, which is where
     nearly all of the work lives.  An index set is held as an int bit mask,
-    bit i for index i, which keys the memo.  ``live`` lists, in increasing
-    order, the indices whose row holds a stored entry; a principal Pfaffian
-    over any other index is zero.
+    bit i for index i, which keys the memo.  Each set is expanded along its
+    sparsest row (see :meth:`_pf`).  ``live`` lists, in increasing order,
+    the indices whose row holds a stored entry; a principal Pfaffian over
+    any other index is zero.
     """
 
     def __init__(self, matrix: SkewPolyMatrix):
         self.matrix = matrix
-        # the expansion runs along the lowest index, so it only reads
-        # entries right of the diagonal: keep the stored ones by row, keyed
-        # by column bit, with the mask of the columns each row reaches
-        self._right: list[dict[int, Polynomial]] = [{} for _ in range(matrix.size + 1)]
+        # the stored entry a_ij (i < j) of each pair, in both its rows, keyed
+        # by the other index's bit, with the mask of the indices each row reaches
+        self._row: list[dict[int, Polynomial]] = [{} for _ in range(matrix.size + 1)]
         self._reach = [0] * (matrix.size + 1)
         for (i, j), p in matrix.stored():
-            self._right[i][1 << j] = p
+            self._row[i][1 << j] = self._row[j][1 << i] = p
             self._reach[i] |= 1 << j
+            self._reach[j] |= 1 << i
         self.live = sorted({i for ij, _ in matrix.stored() for i in ij})
         self._zero = matrix.registry.zero()
         self._memo: dict[int, Polynomial] = {0: matrix.registry.one()}
@@ -140,24 +141,40 @@ class PfaffianCache:
 
     def _pf(self, mask: int) -> Polynomial:
         """Pf of the even index set ``mask``, not yet in the memo, expanded
-        along its lowest bit.
+        along the row of the set with the fewest stored entries inside it.
 
-        Only the stored entries of that row inside the set are visited.  The
-        term pairing the lowest index with ``bit`` has the sign (-1)^(t+1)
-        for ``bit`` at position t of the set, counted from 0 at the lowest
-        index: the parity of the indices of ``rest`` below ``bit``.  The
-        terms are summed by one :func:`sum_of_products`, and a sub-Pfaffian
-        is skipped when it is the cache's zero: every vanishing Pfaffian in
-        the memo is that one object, which on inputs such as n8 most of the
-        memo's entries are.
+        The lowest row is kept, with no scan, when it has at most one entry
+        in the set; otherwise the scan stops at the first row with 0 or 1.
+        A row with none makes the Pfaffian zero.  Only the stored entries of
+        the row inside the set are visited.  For i and j at positions p and
+        q of the set, counted from 0, the term is (-1)^(p+q+1) times the
+        stored entry of {i, j} times Pf of the set without i and j: the flip
+        a_ji = -a_ij cancels the sign of the order when j < i, so the term
+        is subtracted exactly when p + q is even.  The terms are summed by
+        one :func:`sum_of_products`, and a sub-Pfaffian is skipped when it
+        is the cache's zero: every vanishing Pfaffian in the memo is that
+        one object.
         """
         memo = self._memo
         zero = self._zero
-        low = mask & -mask
-        rest = mask ^ low
-        i = low.bit_length() - 1
-        row = self._right[i]
-        hits = self._reach[i] & rest
+        reach = self._reach
+        pivot = mask & -mask
+        hits = reach[pivot.bit_length() - 1] & mask
+        if hits & (hits - 1):
+            fewest = hits.bit_count()
+            scan = mask ^ pivot
+            while scan:
+                bit = scan & -scan
+                scan ^= bit
+                row_hits = reach[bit.bit_length() - 1] & mask
+                count = row_hits.bit_count()
+                if count < fewest:
+                    pivot, hits, fewest = bit, row_hits, count
+                    if count < 2:
+                        break
+        rest = mask ^ pivot
+        row = self._row[pivot.bit_length() - 1]
+        flip = (mask & (pivot - 1)).bit_count() + 1
         products = []
         while hits:
             bit = hits & -hits
@@ -166,7 +183,7 @@ class PfaffianCache:
             if sub is None:
                 sub = self._pf(rest ^ bit)
             if sub is not zero:
-                products.append((row[bit], sub, (rest & (bit - 1)).bit_count() % 2))
+                products.append((row[bit], sub, (flip + (mask & (bit - 1)).bit_count()) % 2))
         total = memo[mask] = (
             sum_of_products(self.matrix.registry, products) if products else zero
         )
