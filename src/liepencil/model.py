@@ -115,12 +115,7 @@ class LieAlgebra:
         return {k: -c for k, c in self._brackets.get((j, i), {}).items()}
 
     def structure_constant(self, i: int, j: int, k: int) -> Polynomial:
-        zero = self.registry.zero()
-        if i == j:
-            return zero
-        if i < j:
-            return self._brackets.get((i, j), {}).get(k, zero)
-        return -self._brackets.get((j, i), {}).get(k, zero)
+        return self.bracket(i, j).get(k, self.registry.zero())
 
     def stored_pairs(self) -> list[tuple[int, int]]:
         return sorted(self._brackets)
@@ -283,16 +278,17 @@ class SkewPolyMatrix:
         p = ratmat.rational_rows(p_matrix)
         if len(p) != n or any(len(row) != n for row in p):
             raise ValueError("congruence matrix has the wrong shape")
+        reg = self.registry
         stored = [(p[k - 1], p[l - 1], m_kl) for (k, l), m_kl in self.stored()]
         upper = {}
         for i, j in itertools.combinations(range(n), 2):
-            entry = self.registry.zero()
+            products = []
             for row_k, row_l, m_kl in stored:
                 weight = row_k[i] * row_l[j] - row_l[i] * row_k[j]
                 if weight:
-                    entry = entry + m_kl * weight
-            upper[(i + 1, j + 1)] = entry
-        return SkewPolyMatrix(n, self.registry, upper)
+                    products.append((m_kl, reg.constant(weight), False))
+            upper[(i + 1, j + 1)] = sum_of_products(reg, products)
+        return SkewPolyMatrix(n, reg, upper)
 
     def evaluate(self, values: Mapping[str, Fraction | int]) -> list[list[Fraction | int]]:
         """Entries at the given values; ints for an integer matrix at ints."""

@@ -119,7 +119,7 @@ class PfaffianCache:
             self._row[i][1 << j] = self._row[j][1 << i] = p
             self._reach[i] |= 1 << j
             self._reach[j] |= 1 << i
-        self.live = sorted({i for ij, _ in matrix.stored() for i in ij})
+        self.live = [i for i, bits in enumerate(self._reach) if bits]
         self._zero = matrix.registry.zero()
         self._memo: dict[int, Polynomial] = {0: matrix.registry.one()}
 

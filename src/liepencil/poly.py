@@ -382,19 +382,24 @@ class Polynomial:
             return self.registry.constant(value)
         return None
 
-    def __add__(self, other):
+    def _plus(self, other, sign: int):
+        """self + sign*other, other's terms merged into a copy of self's."""
         if type(other) is not Polynomial or other.registry is not self.registry:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
+        subtract = sign < 0
         terms = dict(self._terms)
         for m, c in other._terms.items():
-            s = terms.get(m, 0) + c
+            s = terms.get(m, 0) - c if subtract else terms.get(m, 0) + c
             if s:
                 terms[m] = s
             else:
-                terms.pop(m, None)
+                del terms[m]
         return _wrap(self.registry, terms)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
@@ -402,18 +407,7 @@ class Polynomial:
         return _wrap(self.registry, {m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other):
-        if type(other) is not Polynomial or other.registry is not self.registry:
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
-        terms = dict(self._terms)
-        for m, c in other._terms.items():
-            s = terms.get(m, 0) - c
-            if s:
-                terms[m] = s
-            else:
-                terms.pop(m, None)
-        return _wrap(self.registry, terms)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -673,9 +667,10 @@ def try_divide(p: Polynomial, d: Polynomial):
     reg = p.registry
     lm_d, lc_d = d.leading()
     quotient: dict = {}
-    r = p
-    while not r.is_zero():
-        lm_r, lc_r = r.leading()
+    r = dict(p._terms)
+    while r:
+        lm_r = max(r)
+        lc_r = r[lm_r]
         q_mono = lm_r - lm_d
         if q_mono & reg._guard:
             return None
@@ -683,11 +678,13 @@ def try_divide(p: Polynomial, d: Polynomial):
         if rem:
             q_coeff = Fraction(lc_r) / lc_d
         quotient[q_mono] = q_coeff
-        shifted = _wrap(
-            reg,
-            {m + q_mono: c * q_coeff for m, c in d.terms()},
-        )
-        r = r - shifted
+        for m, c in d._terms.items():
+            m += q_mono
+            s = r.get(m, 0) - c * q_coeff
+            if s:
+                r[m] = s
+            else:
+                del r[m]
     return Polynomial(reg, quotient)
 
 
@@ -762,14 +759,15 @@ def _prem(f: Polynomial, g: Polynomial, pos: int) -> Polynomial:
     view = coefficients(g, pos)
     n = max(view)
     lc_g = view[n]
-    v = reg.var(reg.name_at(pos))
     r = f
     while not r.is_zero():
         view = coefficients(r, pos)
         d = max(view)
         if d < n:
             break
-        r = lc_g * r - view[d] * v ** (d - n) * g
+        # lc_g*r - view[d]*v^(d-n)*g for the variable v at pos
+        lead = _shift_by(view[d], (d - n) * reg._unit[pos])
+        r = sum_of_products(reg, ((lc_g, r, False), (lead, g, True)))
     return r
 
 

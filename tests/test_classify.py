@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib
+import random
 import re
 from fractions import Fraction
 
@@ -16,12 +17,18 @@ from liepencil.classify import (
     classify_family,
 )
 from liepencil.errors import InvalidAlgebra
-from liepencil.model import substitute_params, validate
-from liepencil.oracle import cross_check
+from liepencil.model import change_of_basis, substitute_params, validate
+from liepencil.oracle import InfiniteJordanBlock, JordanBlock, KroneckerBlock, cross_check
 from liepencil.parser import parse_poly, parse_text
 from liepencil.poly import normalize
 
-from helpers import algebra_from_table, lift
+from helpers import (
+    algebra_from_table,
+    lift,
+    random_blocks,
+    random_unimodular,
+    skew_pencil_algebra,
+)
 
 
 def test_verdict_sentences_pinned():
@@ -227,11 +234,16 @@ def test_classify_rejects_unbound_use_of_samples_on_plain_algebra():
 def test_truncated_current_algebra_keeps_the_type(m):
     """g[t]/t^m has index m*ind g, the verdict of g, and
     p0 = p0(g)(x_{(m-1)n+k})^m up to normalization, for every valid
-    parameter-free corpus table g of dimension n."""
+    parameter-free corpus table g of dimension n, in its own basis and
+    after a seeded unimodular basis change."""
     tables = [e.load() for e in corpus.manifest()]
     tables = [g for g in tables if not g.param_names() and validate(g).ok]
     assert len(tables) == 10
-    for g in tables:
+    rng = random.Random(m)
+    moved = [
+        change_of_basis(g, random_unimodular(g.dim, rng)).with_name(f"{g.name}'") for g in tables
+    ]
+    for g in tables + moved:
         lifted = lift(g, m)
         assert validate(lifted).ok, lifted.name
         base, report = classify(g), classify(lifted)
@@ -240,3 +252,52 @@ def test_truncated_current_algebra_keeps_the_type(m):
         top = (m - 1) * g.dim
         renamed = re.sub(r"x(\d+)", lambda k: f"x{top + int(k.group(1))}", str(base.p0))
         assert report.p0 == normalize(parse_poly(renamed, lifted.registry) ** m), lifted.name
+
+
+SKEW_PENCIL_LISTS = [
+    [KroneckerBlock(1)],
+    [JordanBlock(Fraction(2), 2)],
+    [InfiniteJordanBlock(2), KroneckerBlock(0)],
+    [JordanBlock(Fraction(-1, 2), 1), JordanBlock(Fraction(-1, 2), 2), KroneckerBlock(2)],
+    [InfiniteJordanBlock(1), JordanBlock(Fraction(3), 1), KroneckerBlock(0), KroneckerBlock(1)],
+] + [random_blocks(random.Random(seed)) for seed in range(30)]
+
+
+def test_skew_pencil_algebra_has_the_closed_form_type():
+    """[e_i, e_j] = A_ij e_{m+1} + B_ij e_{m+2} for a block pencil (A, B)
+    of m rows has index #Kronecker + 2, is mixed exactly when a finite or
+    infinite Jordan block is present, and has
+    p0 = prod_J(mu,k) (mu*x_{m+1} + x_{m+2})^k * prod_inf(k) x_{m+1}^k,
+    normalized.  Up to dimension 12 a seeded basis change keeps the index,
+    the verdict and the degree of p0, and the numeric oracle agrees."""
+    assert any(
+        isinstance(b, InfiniteJordanBlock) for blocks in SKEW_PENCIL_LISTS[5:] for b in blocks
+    )
+    rng = random.Random(35)
+    moved_count = 0
+    for blocks in SKEW_PENCIL_LISTS:
+        alg = skew_pencil_algebra(blocks)
+        assert validate(alg).ok
+        m = alg.dim - 2
+        reg = alg.registry
+        x, y = reg.coordinate(m + 1), reg.coordinate(m + 2)
+        expected = reg.one()
+        for b in blocks:
+            if isinstance(b, JordanBlock):
+                expected = expected * (b.eigenvalue * x + y) ** b.size
+            elif isinstance(b, InfiniteJordanBlock):
+                expected = expected * x ** b.size
+        kronecker = sum(isinstance(b, KroneckerBlock) for b in blocks)
+        report = classify(alg)
+        assert report.index == kronecker + 2, blocks
+        assert report.verdict is (Verdict.MIXED if kronecker < len(blocks) else Verdict.KRONECKER), blocks
+        assert report.p0 == normalize(expected), blocks
+        if alg.dim <= 12:
+            moved_count += 1
+            moved = change_of_basis(alg, random_unimodular(alg.dim, rng))
+            again = classify(moved)
+            assert again.index == report.index, blocks
+            assert again.verdict is report.verdict, blocks
+            assert again.p0.total_degree() == report.p0.total_degree(), blocks
+            assert cross_check(moved).ok, blocks
+    assert moved_count >= 10

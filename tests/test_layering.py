@@ -20,11 +20,14 @@ packed monomial format is ``poly``'s own: no other module imports a private
 name from it or reads a private attribute of a ``VarRegistry``.  Outside
 input is decoded in ``parser`` alone: it holds the package's one
 ``json.loads``, so every JSON input, a corpus manifest included, is read by
-the same rules.
+the same rules.  Every private name the package defines is used somewhere
+in the package outside its own definition, so code that nothing calls does
+not stay.
 """
 
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -182,3 +185,60 @@ def test_modular_pow_reader_sees_both_spellings(tmp_path):
         "    return pow(a, b, p), pow(a, b, mod=p), pow(a, b), a ** b % p\n"
     )
     assert modular_pows(source) == 2
+
+
+def unused_private_names(paths) -> list[str]:
+    """Private functions, methods, classes and module-level names defined in
+    ``paths`` that no ``Name`` or ``Attribute`` read in ``paths`` names,
+    reads inside their own definition not counted."""
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in paths]
+
+    def reads(node) -> list[str]:
+        return [
+            sub.id if isinstance(sub, ast.Name) else sub.attr
+            for sub in ast.walk(node)
+            if isinstance(sub, (ast.Name, ast.Attribute)) and isinstance(sub.ctx, ast.Load)
+        ]
+
+    everywhere = Counter(name for tree in trees for name in reads(tree))
+    unused = []
+    for path, tree in zip(paths, trees):
+        defined = [
+            (node.name, node) for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        ]
+        for stmt in tree.body:
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else (
+                [stmt.target] if isinstance(stmt, ast.AnnAssign) else []
+            )
+            defined += [(t.id, stmt) for t in targets if isinstance(t, ast.Name)]
+        for name, node in defined:
+            private = name.startswith("_") and not name.startswith("__")
+            if private and everywhere[name] == reads(node).count(name):
+                unused.append(f"{path.name}:{node.lineno} {name}")
+    return unused
+
+
+def test_every_private_name_is_used():
+    assert unused_private_names(sorted(PACKAGE.rglob("*.py"))) == []
+
+
+def test_unused_private_reader_sees_functions_methods_classes_and_names(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text(
+        "_USED = 1\n"
+        "_UNUSED: int = 2\n"
+        "class _Dead:\n"
+        "    def _method(self):\n"
+        "        return self._method()\n"
+        "def _recursive(n):\n"
+        "    return _recursive(n - 1) if n else _USED\n"
+        "def _called():\n"
+        "    return 0\n"
+        "def public():\n"
+        "    __dunder = _called()\n"
+        "    return __dunder\n"
+    )
+    assert sorted(unused_private_names([source])) == [
+        "sample.py:2 _UNUSED", "sample.py:3 _Dead", "sample.py:4 _method", "sample.py:6 _recursive",
+    ]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liepencil import corpus, ratmat
-from liepencil.errors import ExclusionViolation, ParameterBindingError
+from liepencil.errors import ExclusionViolation, ParameterBindingError, RegistryMismatch
 from liepencil.model import (
     LieAlgebra,
     ParamDecl,
@@ -396,3 +396,55 @@ def test_with_name():
     renamed = alg.with_name("two")
     assert renamed.name == "two"
     assert renamed == alg  # name is not part of equality
+
+
+# -- refused constructions ------------------------------------------------------
+
+
+def test_algebra_of_dimension_zero_is_refused():
+    with pytest.raises(ValueError, match="at least 1"):
+        LieAlgebra(0, VarRegistry(0))
+
+
+def test_algebra_refuses_a_registry_of_another_dimension_or_parameters():
+    with pytest.raises(ValueError, match="registry dimension"):
+        LieAlgebra(3, VarRegistry(4))
+    with pytest.raises(ValueError, match="registry parameters"):
+        LieAlgebra(3, VarRegistry(3, ["a"]))
+    with pytest.raises(ValueError, match="registry parameters"):
+        LieAlgebra(3, VarRegistry(3), params=(ParamDecl("a"),))
+
+
+def test_algebra_refuses_a_coefficient_from_a_foreign_registry():
+    foreign = VarRegistry(4).one()
+    with pytest.raises(RegistryMismatch):
+        LieAlgebra(3, VarRegistry(3), brackets={(1, 2): {3: foreign}})
+
+
+@pytest.mark.parametrize("pair", [(2, 2), (2, 1)])
+def test_skew_matrix_refuses_an_entry_on_or_below_the_diagonal(pair):
+    reg = VarRegistry(3)
+    with pytest.raises(ValueError, match="strictly above the diagonal"):
+        SkewPolyMatrix(3, reg, {pair: reg.one()})
+
+
+@pytest.mark.parametrize(
+    "indices, message",
+    [([2, 1], "strictly increasing"), ([1, 1], "strictly increasing"),
+     ([0, 2], "out of range"), ([1, 4], "out of range")],
+)
+def test_submatrix_refuses_unsorted_or_out_of_range_indices(indices, message):
+    matrix = build_ax(algebra_from_table(3, HEISENBERG))
+    with pytest.raises(ValueError, match=message):
+        matrix.submatrix(indices)
+
+
+@pytest.mark.parametrize(
+    "p_matrix", [[[1, 0], [0, 1]], [[1, 0, 0], [0, 1], [0, 0, 1]]], ids=["2x2", "ragged"]
+)
+def test_congruent_and_change_of_basis_refuse_a_matrix_of_the_wrong_shape(p_matrix):
+    alg = algebra_from_table(3, HEISENBERG)
+    with pytest.raises(ValueError, match="congruence matrix has the wrong shape"):
+        build_ax(alg).congruent(p_matrix)
+    with pytest.raises(ValueError, match="basis change matrix has the wrong shape"):
+        change_of_basis(alg, p_matrix)

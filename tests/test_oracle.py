@@ -440,3 +440,14 @@ def test_minors_leave_no_reference_cycle():
     finally:
         if was_enabled:
             gc.enable()
+
+
+def test_assemble_refuses_an_empty_block_list():
+    with pytest.raises(ValueError, match="at least one block"):
+        assemble([])
+
+
+def test_congruence_refuses_a_matrix_of_another_size():
+    pencil = assemble([KroneckerBlock(1)])
+    with pytest.raises(ValueError, match="does not match the pencil"):
+        congruence(pencil, [[1, 0], [0, 1]])

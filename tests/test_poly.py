@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from liepencil import poly
 from liepencil.errors import DegreeOverflow, RegistryMismatch
 from liepencil.poly import (
     MAX_EXPONENT,
@@ -577,3 +578,69 @@ def test_sum_of_products_checks_the_degree_of_each_product():
             sum_of_products(REG, triples)
     low = V("x1") ** (MAX_EXPONENT - 1)
     assert sum_of_products(REG, [(low, x2 + 1, True)]) == -(low * x2) - low
+
+
+# -- refused inputs and edge values ----------------------------------------------
+
+
+def test_registry_refuses_a_negative_dimension_and_a_repeated_parameter():
+    with pytest.raises(ValueError, match="non-negative"):
+        VarRegistry(-1)
+    with pytest.raises(ValueError, match="duplicate parameter name 'a'"):
+        VarRegistry(2, ["a", "b", "a"])
+
+
+def test_parameter_refuses_a_coordinate_name():
+    with pytest.raises(ValueError, match="'x1' is not a parameter"):
+        REG.parameter("x1")
+
+
+def test_constant_value_of_a_nonconstant_polynomial_raises():
+    with pytest.raises(ValueError, match="is not constant"):
+        (V("x1") + 1).constant_value()
+
+
+def test_leading_term_of_zero_raises():
+    with pytest.raises(ValueError, match="no leading term"):
+        REG.zero().leading()
+
+
+def test_div_exact_by_a_nondivisor_raises():
+    with pytest.raises(ValueError, match="is not divisible by"):
+        div_exact(V("x1") ** 2 + 1, V("x1") + 1)
+
+
+def test_zero_divides_only_zero():
+    assert not divides(REG.zero(), V("x1"))
+    assert not divides(REG.zero(), REG.one())
+    assert divides(REG.zero(), REG.zero())
+
+
+def test_adding_a_string_raises_type_error():
+    p = V("x1") + 1
+    with pytest.raises(TypeError):
+        p + "a"
+    with pytest.raises(TypeError):
+        "a" + p
+    with pytest.raises(TypeError):
+        p - "a"
+
+
+@pytest.mark.parametrize("value", ["3/4", 0.75], ids=["str", "float"])
+def test_evaluate_reads_other_values_through_fraction(value):
+    p = V("x1") ** 2 - 2 * V("t")
+    assert p.evaluate({"x1": value, "t": 1}) == Fraction(9, 16) - 2
+    assert type(p.evaluate({"x1": value, "t": 1})) is Fraction
+
+
+def test_line_gcd_swaps_when_the_first_image_is_shorter(monkeypatch):
+    # on this line the top part x1^2 - x2^2 of p vanishes and z0 has
+    # x1 = x2, so p's image is the constant 1, while q keeps degree 2
+    p = V("x1") ** 2 - V("x2") ** 2 + 1
+    q = V("x1") ** 2 + V("x3")
+    line = {REG.position("x1"): (5, 1), REG.position("x2"): (5, 1), REG.position("x3"): (2, 3)}
+    monkeypatch.setattr(poly, "_line", lambda f, g: line)
+    assert _on_line(p, line) == [1]
+    assert _on_line(q, line) == [1, 13, 27]
+    assert _line_bound(p, q, line) == 0
+    assert poly_gcd(p, q) == REG.one()

@@ -408,3 +408,8 @@ def test_integer_input_stays_in_integers():
         assert got and _all_ints(got), got
 
 
+
+
+def test_format_poly_skips_a_zero_middle_coefficient():
+    assert format_poly([1, 0, 1], var="t") == "t^2 + 1"
+    assert format_poly([Fraction(-3), 0, 0, 2]) == "2*lambda^3 - 3"
