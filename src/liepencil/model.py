@@ -10,7 +10,6 @@ at once.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -29,6 +28,7 @@ from .poly import (
     VarKind,
     VarRegistry,
     coefficients,
+    shared_registry,
     size_estimate,
     sum_of_products,
 )
@@ -344,13 +344,6 @@ def change_of_basis(alg: LieAlgebra, p_matrix) -> LieAlgebra:
     return LieAlgebra(n, reg, params=alg.params, brackets=new_brackets, name=alg.name)
 
 
-@functools.lru_cache(maxsize=64)
-def _bound_registry(dim: int) -> VarRegistry:
-    """The parameter-free registry of dimension ``dim``.  A registry is
-    immutable, so every bound table of one dimension shares this one."""
-    return VarRegistry(dim)
-
-
 def substitute_params(alg: LieAlgebra, values: Mapping[str, Fraction | int]) -> LieAlgebra:
     """Bind every parameter to a rational, enforcing the declared exclusions.
 
@@ -397,7 +390,7 @@ def substitute_params(alg: LieAlgebra, values: Mapping[str, Fraction | int]) -> 
                     f"binding violates the constraint {excl} != 0"
                     f" attached to parameter {decl.name!r}"
                 )
-    bound_reg = _bound_registry(alg.dim)
+    bound_reg = shared_registry(alg.dim)
     new_brackets: dict[tuple[int, int], dict[int, Polynomial]] = {}
     for pair, stored in alg._brackets.items():
         terms = {}

@@ -27,19 +27,21 @@ a huge registry, integer or polynomial.
 from __future__ import annotations
 
 import codecs
+import itertools
 import json
 import math
+import operator
 import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import NamedTuple
 
 from .errors import ParseError, SchemaError
 from .model import LieAlgebra, ParamDecl
 from .poly import (
-    MAX_EXPONENT, MAX_POWER_SIZE, Polynomial, VarKind, VarRegistry, check_parameter_name, size_estimate,
+    MAX_EXPONENT, MAX_POWER_SIZE, Polynomial, VarKind, VarRegistry, check_parameter_name, shared_registry,
+    size_estimate,
 )
 
 __all__ = [
@@ -119,81 +121,45 @@ def parse_source(doc: SourceDoc) -> LieAlgebra:
 # U+001C..U+001E, U+0085, U+2028 and U+2029, which a comment may hold.
 _LINE_END = re.compile(r"\r\n|\r|\n")
 
+# One token with the whitespace and comments before it.  findall gives each
+# as a plain tuple of its groups, the token's text in the group of its kind
+# and "" in the others.  Every match ends in a token or at \Z, so findall
+# never resumes inside a comment; the end of the text is a token with every
+# group "".
 _TOKEN_RE = re.compile(
     r"""
-    \s+ | \#.*                          # whitespace and comments: no group
-  | (?P<int>[0-9]+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<op>!=|[\[\](),+\-*/^=])
-  | (?P<bad>\S)                         # any other character, refused
+    (?: \s+ | \#.* )*
+    (?: (!=|[\[\](),+\-*/^=])
+      | (e[0-9]+(?![A-Za-z0-9_]))           # basis element e<k>
+      | ([0-9]+)
+      | ([A-Za-z_][A-Za-z0-9_]*)
+      | (\S)                                # any other character, refused
+      | \Z )
     """,
     re.VERBOSE,
 )
+_OP, _BASIS, _INT, _IDENT, _BAD = range(5)
+_bad = operator.itemgetter(_BAD)
 
 
-class Token(NamedTuple):
-    """One token of a line.  An operator is always an "op" token and a word
-    an "ident", so the grammar tests the value alone where that fixes the kind."""
-
-    kind: str  # "int" | "ident" | "op" | "end"
-    value: str
-    line: int
-    column: int
-
-
-def _tokenize_line(text: str, line_no: int, origin: str) -> list[Token]:
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "bad":
-            raise ParseError(
-                f"unexpected character {m.group()!r}",
-                line=line_no,
-                column=m.start() + 1,
-                origin=origin,
-            )
-        if kind:
-            tokens.append(Token(kind, m.group(), line_no, m.start() + 1))
-    tokens.append(Token("end", "", line_no, len(text) + 1))
+def _tokenize(text: str, line: int, origin: str) -> list[tuple[str, ...]]:
+    """The tokens of ``text``, the last one its end."""
+    tokens = _TOKEN_RE.findall(text)
+    if len(tokens) > 1 and not any(tokens[-2]):
+        del tokens[-1]  # whitespace or a comment ended the text
+    if any(map(_bad, tokens)):
+        at = next(k for k, tok in enumerate(tokens) if tok[_BAD])
+        raise ParseError(
+            f"unexpected character {tokens[at][_BAD]!r}", line=line, column=_column(text, at), origin=origin
+        )
     return tokens
 
 
-class _Cursor:
-    def __init__(self, tokens: list[Token], origin: str):
-        self.tokens = tokens
-        self.origin = origin
-        self.i = 0
-
-    def peek(self) -> Token:
-        return self.tokens[self.i]
-
-    def next(self) -> Token:
-        tok = self.tokens[self.i]
-        if tok.kind != "end":
-            self.i += 1
-        return tok
-
-    def expect_op(self, value: str) -> Token:
-        tok = self.peek()
-        if tok.value != value:
-            self.fail(f"expected {value!r}", tok)
-        return self.next()
-
-    def at_end(self) -> bool:
-        return self.peek().kind == "end"
-
-    def fail(self, message: str, tok: Token | None = None):
-        tok = tok or self.peek()
-        raise ParseError(message, line=tok.line, column=tok.column, origin=self.origin)
-
-    def integer(self, tok: Token, digits: str | None = None) -> int:
-        """The value of ``digits`` (by default the token's text), failing at
-        the token past Python's limit on the digits of an int."""
-        digits = tok.value if digits is None else digits
-        try:
-            return int(digits)
-        except ValueError:
-            self.fail(f"integer of {len(digits)} digits exceeds the limit of {int_digit_limit()} digits", tok)
+def _column(text: str, at: int) -> int:
+    """The column of token ``at`` of ``text``: tokens carry no position, since
+    only a refusal needs one."""
+    m = next(itertools.islice(_TOKEN_RE.finditer(text), at, None))
+    return (m.start(m.lastindex) if m.lastindex else m.end()) + 1
 
 
 # -- expression parser --------------------------------------------------------
@@ -202,9 +168,9 @@ class _Cursor:
 #   expr   := term (("+"|"-") term)*
 #   term   := factor (("*"|"/")? factor)*     adjacency means multiplication
 #   factor := ("-"|"+")* atom ("^" int)*
-#   atom   := int | ident | "(" expr ")"
+#   atom   := int | basis | ident | "(" expr ")"
 #
-# Atoms evaluate to polynomials; "e<k>" identifiers are only legal where the
+# Atoms evaluate to polynomials; basis elements e<k> are only legal where the
 # caller says so (bracket right-hand sides), and there they must stay linear.
 
 _BASIS_RE = re.compile(r"^e([0-9]+)$")
@@ -222,95 +188,139 @@ _PARAMS_ONLY = frozenset({VarKind.PARAMETER})
 
 
 class _ExprParser:
-    def __init__(
-        self,
-        cursor: _Cursor,
-        registry: VarRegistry,
-        allow_basis: bool,
-        kinds: frozenset = _PARAMS_ONLY,
-    ):
-        self.c = cursor
+    """The tokens of one line and a position in them, ``i``.  Every refusal
+    names a token by its index in the line."""
+
+    def __init__(self, text: str, line: int, origin: str):
+        self.text = text
+        self.line = line
+        self.origin = origin
+        self.toks = _tokenize(text, line, origin)
+        self.i = 0
+
+    def fail(self, message: str, at: int | None = None):
+        at = self.i if at is None else at
+        raise ParseError(message, line=self.line, column=_column(self.text, at), origin=self.origin)
+
+    def at_end(self) -> bool:
+        return self.i == len(self.toks) - 1
+
+    def expect(self, op: str) -> None:
+        if self.toks[self.i][_OP] != op:
+            self.fail(f"expected {op!r}")
+        self.i += 1
+
+    def integer(self, at: int, digits: str) -> int:
+        """The value of ``digits``, failing at token ``at`` past Python's
+        limit on the digits of an int."""
+        try:
+            return int(digits)
+        except ValueError:
+            self.fail(f"integer of {len(digits)} digits exceeds the limit of {int_digit_limit()} digits", at)
+
+    def basis(self, dim: int) -> int:
+        """k of the basis element e<k> at position i, which moves past it;
+        refused there when the token is none or k is outside 1..dim."""
+        at = self.i
+        self.i = at + 1
+        name = self.toks[at][_BASIS]
+        if not name:
+            self.fail("expected a basis element like e3", at)
+        k = self.integer(at, name[1:])
+        if not (1 <= k <= dim):
+            self.fail(f"basis index e{k} out of range for dimension {dim}", at)
+        return k
+
+    def parse(self, registry: VarRegistry, allow_basis: bool = False, kinds: frozenset = _PARAMS_ONLY,
+              trailing: str = "unexpected trailing input"):
+        """The rest of the line as a linear combination, basis index ->
+        coefficient polynomial, index 0 holding the pure-coefficient part
+        and no zero part kept; refused with ``trailing`` before the end."""
         self.reg = registry
         self.allow_basis = allow_basis
         self.kinds = kinds
         self.one = registry.one()
         self.depth = 0  # parentheses open around the current atom
+        result = self._expr()
+        if not self.at_end():
+            self.fail(trailing)
+        return {k: v for k, v in result.items() if v}
 
     def _atom(self):
-        """The next atom as a linear combination, the form every rule returns:
-        basis index -> coefficient polynomial, index 0 holding the
-        pure-coefficient part."""
-        tok = self.c.peek()
-        if tok.kind == "int":
-            self.c.next()
-            return {0: self.reg.constant(self.c.integer(tok))}
-        if tok.kind == "ident":
-            self.c.next()
-            if _BASIS_RE.match(tok.value):
-                if not self.allow_basis:
-                    self.c.fail("basis elements are not allowed here", tok)
-                return {_basis_index(self.c, tok, self.reg.dim): self.one}
+        """The next atom as a linear combination, the form every rule returns."""
+        at = self.i
+        op, basis, int_, ident, _ = self.toks[at]
+        if int_:
+            self.i = at + 1
+            return {0: self.reg.constant(self.integer(at, int_))}
+        if basis:
+            if not self.allow_basis:
+                self.fail("basis elements are not allowed here", at)
+            return {self.basis(self.reg.dim): self.one}
+        if ident:
+            self.i = at + 1
             try:
-                kind = self.reg.kind_of(tok.value)
+                kind = self.reg.kind_of(ident)
             except ValueError:
-                self.c.fail(f"undeclared parameter {tok.value!r}", tok)
+                self.fail(f"undeclared parameter {ident!r}", at)
             if kind not in self.kinds:
-                self.c.fail(f"{tok.value!r} is not a parameter", tok)
-            return {0: self.reg.var(tok.value)}
-        if tok.value == "(":
-            self.c.next()
+                self.fail(f"{ident!r} is not a parameter", at)
+            return {0: self.reg.var(ident)}
+        if op == "(":
+            self.i = at + 1
             if self.depth == MAX_NESTING:
-                self.c.fail(f"parentheses nested deeper than {MAX_NESTING} levels", tok)
+                self.fail(f"parentheses nested deeper than {MAX_NESTING} levels", at)
             self.depth += 1
             inner = self._expr()
             self.depth -= 1
-            self.c.expect_op(")")
+            self.expect(")")
             return inner
-        self.c.fail("expected a number, parameter, or parenthesized expression", tok)
+        self.fail("expected a number, parameter, or parenthesized expression", at)
 
     def _factor(self):
+        toks = self.toks
         sign = 1
-        while self.c.peek().value in ("+", "-"):
-            if self.c.next().value == "-":
+        while (op := toks[self.i][_OP]) in ("+", "-"):
+            self.i += 1
+            if op == "-":
                 sign = -sign
         value = self._atom()
-        while self.c.peek().value == "^":
-            tok = self.c.next()
-            etok = self.c.peek()
-            if etok.kind != "int":
-                self.c.fail("exponent must be a non-negative integer", etok)
-            self.c.next()
-            value = self._power(value, self.c.integer(etok), tok, etok)
+        while toks[self.i][_OP] == "^":
+            op_at = self.i
+            exp_at = op_at + 1
+            digits = toks[exp_at][_INT]
+            if not digits:
+                self.fail("exponent must be a non-negative integer", exp_at)
+            self.i = exp_at + 1
+            value = self._power(value, self.integer(exp_at, digits), op_at, exp_at)
         if sign < 0:
             value = {k: -v for k, v in value.items()}
         return value
 
-    def _power(self, value, exponent, op_tok, exp_tok):
-        """value^exponent, refused at ``op_tok`` before it is built: p^e has at
+    def _power(self, value, exponent, op_at, exp_at):
+        """value^exponent, refused at ``op_at`` before it is built: p^e has at
         most C(T-1+e, e) terms (e of the T terms of p, with repeats) and at most
         C(e*D + v, v) (the monomials of degree <= e*D in the v variables of p)."""
-        if set(value) != {0}:
-            self.c.fail("basis elements cannot be raised to powers", exp_tok)
+        if value.keys() != {0}:
+            self.fail("basis elements cannot be raised to powers", exp_at)
         if exponent > MAX_EXPONENT:
-            self.c.fail(f"exponent {exponent} exceeds the limit {MAX_EXPONENT}", exp_tok)
+            self.fail(f"exponent {exponent} exceeds the limit {MAX_EXPONENT}", exp_at)
         base = value[0]
         terms, degree, degrees, digits = size_estimate(base)
         v = len(degrees)
         terms = min(math.comb(max(terms - 1, 0) + exponent, exponent), math.comb(exponent * degree + v, v))
-        self._check("power", op_tok, exponent * digits, terms, exponent * degree)
+        self._check("power", op_at, exponent * digits, terms, exponent * degree)
         return {0: base ** exponent}
 
-    def _combine_mul(self, left, right, tok):
-        if set(left) != {0} and set(right) != {0}:
-            self.c.fail("products of basis elements are not allowed", tok)
-        if set(left) == {0}:
-            scalar, vector = left[0], right
-        else:
-            scalar, vector = right[0], left
-        return self._scale(vector, scalar, tok)
+    def _combine_mul(self, left, right, at):
+        if left.keys() == {0}:
+            return self._scale(right, left[0], at)
+        if right.keys() != {0}:
+            self.fail("products of basis elements are not allowed", at)
+        return self._scale(left, right[0], at)
 
-    def _scale(self, vector, scalar, tok):
-        """scalar * vector, refused at ``tok`` before it is built: p*q has at
+    def _scale(self, vector, scalar, at):
+        """scalar * vector, refused at ``at`` before it is built: p*q has at
         most T1*T2 terms and at most C(D1 + D2 + v, v), the monomials of degree
         <= D1 + D2 in the v variables of p and q."""
         s_terms, s_degree, s_degrees, s_digits = size_estimate(scalar)
@@ -318,143 +328,155 @@ class _ExprParser:
             terms, degree, degrees, digits = size_estimate(value)
             v = len(s_degrees.keys() | degrees.keys())
             terms = min(s_terms * terms, math.comb(s_degree + degree + v, v))
-            self._check("product", tok, s_digits + digits, terms, s_degree + degree)
+            self._check("product", at, s_digits + digits, terms, s_degree + degree)
         return {k: scalar * v for k, v in vector.items()}
 
-    def _check(self, what: str, tok, digits: float, terms: int = 0, degree: int = 0):
-        """Refuse at ``tok`` a value whose coefficients may have ``digits``
+    def _check(self, what: str, at: int, digits: float, terms: int = 0, degree: int = 0):
+        """Refuse at token ``at`` a value whose coefficients may have ``digits``
         digits (log10 of a bound), with ``terms`` terms and total degree
         ``degree``, when one of them passes its limit."""
         limit = int_digit_limit()
         if digits >= limit:
-            self.c.fail(f"a coefficient of this {what} would exceed the limit of {limit} digits", tok)
+            self.fail(f"a coefficient of this {what} would exceed the limit of {limit} digits", at)
         if terms > MAX_POWER_SIZE / max(1.0, digits):
-            self.c.fail(f"this {what} could hold more than {MAX_POWER_SIZE} digits in all", tok)
+            self.fail(f"this {what} could hold more than {MAX_POWER_SIZE} digits in all", at)
         if degree > MAX_EXPONENT:
-            self.c.fail(f"this {what} would have total degree {degree}, past the limit {MAX_EXPONENT}", tok)
+            self.fail(f"this {what} would have total degree {degree}, past the limit {MAX_EXPONENT}", at)
 
     def _term(self):
+        toks = self.toks
         value = self._factor()
         while True:
-            tok = self.c.peek()
-            if tok.value == "*":
-                self.c.next()
-                value = self._combine_mul(value, self._factor(), tok)
-            elif tok.value == "/":
-                self.c.next()
+            at = self.i
+            op, basis, int_, ident, _ = toks[at]
+            if op == "*":
+                self.i = at + 1
+                value = self._combine_mul(value, self._factor(), at)
+            elif op == "/":
+                self.i = at + 1
                 div = self._factor()
-                if set(div) != {0} or not div[0].is_constant():
-                    self.c.fail("division is only allowed by a rational constant", tok)
+                if div.keys() != {0} or not div[0].is_constant():
+                    self.fail("division is only allowed by a rational constant", at)
                 c = div[0].constant_value()
                 if c == 0:
-                    self.c.fail("division by zero", tok)
-                value = self._scale(value, self.reg.constant(Fraction(1) / c), tok)
-            elif tok.kind in ("int", "ident") or tok.value == "(":
-                value = self._combine_mul(value, self._factor(), tok)
+                    self.fail("division by zero", at)
+                value = self._scale(value, self.reg.constant(Fraction(1) / c), at)
+            elif int_ or basis or ident or op == "(":
+                value = self._combine_mul(value, self._factor(), at)
             else:
-                break
-        return value
+                return value
 
     def _expr(self):
+        toks = self.toks
         value = self._term()
-        while self.c.peek().value in ("+", "-"):
-            tok = self.c.next()
+        while (op := toks[self.i][_OP]) in ("+", "-"):
+            at = self.i
+            self.i = at + 1
             rhs = self._term()
-            if tok.value == "-":
+            if op == "-":
                 rhs = {k: -v for k, v in rhs.items()}
             for k, v in rhs.items():
                 total = value[k] = value.get(k, self.reg.zero()) + v
                 # a sum is measured after it is built, where v changed it
-                self._check("sum", tok, _log10_height(total.coefficient(m) for m, _ in v.terms()))
+                self._check("sum", at, _log10_height(total.coefficient(m) for m, _ in v.terms()))
         return value
-
-    def parse(self):
-        result = self._expr()
-        if not self.c.at_end():
-            self.c.fail("unexpected trailing input")
-        return {k: v for k, v in result.items() if v}
 
 
 def parse_poly(text: str, registry: VarRegistry, origin: str = "<expr>") -> Polynomial:
     """Parse a polynomial in the display syntax over any registered variable."""
-    cursor = _Cursor(_tokenize_line(text, 1, origin), origin)
-    parts = _ExprParser(cursor, registry, allow_basis=False, kinds=_ALL_KINDS).parse()
+    parts = _ExprParser(text, 1, origin).parse(registry, kinds=_ALL_KINDS)
     return parts.get(0, registry.zero())
 
 
 # -- text format ----------------------------------------------------------------
+
+# an exclusion p != 0 with p the zero polynomial excludes every value
+_ZERO_EXCLUSION = "the exclusion is the zero polynomial, so no parameter value satisfies it"
 
 
 def parse_text(doc: SourceDoc | str) -> LieAlgebra:
     if isinstance(doc, str):
         doc = SourceDoc(doc)
     origin = doc.origin
-    lines = _LINE_END.split(doc.text)
     statements = []
-    for no, raw in enumerate(lines, start=1):
-        tokens = _tokenize_line(raw, no, origin)
-        if tokens[0].kind != "end":
-            statements.append(_Cursor(tokens, origin))
+    for no, raw in enumerate(_LINE_END.split(doc.text), start=1):
+        cur = _ExprParser(raw, no, origin)
+        if len(cur.toks) > 1:
+            statements.append(cur)
     if not statements:
         raise ParseError("empty input: expected a 'dim' line", origin=origin)
 
     # First statement fixes the dimension; param lines must precede brackets.
+    # A statement holds a token before its end, so index 1 exists.
     cur = statements[0]
-    head = cur.next()
-    if head.value != "dim":
-        cur.fail("the first statement must be 'dim <n>'", head)
-    size_tok = cur.next()
-    dim = cur.integer(size_tok) if size_tok.kind == "int" else 0
+    if cur.toks[0][_IDENT] != "dim":
+        cur.fail("the first statement must be 'dim <n>'", 0)
+    digits = cur.toks[1][_INT]
+    dim = cur.integer(1, digits) if digits else 0
     if dim < 1:
-        cur.fail("dimension must be a positive integer", size_tok)
+        cur.fail("dimension must be a positive integer", 1)
     if dim > MAX_DIM:
-        cur.fail(f"dimension {dim} exceeds the limit {MAX_DIM}", size_tok)
+        cur.fail(f"dimension {dim} exceeds the limit {MAX_DIM}", 1)
+    cur.i = 2
     if not cur.at_end():
         cur.fail("unexpected trailing input after the dimension")
 
-    param_lines: dict[str, _Cursor] = {}  # name -> the rest of its line
-    bracket_lines: list[_Cursor] = []
+    param_lines: dict[str, _ExprParser] = {}  # name -> the rest of its line
+    bracket_lines: list[_ExprParser] = []
     for cur in statements[1:]:
-        tok = cur.peek()
-        if tok.value == "dim":
-            cur.fail("duplicate 'dim' line", tok)
-        if tok.value == "param":
+        word = cur.toks[0][_IDENT]
+        if word == "dim":
+            cur.fail("duplicate 'dim' line")
+        if word == "param":
             if bracket_lines:
-                cur.fail("param lines must appear before bracket lines", tok)
-            cur.next()
-            name_tok = cur.next()
-            if name_tok.kind != "ident":
-                cur.fail("expected a parameter name", name_tok)
+                cur.fail("param lines must appear before bracket lines")
+            _, basis, _, ident, _ = cur.toks[1]
+            name = ident or basis
+            if not name:
+                cur.fail("expected a parameter name", 1)
             try:
-                _check_param_name(name_tok.value)
+                _check_param_name(name)
             except ValueError as exc:
-                cur.fail(str(exc), name_tok)
-            if name_tok.value in param_lines:
-                cur.fail(f"duplicate parameter {name_tok.value!r}", name_tok)
-            param_lines[name_tok.value] = cur
+                cur.fail(str(exc), 1)
+            if name in param_lines:
+                cur.fail(f"duplicate parameter {name!r}", 1)
+            cur.i = 2
+            param_lines[name] = cur
         else:
             bracket_lines.append(cur)
 
-    registry = VarRegistry(dim, list(param_lines))
+    registry = shared_registry(dim, tuple(param_lines))
 
     decls = []
     for name, cur in param_lines.items():
         exclusions: tuple[Polynomial, ...] = ()
-        tok = cur.peek()
-        if tok.value == "!=":
-            cur.next()
-            parts = _ExprParser(cur, registry, allow_basis=False)._expr()
-            if not cur.at_end():
-                cur.fail("unexpected trailing input after the exclusion")
-            rhs = parts.get(0, registry.zero())
-            exclusions = (registry.var(name) - rhs,)
-        elif tok.kind != "end":
-            cur.fail("expected '!=' or end of line", tok)
+        if cur.toks[2][_OP] == "!=":
+            cur.i = 3
+            rhs = cur.parse(registry, trailing="unexpected trailing input after the exclusion")
+            exclusion = registry.var(name) - rhs.get(0, registry.zero())
+            if not exclusion:
+                cur.fail(_ZERO_EXCLUSION, 2)
+            exclusions = (exclusion,)
+        elif not cur.at_end():
+            cur.fail("expected '!=' or end of line")
         decls.append(ParamDecl(name, exclusions))
 
     brackets: dict[tuple[int, int], dict[int, Polynomial]] = {}
     for cur in bracket_lines:
-        _parse_bracket_line(cur, registry, dim, brackets)
+        cur.expect("[")
+        i = cur.basis(dim)
+        cur.expect(",")
+        j = cur.basis(dim)
+        cur.expect("]")
+        if i == j:
+            cur.fail(f"bracket indices must differ, got [e{i},e{j}]", 0)
+        cur.expect("=")
+        parts = cur.parse(registry, allow_basis=True)
+        if 0 in parts:  # parse() has dropped zero parts
+            cur.fail("constant terms are not allowed in a bracket", 0)
+        conflict = _store_bracket(brackets, i, j, parts)
+        if conflict:
+            cur.fail(conflict, 0)
 
     return LieAlgebra(
         dim,
@@ -479,44 +501,13 @@ def _store_bracket(brackets, i: int, j: int, terms: dict[int, Polynomial]) -> st
     must repeat it.  Returns the error message for a conflicting
     redefinition, None otherwise.
     """
-    sign = 1
     if i > j:
         i, j = j, i
-        sign = -1
-    terms = {k: sign * v for k, v in terms.items()}
-    if brackets.setdefault((i, j), terms) != terms:
+        terms = {k: -v for k, v in terms.items()}
+    stored = brackets.setdefault((i, j), terms)
+    if stored is not terms and stored != terms:
         return f"conflicting redefinition of [e{i},e{j}]"
     return None
-
-
-def _parse_bracket_line(cur: _Cursor, registry: VarRegistry, dim: int, brackets) -> None:
-    open_tok = cur.peek()
-    cur.expect_op("[")
-    i = _basis_index(cur, cur.next(), dim)
-    cur.expect_op(",")
-    j = _basis_index(cur, cur.next(), dim)
-    cur.expect_op("]")
-    if i == j:
-        cur.fail(f"bracket indices must differ, got [e{i},e{j}]", open_tok)
-    cur.expect_op("=")
-    parts = _ExprParser(cur, registry, allow_basis=True).parse()
-    if 0 in parts:  # parse() has dropped zero parts
-        cur.fail("constant terms are not allowed in a bracket", open_tok)
-    conflict = _store_bracket(brackets, i, j, parts)
-    if conflict:
-        cur.fail(conflict, open_tok)
-
-
-def _basis_index(cur: _Cursor, tok: Token, dim: int) -> int:
-    """k of the basis element e<k> at ``tok``, failing there when the token
-    is none or k is outside 1..dim."""
-    m = _BASIS_RE.match(tok.value) if tok.kind == "ident" else None
-    if not m:
-        cur.fail("expected a basis element like e3", tok)
-    k = cur.integer(tok, m.group(1))
-    if not (1 <= k <= dim):
-        cur.fail(f"basis index e{k} out of range for dimension {dim}", tok)
-    return k
 
 
 def _check_param_name(name: str) -> None:
@@ -601,8 +592,7 @@ def _json_list(data: dict, key: str, origin: str) -> list:
 def _coefficient(text: str, registry: VarRegistry, path: str, origin: str) -> Polynomial:
     """A coefficient string as a polynomial in the parameters, refused at ``path``."""
     try:
-        cursor = _Cursor(_tokenize_line(text, 1, origin), origin)
-        parts = _ExprParser(cursor, registry, allow_basis=False).parse()
+        parts = _ExprParser(text, 1, origin).parse(registry)
     except ParseError as exc:
         raise SchemaError(f"bad polynomial: {exc.message}", path=path, origin=origin) from None
     return parts.get(0, registry.zero())
@@ -639,13 +629,17 @@ def parse_structured(doc: SourceDoc | str) -> LieAlgebra:
         names.append(name)
         raw_exclusions.append(nz)
 
-    registry = VarRegistry(dim, names)
+    registry = shared_registry(dim, tuple(names))
 
     decls = []
     for idx, (name, nz) in enumerate(zip(names, raw_exclusions)):
         exclusions = ()
         if nz is not None:
-            exclusions = (_coefficient(nz, registry, f"params[{idx}].nonzero", origin),)
+            path = f"params[{idx}].nonzero"
+            exclusion = _coefficient(nz, registry, path, origin)
+            if not exclusion:
+                raise SchemaError(_ZERO_EXCLUSION, path=path, origin=origin)
+            exclusions = (exclusion,)
         decls.append(ParamDecl(name, exclusions))
 
     brackets: dict[tuple[int, int], dict[int, Polynomial]] = {}

@@ -60,6 +60,7 @@ __all__ = [
     "PENCIL_NAME",
     "VarKind",
     "VarRegistry",
+    "shared_registry",
     "check_parameter_name",
     "Polynomial",
     "content",
@@ -133,7 +134,7 @@ class VarRegistry:
 
     __slots__ = (
         "dim", "params", "_names", "_kinds", "_pos", "_display",
-        "_shift", "_unit", "_guard", "_degree_shift", "_kind_mask", "_shared_zero",
+        "_shift", "_unit", "_guard", "_degree_shift", "_kind_mask", "_shared_zero", "_shared_one",
     )
 
     def __init__(self, dim: int, params: Sequence[str] = ()):
@@ -183,6 +184,7 @@ class VarRegistry:
             masks.append((kind, ((1 << EXPONENT_BITS * count) - 1) << EXPONENT_BITS * low))
         self._kind_mask = tuple(masks)
         self._shared_zero = Polynomial(self, {})
+        self._shared_one = Polynomial(self, {0: 1})
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -246,7 +248,8 @@ class VarRegistry:
         return self._shared_zero
 
     def one(self) -> "Polynomial":
-        return self.constant(1)
+        """The constant 1, one shared object per registry."""
+        return self._shared_one
 
     def constant(self, value: Scalar) -> "Polynomial":
         return Polynomial(self, {0: value} if value else {})
@@ -295,6 +298,13 @@ class VarRegistry:
         if self.kind_of(name) is not VarKind.PARAMETER:
             raise ValueError(f"{name!r} is not a parameter")
         return self.var(name)
+
+
+@functools.lru_cache(maxsize=64)
+def shared_registry(dim: int, params: tuple[str, ...] = ()) -> VarRegistry:
+    """The registry of dimension ``dim`` with ``params``.  A registry is
+    immutable, so every table of one shape shares this one."""
+    return VarRegistry(dim, params)
 
 
 class Polynomial:

@@ -2,6 +2,7 @@
 
 import codecs
 import contextlib
+import importlib
 import json
 import os
 import shutil
@@ -16,7 +17,7 @@ import pytest
 from liepencil import corpus
 from liepencil.classify import classify, classify_family
 from liepencil.cli import RENDER, main
-from liepencil.errors import InvalidAlgebra
+from liepencil.errors import ExclusionViolation, InvalidAlgebra
 from liepencil.parser import MAX_DIM, MAX_POWER_SIZE, load_algebra, parse_text
 from liepencil.poly import MAX_EXPONENT
 
@@ -89,14 +90,44 @@ def test_library_default_seed_draws_the_cli_samples(corpus_file, capsys):
 
 
 @pytest.mark.parametrize("command", ["classify", "check"])
-def test_no_admissible_sample_is_a_domain_error(command, tmp_path, capsys):
+def test_no_admissible_sample_is_a_domain_error(command, tmp_path, capsys, monkeypatch):
+    """A family whose exclusions no draw passes; a zero exclusion, the one
+    such input the parsers could once build, is refused where it is written."""
+    def excluded(alg, values):
+        raise ExclusionViolation("every draw is excluded")
+
+    # the package exports the function classify, which hides the module
+    monkeypatch.setattr(importlib.import_module("liepencil.classify"), "substitute_params", excluded)
     path = tmp_path / "empty.lie"
-    path.write_text("dim 3\nparam a != a\n[e1,e2] = a*e3\n")
+    path.write_text("dim 3\nparam a != 0\n[e1,e2] = a*e3\n")
     assert main([command, str(path)]) == 1
     err = capsys.readouterr().err
     assert err == (
         "error: could not find parameter values satisfying the exclusions "
         "after 100 draws\n"
+    )
+
+
+ZERO_TEXT = "dim 3\nparam a != a\n[e1,e2] = a*e3\n"
+ZERO_JSON = '{"dim": 3, "params": [{"name": "a", "nonzero": "0"}]}'
+
+
+@pytest.mark.parametrize(
+    "name, text, argv, where",
+    [
+        ("zero.lie", ZERO_TEXT, ["classify"], "zero.lie:2:9"),
+        ("zero.lie", ZERO_TEXT, ["classify", "--param", "a=2"], "zero.lie:2:9"),
+        ("zero.json", ZERO_JSON, ["validate"], "zero.json: params[0].nonzero"),
+    ],
+    ids=["classify", "bound", "json"],
+)
+def test_zero_exclusion_is_a_usage_error(name, text, argv, where, tmp_path, capsys):
+    """Once read, it ended in a failed sampling or a violated binding, exit 1."""
+    path = tmp_path / name
+    path.write_text(text)
+    assert main([argv[0], str(path), *argv[1:]]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path.parent / where}: the exclusion is the zero polynomial, so no parameter value satisfies it\n"
     )
 
 

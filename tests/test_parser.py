@@ -16,6 +16,7 @@ from liepencil.parser import (
     _ExprParser,
     SourceDoc,
     emit_text,
+    int_digit_limit,
     load_algebra,
     parse_poly,
     parse_source,
@@ -362,6 +363,111 @@ def test_text_refusal_names_its_position(text, where, message):
     assert err.value.message == message
 
 
+LIMIT = int_digit_limit()
+OVER = "9" * (LIMIT + 700)  # an int literal past Python's digit limit
+MAX = "9" * LIMIT  # the longest int literal Python reads
+DIGITS = f"integer of {LIMIT + 700} digits exceeds the limit of {LIMIT} digits"
+
+# (text, line, column, message) for every place the text parser refuses
+REFUSALS = {
+    "first-not-dim": ("[e1,e2] = e3\n", 1, 1, "the first statement must be 'dim <n>'"),
+    "dim-word": ("dim n\n", 1, 5, "dimension must be a positive integer"),
+    "dim-too-large": ("dim 1001\n", 1, 5, "dimension 1001 exceeds the limit 1000"),
+    "dim-digits": (f"dim {OVER}\n", 1, 5, DIGITS),
+    "param-after-bracket": ("dim 3\n[e1,e2] = e3\nparam a\n", 3, 1, "param lines must appear before bracket lines"),
+    "param-twice": ("dim 3\nparam a\nparam a\n", 3, 7, "duplicate parameter 'a'"),
+    "param-missing-name": ("dim 3\nparam\n", 2, 6, "expected a parameter name"),
+    "undeclared": ("dim 3\n[e1,e2] = b*e3\n", 2, 11, "undeclared parameter 'b'"),
+    "coordinate": ("dim 3\n[e1,e2] = x1*e3\n", 2, 11, "'x1' is not a parameter"),
+    "coordinate-exclusion": ("dim 3\nparam a != x2\n", 2, 12, "'x2' is not a parameter"),
+    "basis-product": ("dim 3\n[e1,e2] = e1*e3\n", 2, 13, "products of basis elements are not allowed"),
+    "basis-adjacent": ("dim 3\n[e1,e2] = e1 e3\n", 2, 14, "products of basis elements are not allowed"),
+    "basis-power": ("dim 3\n[e1,e2] = e3^2\n", 2, 14, "basis elements cannot be raised to powers"),
+    "exponent-limit": ("dim 3\nparam a\n[e1,e2] = a^99999*e3\n", 3, 13, "exponent 99999 exceeds the limit 32767"),
+    "exponent-digits": (f"dim 3\nparam a\n[e1,e2] = a^{OVER}*e3\n", 3, 13, DIGITS),
+    "power-digits": (
+        "dim 3\n[e1,e2] = 10^5000*e3\n", 2, 13,
+        f"a coefficient of this power would exceed the limit of {LIMIT} digits",
+    ),
+    "power-size": (
+        "dim 3\nparam a\nparam b\n[e1,e2] = (a+b+1)^200*e3\n", 4, 18,
+        "this power could hold more than 100000 digits in all",
+    ),
+    "power-degree": (
+        "dim 3\nparam a\n[e1,e2] = (a^200)^200*e3\n", 3, 18,
+        "this power would have total degree 40000, past the limit 32767",
+    ),
+    "product-digits": (
+        f"dim 3\n[e1,e2] = {MAX}*{MAX}*e3\n", 2, 11 + LIMIT,
+        f"a coefficient of this product would exceed the limit of {LIMIT} digits",
+    ),
+    "product-size": (
+        "dim 3\nparam a\nparam b\n[e1,e2] = (a+b+1)^40*(a+b+1)^40*e3\n", 4, 21,
+        "this product could hold more than 100000 digits in all",
+    ),
+    "product-degree": (
+        "dim 3\nparam a\n[e1,e2] = a^20000*a^20000*e3\n", 3, 18,
+        "this product would have total degree 40000, past the limit 32767",
+    ),
+    "sum-digits": (
+        f"dim 3\n[e1,e2] = {MAX} + {MAX} + e3\n", 2, 12 + LIMIT,
+        f"a coefficient of this sum would exceed the limit of {LIMIT} digits",
+    ),
+    "division-by-parameter": (
+        "dim 3\nparam a\n[e1,e2] = e3/a\n", 3, 13, "division is only allowed by a rational constant",
+    ),
+    "division-by-basis": ("dim 3\n[e1,e2] = e3/e1\n", 2, 13, "division is only allowed by a rational constant"),
+    "division-by-zero": ("dim 3\n[e1,e2] = e3/(1-1)\n", 2, 13, "division by zero"),
+    "trailing": ("dim 3\n[e1,e2] = e3 )\n", 2, 14, "unexpected trailing input"),
+    "expect-open": ("dim 3\ne1,e2] = e3\n", 2, 1, "expected '['"),
+    "expect-comma": ("dim 3\n[e1 e2] = e3\n", 2, 5, "expected ','"),
+    "expect-close": ("dim 3\n[e1,e2 = e3\n", 2, 8, "expected ']'"),
+    "expect-equals": ("dim 3\n[e1,e2] e3\n", 2, 9, "expected '='"),
+    "expect-paren": ("dim 3\n[e1,e2] = (e3\n", 2, 14, "expected ')'"),
+    "expected-basis": ("dim 3\n[e1,a] = e3\n", 2, 5, "expected a basis element like e3"),
+    "expected-basis-number": ("dim 3\n[1,e2] = e3\n", 2, 2, "expected a basis element like e3"),
+    "basis-out-of-range": ("dim 3\n[e1,e4] = e3\n", 2, 5, "basis index e4 out of range for dimension 3"),
+    "basis-digits": (f"dim 3\n[e1,e2] = e{OVER}\n", 2, 11, DIGITS),
+    "bracket-basis-digits": (f"dim 3\n[e{OVER},e2] = e3\n", 2, 2, DIGITS),
+    "atom-digits": (f"dim 3\n[e1,e2] = {OVER}*e3\n", 2, 11, DIGITS),
+    "param-basis-digits": (
+        f"dim 3\nparam e{OVER}\n", 2, 7, f"parameter name 'e{OVER}' is reserved for basis elements",
+    ),
+    "conflict": ("dim 3\n[e1,e2] = e3\n[e2,e1] = e3\n", 3, 1, "conflicting redefinition of [e1,e2]"),
+    "bad-char": ("dim 3\n[e1,e2] = e3 $\n", 2, 14, "unexpected character '$'"),
+    "tokenizer-before-grammar": ("dim 0\n$\n", 2, 1, "unexpected character '$'"),
+}
+
+
+@pytest.mark.parametrize("text, line, column, message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_every_text_refusal_site_is_pinned(text, line, column, message):
+    """Each refusal of the text parser, with its message and position: a
+    rewrite of the tokenizer or the grammar must keep every one."""
+    with pytest.raises(ParseError) as err:
+        parse_text(text)
+    assert (err.value.message, err.value.line, err.value.column) == (message, line, column)
+
+
+ZERO_EXCLUSION = "the exclusion is the zero polynomial, so no parameter value satisfies it"
+
+
+@pytest.mark.parametrize("rhs", ["a", "2*a - a", "(a + 1) - 1"])
+def test_text_zero_exclusion_is_refused_where_it_is_written(rhs):
+    """param a != a once parsed, and then every value of a violated it."""
+    with pytest.raises(ParseError) as err:
+        parse_text(f"dim 3\nparam a != {rhs}\n[e1,e2] = a*e3\n")
+    assert (err.value.message, err.value.line, err.value.column) == (ZERO_EXCLUSION, 2, 9)
+
+
+@pytest.mark.parametrize("nonzero", ["0", "a - a", "0*a"])
+def test_structured_zero_exclusion_is_refused_at_its_path(nonzero):
+    text = _doc(params=[{"name": "b"}, {"name": "a", "nonzero": nonzero}])
+    with pytest.raises(SchemaError) as err:
+        parse_structured(text)
+    assert err.value.path == "params[1].nonzero"
+    assert err.value.message == f"params[1].nonzero: {ZERO_EXCLUSION}"
+
+
 def test_constant_parts_that_cancel_are_accepted():
     assert parse_text("dim 3\n[e1,e2] = 1 + e3 - 1\n") == parse_text("dim 3\n[e1,e2] = e3\n")
 
@@ -497,14 +603,16 @@ def test_json_nesting_is_refused_before_decoding(prefix, depth):
 @pytest.mark.parametrize(
     "data, position",
     [
-        (b'{\r\n"dim": 3,\r\n}', "line 3 column 1 (char 14)"),
-        (b'{\r"dim": 3,\r}', "line 1 column 13 (char 12)"),
+        (b'{\r\n"dim": 3,\r\n]', "line 3 column 1 (char 14)"),
+        (b'{\r"dim": 3,\r]', "line 1 column 13 (char 12)"),
     ],
     ids=["crlf", "lone-cr"],
 )
 def test_json_file_positions_count_every_byte(tmp_path, data, position):
     """A JSON file is decoded without newline translation, so a position
-    counts each CR as one character and lines by LF, as json does."""
+    counts each CR as one character and lines by LF, as json does.  The
+    documents end in "]", not "}": Python 3.13 words a trailing comma before
+    "}" differently and places it at the comma."""
     path = tmp_path / "t.json"
     path.write_bytes(data)
     with pytest.raises(SchemaError) as err:
